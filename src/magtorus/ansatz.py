@@ -24,14 +24,14 @@ checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 
-from .fields import (AnalyticField, DomainError, Field, LAMBDA_FLOOR,
-                     SamplingGrid, TorusGeometry, TrigField, rms_norm,
-                     sup_norm, zero_field)
+from .fields import (DomainError, Field, Jet, LAMBDA_FLOOR, SamplingGrid,
+                     TorusGeometry, TrigField, value_field, zero_field)
 from .flow import MagneticSystem
 
 
@@ -58,9 +58,13 @@ class EquationResidual:
 
 @dataclass
 class ResidualReport:
+    """Residual norms per equation.  `values`, where the kernel provides it,
+    is the pointwise residual magnitude on the grid (for plotting)."""
+
     entries: list
     periodic: bool = True
     flags: list = _dc_field(default_factory=list)
+    values: np.ndarray | None = None
 
     def entry(self, label: str) -> EquationResidual:
         for e in self.entries:
@@ -81,11 +85,25 @@ class ResidualReport:
                          for e in self.entries)
 
 
-def _residual_entry(label, residual, term_mags) -> EquationResidual:
-    denom = 1.0 + np.max(np.stack(term_mags), axis=0)
-    rel = np.abs(residual) / denom
-    return EquationResidual(label, sup_norm(residual), rms_norm(residual),
-                            sup_norm(rel), rms_norm(rel))
+def _largest(*terms):
+    """Pointwise largest magnitude among an equation's terms."""
+    return functools.reduce(np.maximum, map(np.abs, terms))
+
+
+def _residual_entry(label, chunks) -> EquationResidual:
+    """Norms of an equation whose samples come as (residual, largest term
+    magnitude) array pairs, accumulated one pair at a time."""
+    sup = rel_sup = square_sum = rel_square_sum = 0.0
+    count = 0
+    for residual, mags in chunks:
+        rel = np.abs(residual) / (1.0 + mags)
+        sup = max(sup, float(np.max(np.abs(residual))))
+        rel_sup = max(rel_sup, float(np.max(rel)))
+        square_sum += float(np.sum(residual * residual))
+        rel_square_sum += float(np.sum(rel * rel))
+        count += residual.size
+    return EquationResidual(label, sup, math.sqrt(square_sum / count),
+                            rel_sup, math.sqrt(rel_square_sum / count))
 
 
 def _all_periodic(fields) -> bool:
@@ -220,58 +238,57 @@ def default_phi_count(n: int) -> int:
     return 4 * n + 4
 
 
+def _stationarity_samples(ansatz: Ansatz, omega: Field, grid: SamplingGrid, phis):
+    """Residual of the stationarity equation on the grid and its largest
+    term magnitude, yielded one angle at a time."""
+    lam = ansatz.lam.jet(grid)
+    u = [f.jet(grid) for f in ansatz.u]
+    v = [f.jet(grid) for f in ansatz.v]
+    coef = lam.y / (2.0 * lam.v)
+    coef_x = lam.x / (2.0 * lam.v)
+    om_term = omega.on_grid(grid) / np.sqrt(lam.v)
+    for phi in phis:
+        c, s = math.cos(phi), math.sin(phi)
+        f_x, f_y, f_phi = u[0].x, u[0].y, 0.0
+        for k in range(1, ansatz.n + 1):
+            ck, sk = 2.0 * math.cos(k * phi), 2.0 * math.sin(k * phi)
+            f_x = f_x + (u[k].x * ck - v[k].x * sk)
+            f_y = f_y + (u[k].y * ck - v[k].y * sk)
+            f_phi = f_phi - k * (u[k].v * sk + v[k].v * ck)
+        t1 = f_x * c
+        t2 = f_y * s
+        t3 = f_phi * (coef * c - coef_x * s - om_term)
+        yield t1 + t2 + t3, _largest(t1, t2, t3)
+
+
 def stationarity_residual_values(ansatz: Ansatz, omega: Field,
                                  grid: SamplingGrid, phis: np.ndarray):
     """Residual of the stationarity equation on grid x phi samples.
 
     Returns (residual, term_magnitude) arrays of shape (n_phi, nx, ny).
     """
-    X, Y = grid.mesh_x, grid.mesh_y
-    lam = np.asarray(ansatz.lam.eval(X, Y), dtype=float)
-    lam_x = np.asarray(ansatz.lam.d_dx(X, Y), dtype=float)
-    lam_y = np.asarray(ansatz.lam.d_dy(X, Y), dtype=float)
-    om = np.asarray(omega.eval(X, Y), dtype=float)
-    u = [np.asarray(f.eval(X, Y), dtype=float) for f in ansatz.u]
-    v = [np.asarray(f.eval(X, Y), dtype=float) for f in ansatz.v]
-    ux = [np.asarray(f.d_dx(X, Y), dtype=float) for f in ansatz.u]
-    uy = [np.asarray(f.d_dy(X, Y), dtype=float) for f in ansatz.u]
-    vx = [np.asarray(f.d_dx(X, Y), dtype=float) for f in ansatz.v]
-    vy = [np.asarray(f.d_dy(X, Y), dtype=float) for f in ansatz.v]
-
-    coef = lam_y / (2.0 * lam)
-    coef_x = lam_x / (2.0 * lam)
-    om_term = om / np.sqrt(lam)
-
-    res = np.empty((len(phis),) + X.shape)
-    mags = np.empty_like(res)
-    for i, phi in enumerate(phis):
-        c, s = math.cos(phi), math.sin(phi)
-        f_x = ux[0].copy()
-        f_y = uy[0].copy()
-        f_phi = np.zeros_like(f_x)
-        for k in range(1, ansatz.n + 1):
-            ck, sk = math.cos(k * phi), math.sin(k * phi)
-            f_x += 2.0 * (ux[k] * ck - vx[k] * sk)
-            f_y += 2.0 * (uy[k] * ck - vy[k] * sk)
-            f_phi += 2.0 * (-k * u[k] * sk - k * v[k] * ck)
-        t1 = f_x * c
-        t2 = f_y * s
-        t3 = f_phi * (coef * c - coef_x * s - om_term)
-        res[i] = t1 + t2 + t3
-        mags[i] = np.maximum(np.abs(t1), np.maximum(np.abs(t2), np.abs(t3)))
-    return res, mags
+    res, mags = zip(*_stationarity_samples(ansatz, omega, grid, phis))
+    return np.stack(res), np.stack(mags)
 
 
 def residual_stationarity(ansatz: Ansatz, omega: Field,
                           grid: SamplingGrid | None = None,
                           n_phi: int | None = None) -> ResidualReport:
-    """Norms of the stationarity residual over grid x equispaced angles."""
+    """Norms of the stationarity residual over grid x equispaced angles,
+    streamed one angle at a time; `values` is the largest |residual| over
+    the angles at each grid node."""
     grid = grid if grid is not None else SamplingGrid(64, 64, ansatz.geometry)
     n_phi = n_phi if n_phi is not None else default_phi_count(ansatz.n)
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    res, mags = stationarity_residual_values(ansatz, omega, grid, phis)
-    entry = _residual_entry("stationarity", res, [mags])
-    return ResidualReport([entry],
+    peak = np.zeros((grid.nx, grid.ny))
+
+    def samples():
+        for res, mags in _stationarity_samples(ansatz, omega, grid, phis):
+            np.maximum(peak, np.abs(res), out=peak)
+            yield res, mags
+
+    entry = _residual_entry("stationarity", samples())
+    return ResidualReport([entry], values=peak,
                           periodic=_all_periodic(ansatz.fields() + (omega,)))
 
 
@@ -285,60 +302,39 @@ def harmonic_residual_values(ansatz: Ansatz, omega: Field, k: int,
     """Complex residual of harmonic k on the grid, plus per-term magnitudes."""
     if k < 0 or k > ansatz.n + 1:
         raise ValueError(f"harmonic index k must lie in 0..{ansatz.n + 1}, got {k}")
-    X, Y = grid.mesh_x, grid.mesh_y
-    lam = np.asarray(ansatz.lam.eval(X, Y), dtype=float)
-    lam_x = np.asarray(ansatz.lam.d_dx(X, Y), dtype=float)
-    lam_y = np.asarray(ansatz.lam.d_dy(X, Y), dtype=float)
+    lam = ansatz.lam.jet(grid)
 
     def coeff(j):
-        # u_j, v_j and first derivatives, with a_{-j} = conj(a_j) and a_j = 0 above N
+        # jet of a_j = u_j + i v_j, with a_{-j} = conj(a_j) and a_j = 0 above N
         if abs(j) > ansatz.n:
-            zero = np.zeros_like(lam)
-            return zero, zero, zero, zero, zero, zero
+            return Jet(0.0, 0.0, 0.0)
         sign = 1.0 if j >= 0 else -1.0
-        uf, vf = ansatz.u[abs(j)], ansatz.v[abs(j)]
-        a = np.asarray(uf.eval(X, Y), dtype=float)
-        b = sign * np.asarray(vf.eval(X, Y), dtype=float)
-        a_x = np.asarray(uf.d_dx(X, Y), dtype=float)
-        b_x = sign * np.asarray(vf.d_dx(X, Y), dtype=float)
-        a_y = np.asarray(uf.d_dy(X, Y), dtype=float)
-        b_y = sign * np.asarray(vf.d_dy(X, Y), dtype=float)
-        return a, b, a_x, b_x, a_y, b_y
+        u, v = ansatz.u[abs(j)].jet(grid), ansatz.v[abs(j)].jet(grid)
+        return Jet(*(a + 1j * (sign * b) for a, b in zip(u, v)))
 
-    um, vm, umx, vmx, umy, vmy = coeff(k - 1)
-    up, vp, upx, vpx, upy, vpy = coeff(k + 1)
-    akm = um + 1j * vm
-    akp = up + 1j * vp
-    dakm_x = umx + 1j * vmx
-    dakp_x = upx + 1j * vpx
-    dakm_y = umy + 1j * vmy
-    dakp_y = upy + 1j * vpy
-
-    t1 = (lam_y / (2.0 * lam)) * (1j * (k - 1) * akm + 1j * (k + 1) * akp) / 2.0
-    t2 = -(lam_x / (2.0 * lam)) * (1j * (k - 1) * akm - 1j * (k + 1) * akp) / (2.0j)
-    t3 = (dakm_x + dakp_x) / 2.0
-    t4 = (dakm_y - dakp_y) / (2.0j)
+    akm = coeff(k - 1)
+    akp = coeff(k + 1)
+    t1 = (lam.y / (2.0 * lam.v)) * (1j * (k - 1) * akm.v + 1j * (k + 1) * akp.v) / 2.0
+    t2 = -(lam.x / (2.0 * lam.v)) * (1j * (k - 1) * akm.v - 1j * (k + 1) * akp.v) / (2.0j)
+    t3 = (akm.x + akp.x) / 2.0
+    t4 = (akm.y - akp.y) / (2.0j)
     if k == 0 or k > ansatz.n:
-        t5 = np.zeros_like(akm)
+        t5 = 0.0
     else:
-        om = np.asarray(omega.eval(X, Y), dtype=float)
-        ak = (np.asarray(ansatz.u[k].eval(X, Y), dtype=float)
-              + 1j * np.asarray(ansatz.v[k].eval(X, Y), dtype=float))
-        t5 = -1j * k * om * ak / np.sqrt(lam)
+        t5 = -1j * k * omega.on_grid(grid) * coeff(k).v / np.sqrt(lam.v)
     residual = t1 + t2 + t3 + t4 + t5
-    mags = np.max(np.stack([np.abs(t1), np.abs(t2), np.abs(t3),
-                            np.abs(t4), np.abs(t5)]), axis=0)
-    return residual, mags
+    return residual, _largest(t1, t2, t3, t4, t5)
 
 
 def residual_harmonic(ansatz: Ansatz, omega: Field, k: int,
                       grid: SamplingGrid | None = None) -> ResidualReport:
-    """Real and imaginary norms of the harmonic-k relation."""
+    """Real and imaginary norms of the harmonic-k relation; `values` is the
+    magnitude of the complex residual."""
     grid = grid if grid is not None else SamplingGrid(64, 64, ansatz.geometry)
     res, mags = harmonic_residual_values(ansatz, omega, k, grid)
-    entries = [_residual_entry(f"harmonic_{k}_real", res.real, [mags]),
-               _residual_entry(f"harmonic_{k}_imag", res.imag, [mags])]
-    return ResidualReport(entries,
+    entries = [_residual_entry(f"harmonic_{k}_real", [(res.real, mags)]),
+               _residual_entry(f"harmonic_{k}_imag", [(res.imag, mags)])]
+    return ResidualReport(entries, values=np.abs(res),
                           periodic=_all_periodic(ansatz.fields() + (omega,)))
 
 
@@ -347,7 +343,7 @@ def residual_harmonic(ansatz: Ansatz, omega: Field, k: int,
 # ---------------------------------------------------------------------------
 
 
-def omega_raw(ansatz: Ansatz) -> AnalyticField:
+def omega_raw(ansatz: Ansatz) -> Field:
     """Magnetic field from the unrescaled leading coefficients:
 
         Omega = [(N-1)(Lambda_y u_{N-1} - Lambda_x v_{N-1})
@@ -357,37 +353,24 @@ def omega_raw(ansatz: Ansatz) -> AnalyticField:
     second derivatives of the inputs, which the field contract excludes).
     """
     n = ansatz.n
-    lam = ansatz.lam
-    u_top = ansatz.u[n - 1]
-    v_top = ansatz.v[n - 1]
 
-    def value(x, y):
-        lam_v = lam.eval(x, y)
-        if not np.all(np.asarray(lam_v) > LAMBDA_FLOOR):
+    def value(lam, u_top, v_top):
+        if not np.all(np.asarray(lam.v) > LAMBDA_FLOOR):
             raise DomainError("conformal factor at or below the positivity floor")
-        num = ((n - 1) * (lam.d_dy(x, y) * u_top.eval(x, y)
-                          - lam.d_dx(x, y) * v_top.eval(x, y))
-               + 2.0 * lam_v * (v_top.d_dx(x, y) - u_top.d_dy(x, y)))
-        return num / (4.0 * n * lam_v ** ((n + 1) / 2.0))
+        num = ((n - 1) * (lam.y * u_top.v - lam.x * v_top.v)
+               + 2.0 * lam.v * (v_top.x - u_top.y))
+        return num / (4.0 * n * lam.v ** ((n + 1) / 2.0))
 
-    return AnalyticField(value, geometry=ansatz.geometry,
-                         periodic=_all_periodic((lam, u_top, v_top)),
-                         label="omega_raw")
+    return value_field(value, (ansatz.lam, ansatz.u[n - 1], ansatz.v[n - 1]),
+                       label="omega_raw")
 
 
-def omega_rescaled(rescaled: RescaledAnsatz, n: int | None = None) -> AnalyticField:
+def omega_rescaled(rescaled: RescaledAnsatz, n: int | None = None) -> Field:
     """Magnetic field from the rescaled leading coefficients:
     Omega = ((g_{N-1})_x - (f_{N-1})_y) / (2 N)."""
     n = n if n is not None else rescaled.n
-    f_top = rescaled.f[n - 1]
-    g_top = rescaled.g[n - 1]
-
-    def value(x, y):
-        return (g_top.d_dx(x, y) - f_top.d_dy(x, y)) / (2.0 * n)
-
-    return AnalyticField(value, geometry=rescaled.geometry,
-                         periodic=_all_periodic((f_top, g_top)),
-                         label="omega_rescaled")
+    return value_field(lambda f_top, g_top: (g_top.x - f_top.y) / (2.0 * n),
+                       (rescaled.f[n - 1], rescaled.g[n - 1]), label="omega_rescaled")
 
 
 # ---------------------------------------------------------------------------
@@ -415,28 +398,18 @@ def constraint_residual(obj, grid: SamplingGrid | None = None) -> ResidualReport
     else:
         raise TypeError("expected an Ansatz or RescaledAnsatz")
     grid = grid if grid is not None else SamplingGrid(64, 64, rescaled.geometry)
-    X, Y = grid.mesh_x, grid.mesh_y
-
-    lam_v = np.asarray(lam.eval(X, Y), dtype=float)
-    lam_x = np.asarray(lam.d_dx(X, Y), dtype=float)
-    lam_y = np.asarray(lam.d_dy(X, Y), dtype=float)
-    t_lhs = 2.0 * lam_v * (np.asarray(u_top.d_dx(X, Y), dtype=float)
-                           + np.asarray(v_top.d_dy(X, Y), dtype=float))
-    t_rhs = (n - 1) * (np.asarray(v_top.eval(X, Y), dtype=float) * lam_y
-                       + np.asarray(u_top.eval(X, Y), dtype=float) * lam_x)
-    res_unscaled = t_lhs - t_rhs
+    lam_j, u, v = lam.jet(grid), u_top.jet(grid), v_top.jet(grid)
+    t_lhs = 2.0 * lam_j.v * (u.x + v.y)
+    t_rhs = (n - 1) * (v.v * lam_j.y + u.v * lam_j.x)
 
     f_top = rescaled.f[n - 1]
     g_top = rescaled.g[n - 1]
-    tf = np.asarray(f_top.d_dx(X, Y), dtype=float)
-    tg = np.asarray(g_top.d_dy(X, Y), dtype=float)
-    res_rescaled = tf + tg
+    tf = f_top.jet(grid).x
+    tg = g_top.jet(grid).y
 
     entries = [
-        _residual_entry("divergence_unscaled", res_unscaled,
-                        [np.abs(t_lhs), np.abs(t_rhs)]),
-        _residual_entry("divergence_rescaled", res_rescaled,
-                        [np.abs(tf), np.abs(tg)]),
+        _residual_entry("divergence_unscaled", [(t_lhs - t_rhs, _largest(t_lhs, t_rhs))]),
+        _residual_entry("divergence_rescaled", [(tf + tg, _largest(tf, tg))]),
     ]
     return ResidualReport(entries,
                           periodic=_all_periodic((lam, u_top, v_top, f_top, g_top)))
@@ -475,29 +448,31 @@ def conservation_flux_fields(rescaled: RescaledAnsatz, lam: Field | None = None,
     return r_field, flux1, flux2, degenerate
 
 
-def conservation_residuals(rescaled: RescaledAnsatz, lam: Field | None = None,
-                           n: int | None = None,
-                           grid: SamplingGrid | None = None) -> ResidualReport:
-    """Residual norms of the two conservation laws.  All outer derivatives are
+def conservation_check(rescaled: RescaledAnsatz, lam: Field | None = None,
+                       n: int | None = None, grid: SamplingGrid | None = None):
+    """Residual report of the two conservation laws on the grid, and the jets
+    (R, flux_1, flux_2) it was computed from.  All outer derivatives are
     expanded by the product/chain rule onto first derivatives of the inputs."""
     lam = lam if lam is not None else rescaled.lam
     n = n if n is not None else rescaled.n
     grid = grid if grid is not None else SamplingGrid(64, 64, rescaled.geometry)
-    X, Y = grid.mesh_x, grid.mesh_y
     r_field, flux1, flux2, degenerate = conservation_flux_fields(rescaled, lam, n)
-
-    r_x = np.asarray(r_field.d_dx(X, Y), dtype=float)
-    r_y = np.asarray(r_field.d_dy(X, Y), dtype=float)
-    f1_y = np.asarray(flux1.d_dy(X, Y), dtype=float)
-    f2_x = np.asarray(flux2.d_dx(X, Y), dtype=float)
-
+    r, f1, f2 = r_field.jet(grid), flux1.jet(grid), flux2.jet(grid)
     entries = [
-        _residual_entry("conservation_1", r_x + f1_y, [np.abs(r_x), np.abs(f1_y)]),
-        _residual_entry("conservation_2", r_y + f2_x, [np.abs(r_y), np.abs(f2_x)]),
+        _residual_entry("conservation_1", [(r.x + f1.y, _largest(r.x, f1.y))]),
+        _residual_entry("conservation_2", [(r.y + f2.x, _largest(r.y, f2.x))]),
     ]
     flags = [N1_DEGENERATE_FLAG] if degenerate else []
     involved = list(rescaled.f) + list(rescaled.g) + [lam]
-    return ResidualReport(entries, periodic=_all_periodic(involved), flags=flags)
+    return (ResidualReport(entries, periodic=_all_periodic(involved), flags=flags),
+            (r, f1, f2))
+
+
+def conservation_residuals(rescaled: RescaledAnsatz, lam: Field | None = None,
+                           n: int | None = None,
+                           grid: SamplingGrid | None = None) -> ResidualReport:
+    """Residual norms of the two conservation laws (see `conservation_check`)."""
+    return conservation_check(rescaled, lam, n, grid)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +505,6 @@ def build_linear_family(lambda_profile: Field, a_profile: Field,
     if isinstance(a_profile, TrigField):
         omega = -1.0 * a_profile.dy_field()
     else:
-        omega = AnalyticField(
-            lambda x, y, a=a_profile: -a.d_dy(x, y),
-            lambda x, y: 0.0 * (x + y),   # Omega depends on y only
-            None,
-            geometry=geometry, periodic=a_profile.periodic, label="minus_A_prime")
+        omega = value_field(lambda a: -a.y, (a_profile,), label="minus_A_prime")
     system = MagneticSystem(lambda_profile, omega, geometry)
     return ansatz, system

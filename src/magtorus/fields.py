@@ -10,14 +10,18 @@ Two backends:
 * analytic closed forms -- a value rule plus closed-form first-derivative
   rules, admitting non-periodic profiles such as a linear ramp in y.
 
-Fields are immutable after construction; evaluation is pure and accepts
-scalars or same-shaped numpy arrays.  Sums, differences, products and real
-powers of fields carry exact first derivatives via the product/chain rule.
+Evaluation is forward mode: ``field.jet(x, y)`` returns ``(v, v_x, v_y)``;
+sums, products and powers of fields are nodes combining their children's
+jets once.  On a `SamplingGrid`, trigonometric leaves evaluate separably and
+at most once per grid (the grid memoizes leaf jets only).  Fields are
+immutable; evaluation is pure and accepts scalars or same-shaped arrays.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +60,8 @@ class TorusGeometry:
 
 
 class SamplingGrid:
-    """Uniform nodes over one fundamental domain (endpoints excluded)."""
+    """Uniform nodes over one fundamental domain (endpoints excluded), with a
+    memo of trigonometric leaf jets on them, weakly keyed by field."""
 
     def __init__(self, nx: int = 64, ny: int = 64, geometry: TorusGeometry | None = None):
         if nx < 4 or ny < 4:
@@ -67,18 +72,14 @@ class SamplingGrid:
         self.xs = self.geometry.period_x * np.arange(self.nx) / self.nx
         self.ys = self.geometry.period_y * np.arange(self.ny) / self.ny
         self.mesh_x, self.mesh_y = np.meshgrid(self.xs, self.ys, indexing="ij")
+        self.leaf_jets = weakref.WeakKeyDictionary()
 
     def __repr__(self):
         return f"SamplingGrid({self.nx}x{self.ny})"
 
 
-def sup_norm(values) -> float:
-    return float(np.max(np.abs(values)))
-
-
-def rms_norm(values) -> float:
-    v = np.asarray(values, dtype=float)
-    return float(np.sqrt(np.mean(v * v)))
+#: Value and first partials of a field over a point set: ``v, v_x, v_y``.
+Jet = namedtuple("Jet", "v x y")
 
 
 # ---------------------------------------------------------------------------
@@ -87,25 +88,38 @@ def rms_norm(values) -> float:
 
 
 class Field:
-    """Base class: value and exact first derivatives at (x, y)."""
+    """Value and exact first derivatives; subclasses implement ``_jet``."""
 
     geometry: TorusGeometry
     periodic: bool = True
+    exact = (True, True)   # exact d/dx and d/dy rules exist
+
+    def jet(self, x, y=None) -> Jet:
+        """Value and exact first partials at points (x, y), or on a grid `x`."""
+        if not all(self.exact):
+            raise DerivativeUnavailable(f"no first-derivative rules for {self!r}")
+        return self._evaluate(x, y)
+
+    def _evaluate(self, x, y) -> Jet:
+        if isinstance(x, SamplingGrid):
+            return self._jet(x, None, x.leaf_jets)
+        return self._jet(x, y, {})
 
     def eval(self, x, y):
-        raise NotImplementedError
+        return self._evaluate(x, y).v
 
     def d_dx(self, x, y):
-        raise NotImplementedError
+        if not self.exact[0]:
+            raise DerivativeUnavailable(f"no d/dx rule for {self!r}")
+        return self._evaluate(x, y).x
 
     def d_dy(self, x, y):
-        raise NotImplementedError
-
-    def __call__(self, x, y):
-        return self.eval(x, y)
+        if not self.exact[1]:
+            raise DerivativeUnavailable(f"no d/dy rule for {self!r}")
+        return self._evaluate(x, y).y
 
     def on_grid(self, grid: SamplingGrid):
-        return self.eval(grid.mesh_x, grid.mesh_y)
+        return self._evaluate(grid, None).v
 
     def min_on_grid(self, grid: SamplingGrid) -> float:
         return float(np.min(self.on_grid(grid)))
@@ -120,19 +134,10 @@ class Field:
     def __add__(self, other):
         if isinstance(other, (int, float)):
             c = float(other)
-            return AnalyticField(
-                lambda x, y, s=self: s.eval(x, y) + c,
-                lambda x, y, s=self: s.d_dx(x, y),
-                lambda x, y, s=self: s.d_dy(x, y),
-                geometry=self.geometry, periodic=self.periodic)
+            return _Node(lambda a: Jet(a.v + c, a.x, a.y), (self,))
         if not isinstance(other, Field):
             return NotImplemented
-        self._check_geometry(other)
-        return AnalyticField(
-            lambda x, y, a=self, b=other: a.eval(x, y) + b.eval(x, y),
-            lambda x, y, a=self, b=other: a.d_dx(x, y) + b.d_dx(x, y),
-            lambda x, y, a=self, b=other: a.d_dy(x, y) + b.d_dy(x, y),
-            geometry=self.geometry, periodic=self.periodic and other.periodic)
+        return _Node(lambda a, b: Jet(a.v + b.v, a.x + b.x, a.y + b.y), (self, other))
 
     __radd__ = __add__
 
@@ -148,19 +153,11 @@ class Field:
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             c = float(other)
-            return AnalyticField(
-                lambda x, y, s=self: c * s.eval(x, y),
-                lambda x, y, s=self: c * s.d_dx(x, y),
-                lambda x, y, s=self: c * s.d_dy(x, y),
-                geometry=self.geometry, periodic=self.periodic)
+            return _Node(lambda a: Jet(c * a.v, c * a.x, c * a.y), (self,))
         if not isinstance(other, Field):
             return NotImplemented
-        self._check_geometry(other)
-        return AnalyticField(
-            lambda x, y, a=self, b=other: a.eval(x, y) * b.eval(x, y),
-            lambda x, y, a=self, b=other: a.d_dx(x, y) * b.eval(x, y) + a.eval(x, y) * b.d_dx(x, y),
-            lambda x, y, a=self, b=other: a.d_dy(x, y) * b.eval(x, y) + a.eval(x, y) * b.d_dy(x, y),
-            geometry=self.geometry, periodic=self.periodic and other.periodic)
+        return _Node(lambda a, b: Jet(a.v * b.v, a.x * b.v + a.v * b.x,
+                                      a.y * b.v + a.v * b.y), (self, other))
 
     __rmul__ = __mul__
 
@@ -168,11 +165,12 @@ class Field:
         p = float(p)
         if p == 1.0:
             return self
-        return AnalyticField(
-            lambda x, y, s=self: s.eval(x, y) ** p,
-            lambda x, y, s=self: p * s.eval(x, y) ** (p - 1.0) * s.d_dx(x, y),
-            lambda x, y, s=self: p * s.eval(x, y) ** (p - 1.0) * s.d_dy(x, y),
-            geometry=self.geometry, periodic=self.periodic)
+
+        def power(a):
+            slope = p * a.v ** (p - 1.0)
+            return Jet(a.v ** p, slope * a.x, slope * a.y)
+
+        return _Node(power, (self,))
 
 
 class TrigField(Field):
@@ -184,94 +182,76 @@ class TrigField(Field):
     structural rather than a runtime check.
     """
 
-    periodic = True
-
     def __init__(self, table: dict, geometry: TorusGeometry | None = None):
         self.geometry = geometry if geometry is not None else TorusGeometry()
-        c0, half = _canonicalize_table(table)
-        self._c0 = c0
-        items = sorted(half.items())
-        self._modes = tuple(mn for mn, _ in items)
-        self._cre = np.array([c.real for _, c in items], dtype=float)
-        self._cim = np.array([c.imag for _, c in items], dtype=float)
-        kx = np.empty(len(items))
-        ky = np.empty(len(items))
-        for i, (m, n) in enumerate(self._modes):
-            kx[i], ky[i] = self.geometry.wavenumbers(m, n)
-        self._kx = kx
-        self._ky = ky
-        self._dx = None
-        self._dy = None
+        self._c0, half = _canonicalize_table(table)
+        self._half = dict(sorted(half.items()))
+        # f = c0 + sum of a cos(kx x + ky y) - b sin(kx x + ky y), a + i b = 2 c
+        self._terms = [(*self.geometry.wavenumbers(m, n), 2.0 * c.real, 2.0 * c.imag)
+                       for (m, n), c in self._half.items()]
+        # On grids: Re(E_x @ rows @ E_y), rows = (1, i kx, i ky) (a + i b) over
+        # distinct (kx, ky), E_x = exp(i kx x) and E_y = exp(i ky y).
+        kx, ky, a, b = np.array([(0.0, 0.0, self._c0, 0.0)] + self._terms).T
+        self._grid_kx, mi = np.unique(kx, return_inverse=True)
+        self._grid_ky, ni = np.unique(ky, return_inverse=True)
+        self._grid_rows = np.zeros((3, self._grid_kx.size, self._grid_ky.size), dtype=complex)
+        self._grid_rows[:, mi, ni] = (a + 1j * b) * np.stack((np.ones_like(kx), 1j * kx, 1j * ky))
 
-    # -- evaluation ---------------------------------------------------------
+    def _jet(self, x, y, memo):
+        jet = memo.get(self)
+        if jet is not None:
+            return jet
+        if isinstance(x, SamplingGrid):
+            left = np.exp(1j * np.multiply.outer(x.xs, self._grid_kx)) @ self._grid_rows
+            right = np.exp(1j * np.multiply.outer(self._grid_ky, x.ys))
+            out = left.real @ right.real - left.imag @ right.imag
+            out.flags.writeable = False   # shared through the grid's memo
+            jet = Jet(*out)
+        else:
+            # At a single point math beats numpy's per-call overhead.
+            point = isinstance(x, (int, float)) and isinstance(y, (int, float))
+            cos, sin = (math.cos, math.sin) if point else (np.cos, np.sin)
+            v_x = v_y = 0.0 * (x + y)
+            v = self._c0 + v_x
+            for kx, ky, a, b in self._terms:
+                theta = kx * x + ky * y
+                c, s = cos(theta), sin(theta)
+                slope = -(a * s + b * c)
+                v, v_x, v_y = v + (a * c - b * s), v_x + kx * slope, v_y + ky * slope
+            jet = Jet(*map(np.float64, (v, v_x, v_y)))
+        memo[self] = jet
+        return jet
 
-    def eval(self, x, y):
-        if self._kx.size == 0:
-            if isinstance(x, (int, float)) and isinstance(y, (int, float)):
-                return self._c0
-            return np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, self._c0)
-        if isinstance(x, (int, float)) and isinstance(y, (int, float)):
-            theta = self._kx * x + self._ky * y
-            return self._c0 + 2.0 * (self._cre @ np.cos(theta) - self._cim @ np.sin(theta))
-        xa = np.asarray(x, dtype=float)
-        ya = np.asarray(y, dtype=float)
-        xa, ya = np.broadcast_arrays(xa, ya)
-        theta = np.multiply.outer(self._kx, xa) + np.multiply.outer(self._ky, ya)
-        out = np.tensordot(self._cre, np.cos(theta), axes=(0, 0))
-        out -= np.tensordot(self._cim, np.sin(theta), axes=(0, 0))
-        return self._c0 + 2.0 * out
-
-    def _eval_complex(self, x, y):
-        # Full two-sided sum; imaginary part should vanish to roundoff.
-        total = complex(self._c0)
-        for (m, n), cre, cim in zip(self._modes, self._cre, self._cim):
-            kx, ky = self.geometry.wavenumbers(m, n)
-            c = complex(cre, cim)
-            z = np.exp(1j * (kx * x + ky * y))
-            total += c * z + np.conj(c) * np.conj(z)
-        return total
+    # Bound on each concrete class so that per-class wrappers can find them.
+    eval, d_dx, d_dy = Field.eval, Field.d_dx, Field.d_dy
 
     # -- exact spectral differentiation --------------------------------------
 
     def dx_field(self) -> "TrigField":
-        if self._dx is None:
-            table = {mn: complex(cre, cim) * 1j * kx
-                     for mn, cre, cim, kx in zip(self._modes, self._cre, self._cim, self._kx)}
-            self._dx = TrigField(table, self.geometry)
-        return self._dx
+        return TrigField({mn: c * 1j * self.geometry.wavenumbers(*mn)[0]
+                          for mn, c in self._half.items()}, self.geometry)
 
     def dy_field(self) -> "TrigField":
-        if self._dy is None:
-            table = {mn: complex(cre, cim) * 1j * ky
-                     for mn, cre, cim, ky in zip(self._modes, self._cre, self._cim, self._ky)}
-            self._dy = TrigField(table, self.geometry)
-        return self._dy
-
-    def d_dx(self, x, y):
-        return self.dx_field().eval(x, y)
-
-    def d_dy(self, x, y):
-        return self.dy_field().eval(x, y)
+        return TrigField({mn: c * 1j * self.geometry.wavenumbers(*mn)[1]
+                          for mn, c in self._half.items()}, self.geometry)
 
     # -- table access --------------------------------------------------------
 
     def coefficients(self) -> dict:
         """Full two-sided coefficient table {(m, n): complex}."""
         table = {}
-        if self._c0 != 0.0 or not self._modes:
+        if self._c0 != 0.0 or not self._half:
             table[(0, 0)] = complex(self._c0, 0.0)
-        for (m, n), cre, cim in zip(self._modes, self._cre, self._cim):
-            table[(m, n)] = complex(cre, cim)
-            table[(-m, -n)] = complex(cre, -cim)
+        for (m, n), c in self._half.items():
+            table[(m, n)] = c
+            table[(-m, -n)] = c.conjugate()
         return table
 
     # -- trig-exact algebra ---------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
-            table = self.coefficients()
-            table[(0, 0)] = table.get((0, 0), 0.0) + float(other)
-            return TrigField(table, self.geometry)
+            other = constant_field(other, self.geometry)
         if isinstance(other, TrigField):
             self._check_geometry(other)
             table = self.coefficients()
@@ -284,8 +264,7 @@ class TrigField(Field):
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            table = {mn: c * float(other) for mn, c in self.coefficients().items()}
-            return TrigField(table, self.geometry)
+            other = constant_field(other, self.geometry)
         if isinstance(other, TrigField):
             self._check_geometry(other)
             table = {}
@@ -299,7 +278,7 @@ class TrigField(Field):
     __rmul__ = __mul__
 
     def __repr__(self):
-        return f"TrigField({1 + 2 * len(self._modes)} modes)"
+        return f"TrigField({1 + 2 * len(self._half)} modes)"
 
 
 def _canonical(m: int, n: int) -> bool:
@@ -339,33 +318,53 @@ def _canonicalize_table(table: dict):
 
 
 class AnalyticField(Field):
-    """Closed-form field: a value rule plus optional first-derivative rules."""
+    """Closed-form field: a value rule plus optional first-derivative rules
+    (without one, that derivative raises DerivativeUnavailable)."""
 
     def __init__(self, value_fn, dx_fn=None, dy_fn=None, *,
                  geometry: TorusGeometry | None = None, periodic: bool = True,
                  label: str = ""):
         self.geometry = geometry if geometry is not None else TorusGeometry()
-        self._value = value_fn
-        self._dx = dx_fn
-        self._dy = dy_fn
         self.periodic = periodic
         self.label = label
+        self.exact = (dx_fn is not None, dy_fn is not None)
+        self._rules = (value_fn, dx_fn, dy_fn)
 
-    def eval(self, x, y):
-        return self._value(x, y)
+    def _jet(self, x, y, memo):
+        if isinstance(x, SamplingGrid):
+            x, y = x.mesh_x, x.mesh_y
+        return Jet(*(rule(x, y) if rule else math.nan for rule in self._rules))
 
-    def d_dx(self, x, y):
-        if self._dx is None:
-            raise DerivativeUnavailable(f"no d/dx rule for field {self.label!r}")
-        return self._dx(x, y)
-
-    def d_dy(self, x, y):
-        if self._dy is None:
-            raise DerivativeUnavailable(f"no d/dy rule for field {self.label!r}")
-        return self._dy(x, y)
+    eval, d_dx, d_dy = Field.eval, Field.d_dx, Field.d_dy
 
     def __repr__(self):
         return f"AnalyticField({self.label or 'derived'})"
+
+
+class _Node(AnalyticField):
+    """Expression node whose jet is `rule` applied to its children's jets."""
+
+    def __init__(self, rule, children, *, label: str = "", exact=None):
+        for other in children[1:]:
+            children[0]._check_geometry(other)
+        self.geometry = children[0].geometry
+        self.periodic = all(c.periodic for c in children)
+        self.label = label
+        self.exact = exact or tuple(all(c.exact[i] for c in children) for i in (0, 1))
+        self._rule, self._children = rule, children
+
+    def _jet(self, x, y, memo):
+        return self._rule(*(c._jet(x, y, memo) for c in self._children))
+
+
+def value_field(rule, fields, *, label: str) -> AnalyticField:
+    """Evaluation-only field with value ``rule(*jets of fields)``: its own
+    derivatives would need second derivatives, which fields do not carry."""
+    for f in fields:
+        if not all(f.exact):
+            raise DerivativeUnavailable(f"no first-derivative rules for {f!r}")
+    return _Node(lambda *jets: Jet(rule(*jets), math.nan, math.nan), tuple(fields),
+                 label=label, exact=(False, False))
 
 
 # ---------------------------------------------------------------------------

@@ -71,10 +71,11 @@ class MagneticSystem:
                 f"(min = {lam_min:g})")
 
 
-def _lam_checked(system: MagneticSystem, x: float, y: float) -> float:
-    lam = system.lam.eval(x, y)
-    if not lam > LAMBDA_FLOOR:
-        raise DomainError(f"conformal factor {lam:g} fell below the positivity floor at "
+def _lam_checked(system: MagneticSystem, x: float, y: float):
+    """Jet (Lambda, Lambda_x, Lambda_y) at a point above the positivity floor."""
+    lam = system.lam.jet(x, y)
+    if not lam.v > LAMBDA_FLOOR:
+        raise DomainError(f"conformal factor {lam.v:g} fell below the positivity floor at "
                           f"({x:g}, {y:g})")
     return lam
 
@@ -88,11 +89,9 @@ def flow_rhs(system: MagneticSystem, state) -> tuple:
         x, y, phi = state.x, state.y, state.phi
     else:
         x, y, phi = state
-    lam = _lam_checked(system, x, y)
+    lam, lam_x, lam_y = _lam_checked(system, x, y)
     sqrt_lam = math.sqrt(lam)
     c, s = math.cos(phi), math.sin(phi)
-    lam_x = system.lam.d_dx(x, y)
-    lam_y = system.lam.d_dy(x, y)
     om = system.omega.eval(x, y)
     dphi = (lam_y * c - lam_x * s) / (2.0 * lam * sqrt_lam) - om / lam
     return (c / sqrt_lam, s / sqrt_lam, dphi)
@@ -104,9 +103,7 @@ def cotangent_rhs(system: MagneticSystem, state) -> tuple:
         x, y, p1, p2 = state.x, state.y, state.p1, state.p2
     else:
         x, y, p1, p2 = state
-    lam = _lam_checked(system, x, y)
-    lam_x = system.lam.d_dx(x, y)
-    lam_y = system.lam.d_dy(x, y)
+    lam, lam_x, lam_y = _lam_checked(system, x, y)
     om = system.omega.eval(x, y)
     p_sq = p1 * p1 + p2 * p2
     # dH/dx = -p^2 Lambda_x / (2 Lambda^2), dH/dp_i = p_i / Lambda
@@ -203,6 +200,14 @@ def _advance_fixed(rhs, state, t0, t1, dt):
     return state
 
 
+#: Smallest step the step-doubling control takes.
+STEP_FLOOR = 1e-12
+
+
+class StepFloorError(ArithmeticError):
+    """Step doubling could not meet its tolerance even at the step floor."""
+
+
 def _advance_adaptive(rhs, state, t0, t1, h, atol):
     t = t0
     while t < t1 - 1e-14 * max(1.0, t1):
@@ -211,13 +216,17 @@ def _advance_adaptive(rhs, state, t0, t1, h, atol):
             full = _rk4_step(rhs, state, h)
             half = _rk4_step(rhs, _rk4_step(rhs, state, 0.5 * h), 0.5 * h)
             err = max(abs(a - b) for a, b in zip(full, half)) / 15.0
-            if err <= atol or h <= 1e-12:
+            if err <= atol:
                 break
-            h = max(0.5 * h, 1e-12)
+            if h <= STEP_FLOOR:
+                raise StepFloorError(
+                    f"adaptive step reached the floor h = {STEP_FLOOR:g} at t = {t:.17g} "
+                    f"with local error {err:.3g} > atol {atol:g}")
+            h = max(0.5 * h, STEP_FLOOR)
         state = half
         t += h
         if err > 0.0:
-            h *= min(5.0, max(0.2, 0.9 * (atol / err) ** 0.2))
+            h = max(h * min(5.0, max(0.2, 0.9 * (atol / err) ** 0.2)), STEP_FLOOR)
         else:
             h *= 5.0
     return state, h
@@ -238,7 +247,7 @@ def _integrate_path(rhs, state0, t_end, control):
                 state, h = _advance_adaptive(rhs, state, t0, t1, h, control.atol)
             else:
                 state = _advance_fixed(rhs, state, t0, t1, control.dt)
-        except DomainError as exc:
+        except (DomainError, StepFloorError) as exc:
             aborted = True
             diagnostic = str(exc)
             break
@@ -279,7 +288,7 @@ def integrate_cotangent(system: MagneticSystem, state0: CotangentState, t_end: f
     """Integrate the bracket form; returns (times, states array, aborted, diagnostic)."""
     if not t_end > 0.0:
         raise ValueError("t_end must be positive")
-    lam0 = _lam_checked(system, state0.x, state0.y)
+    lam0 = _lam_checked(system, state0.x, state0.y).v
     energy0 = (state0.p1 ** 2 + state0.p2 ** 2) / (2.0 * lam0)
     if not (math.isfinite(energy0) and energy0 > 0.0):
         raise ValueError(f"initial energy must be finite and positive, got {energy0!r}")

@@ -17,11 +17,9 @@ import math
 from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
-import scipy.linalg
 
 from .fields import DomainError, Field, SamplingGrid
-from .ansatz import (RescaledAnsatz, conservation_flux_fields,
-                     conservation_residuals, constraint_residual)
+from .ansatz import RescaledAnsatz, conservation_check, constraint_residual
 
 
 @dataclass(frozen=True)
@@ -203,6 +201,8 @@ def spectrum(matrices, distinct_tol: float = 1e-9,
     eigenvalue computation; the A^{-1} B route is used only as a fallback when
     QZ fails and A is well conditioned.  Never raises on singular input:
     a singular pencil is reported as a degenerate classification."""
+    import scipy.linalg   # imported on first use: it dominates `import magtorus`
+
     if isinstance(matrices, SystemMatrices):
         a_mat, b_mat = matrices.a, matrices.b
     elif isinstance(matrices, (tuple, list)) and len(matrices) == 2:
@@ -280,14 +280,8 @@ def egorov_certificate(rescaled: RescaledAnsatz, lam: Field | None = None,
     grid = grid if grid is not None else SamplingGrid(64, 64, rescaled.geometry)
 
     constraint = constraint_residual(rescaled, grid)
-    conservation = conservation_residuals(rescaled, lam, n, grid)
-    r_field, flux1, flux2, _ = conservation_flux_fields(rescaled, lam, n)
-    X, Y = grid.mesh_x, grid.mesh_y
-    fluxes = {
-        "density": np.asarray(r_field.eval(X, Y), dtype=float),
-        "flux_1": np.asarray(flux1.eval(X, Y), dtype=float),
-        "flux_2": np.asarray(flux2.eval(X, Y), dtype=float),
-    }
+    conservation, (density, flux_1, flux_2) = conservation_check(rescaled, lam, n, grid)
+    fluxes = {"density": density.v, "flux_1": flux_1.v, "flux_2": flux_2.v}
     sups = {
         "divergence_rescaled": constraint.entry("divergence_rescaled").sup,
         "conservation_1": conservation.entry("conservation_1").sup,

@@ -14,6 +14,16 @@ def exact_family():
     return mt.build_linear_family(lam, a_prof)
 
 
+def eval_complex(field: TrigField, x, y):
+    """Full two-sided sum of the coefficient table; for a real field the
+    imaginary part vanishes to roundoff."""
+    total = 0j
+    for (m, n), c in field.coefficients().items():
+        kx, ky = field.geometry.wavenumbers(m, n)
+        total += c * np.exp(1j * (kx * x + ky * y))
+    return total
+
+
 def circular_closed_form(t, b=1.0, x0=0.0, y0=0.0, phi0=0.0):
     """Flat torus, constant magnetic field b: exact solution of the flow."""
     t = np.asarray(t, dtype=float)

@@ -3,6 +3,10 @@ machine-readable report contracts."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,13 @@ import magtorus as mt
 from magtorus.cli import canonical_json, main
 from magtorus.scenarios import BUNDLED, ScenarioError
 from helpers import circular_closed_form
+
+
+def run_python(*args, timeout=60.0):
+    """Run a fresh interpreter that imports magtorus from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mt.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=timeout)
 
 
 def run_cli(capsys, *argv):
@@ -249,6 +260,24 @@ def test_simulate_abort_gives_partial_output(tmp_path, capsys):
     assert traj["aborted"] is True
     assert "positivity floor" in traj["diagnostic"]
     assert (tmp_path / traj["csv"]).is_file()  # partial trajectory still written
+
+
+def test_simulate_unreachable_adaptive_tolerance_aborts(tmp_path):
+    # Below roundoff the step-doubling control used to shrink the step
+    # without bound; it now stops at the step floor with a diagnostic.
+    proc = run_python("-m", "magtorus", "simulate", "linear-family-periodic",
+                      "--adaptive", "1e-20", "--out", str(tmp_path))
+    assert proc.returncode == 1
+    traj = json.loads(proc.stdout)["payload"]["trajectories"][0]
+    assert traj["aborted"] is True
+    assert "floor h = 1e-12" in traj["diagnostic"]
+    assert (tmp_path / traj["csv"]).is_file()
+
+
+def test_import_does_not_load_scipy():
+    proc = run_python("-c", "import sys, magtorus, magtorus.cli; print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_simulate_adaptive_flag(tmp_path, capsys):
