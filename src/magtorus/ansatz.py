@@ -31,7 +31,8 @@ from dataclasses import dataclass, field as _dc_field
 import numpy as np
 
 from .fields import (DomainError, Field, Jet, LAMBDA_FLOOR, SamplingGrid,
-                     TorusGeometry, TrigField, value_field, zero_field)
+                     TorusGeometry, TrigField, check_conformal_factor,
+                     value_field, zero_field)
 from .flow import MagneticSystem
 
 
@@ -139,11 +140,8 @@ class Ansatz:
             raise ValueError(f"expected {n} fields u_0..u_{n - 1}, got {len(u_lower)}")
         if len(v_lower) != max(n - 1, 0):
             raise ValueError(f"expected {n - 1} fields v_1..v_{n - 1}, got {len(v_lower)}")
-        grid = check_grid if check_grid is not None else SamplingGrid(64, 64, self.geometry)
-        lam_min = lam.min_on_grid(grid)
-        if not lam_min > LAMBDA_FLOOR:
-            raise DomainError(f"conformal factor must be positive on the grid "
-                              f"(min = {lam_min:g})")
+        check_conformal_factor(lam, check_grid if check_grid is not None
+                               else SamplingGrid(64, 64, self.geometry))
         zero = zero_field(self.geometry)
         if normalize:
             u_top = lam ** (n / 2.0)
@@ -205,6 +203,53 @@ def unrescale(rescaled: RescaledAnsatz, lam: Field | None = None,
             u.append(rescaled.f[k] * scale)
             v.append(rescaled.g[k] * scale)
     return tuple(u), tuple(v)
+
+
+# ---------------------------------------------------------------------------
+# The harmonic relations on jets
+# ---------------------------------------------------------------------------
+#
+# Each relation is written once, on jets (v, v_x, v_y): the grid kernels pass
+# field jets on a SamplingGrid, `quasilinear.stacked_residual` passes point
+# values with derivative slots.
+
+
+def coefficient_jet(n: int, j: int, real_jets) -> Jet:
+    """Complex jet of a_j = u_j + i v_j, with a_{-j} = conj(a_j) and a_j = 0
+    for |j| > N; `real_jets(m)` returns the jets (u_m, v_m)."""
+    if abs(j) > n:
+        return Jet(0.0, 0.0, 0.0)
+    i = 1j if j >= 0 else -1j
+    u, v = real_jets(abs(j))
+    return Jet(u.v + i * v.v, u.x + i * v.x, u.y + i * v.y)
+
+
+def harmonic_relation(k: int, lam: Jet, akm: Jet, akp: Jet, ak, omega):
+    """Residual of the harmonic-k relation and its five terms, from the jets
+    of Lambda, a_{k-1} and a_{k+1} and the values of a_k and Omega."""
+    t1 = (lam.y / (2.0 * lam.v)) * (1j * (k - 1) * akm.v + 1j * (k + 1) * akp.v) / 2.0
+    t2 = -(lam.x / (2.0 * lam.v)) * (1j * (k - 1) * akm.v - 1j * (k + 1) * akp.v) / (2.0j)
+    t3 = (akm.x + akp.x) / 2.0
+    t4 = (akm.y - akp.y) / (2.0j)
+    t5 = -1j * k * omega * ak / np.sqrt(lam.v)
+    return t1 + t2 + t3 + t4 + t5, (t1, t2, t3, t4, t5)
+
+
+def omega_closed_form(n: int, lam: Jet, u: Jet, v: Jet):
+    """Magnetic field from the jets of Lambda and u = u_{N-1}, v = v_{N-1}:
+
+        Omega = [(N-1)(Lambda_y u - Lambda_x v) + 2 Lambda (v_x - u_y)]
+                / (4 N Lambda^((N+1)/2))
+    """
+    num = (n - 1) * (lam.y * u.v - lam.x * v.v) + 2.0 * lam.v * (v.x - u.y)
+    return num / (4.0 * n * lam.v ** ((n + 1) / 2.0))
+
+
+def constraint_sides(n: int, lam: Jet, u: Jet, v: Jet):
+    """The two sides of the unscaled divergence constraint
+    2 Lambda (u_x + v_y) = (N-1)(v Lambda_y + u Lambda_x), u = u_{N-1},
+    v = v_{N-1}."""
+    return 2.0 * lam.v * (u.x + v.y), (n - 1) * (v.v * lam.y + u.v * lam.x)
 
 
 # ---------------------------------------------------------------------------
@@ -300,30 +345,17 @@ def residual_stationarity(ansatz: Ansatz, omega: Field,
 def harmonic_residual_values(ansatz: Ansatz, omega: Field, k: int,
                              grid: SamplingGrid):
     """Complex residual of harmonic k on the grid, plus per-term magnitudes."""
-    if k < 0 or k > ansatz.n + 1:
-        raise ValueError(f"harmonic index k must lie in 0..{ansatz.n + 1}, got {k}")
-    lam = ansatz.lam.jet(grid)
-
-    def coeff(j):
-        # jet of a_j = u_j + i v_j, with a_{-j} = conj(a_j) and a_j = 0 above N
-        if abs(j) > ansatz.n:
-            return Jet(0.0, 0.0, 0.0)
-        sign = 1.0 if j >= 0 else -1.0
-        u, v = ansatz.u[abs(j)].jet(grid), ansatz.v[abs(j)].jet(grid)
-        return Jet(*(a + 1j * (sign * b) for a, b in zip(u, v)))
-
-    akm = coeff(k - 1)
-    akp = coeff(k + 1)
-    t1 = (lam.y / (2.0 * lam.v)) * (1j * (k - 1) * akm.v + 1j * (k + 1) * akp.v) / 2.0
-    t2 = -(lam.x / (2.0 * lam.v)) * (1j * (k - 1) * akm.v - 1j * (k + 1) * akp.v) / (2.0j)
-    t3 = (akm.x + akp.x) / 2.0
-    t4 = (akm.y - akp.y) / (2.0j)
-    if k == 0 or k > ansatz.n:
-        t5 = 0.0
-    else:
-        t5 = -1j * k * omega.on_grid(grid) * coeff(k).v / np.sqrt(lam.v)
-    residual = t1 + t2 + t3 + t4 + t5
-    return residual, _largest(t1, t2, t3, t4, t5)
+    n = ansatz.n
+    if k < 0 or k > n + 1:
+        raise ValueError(f"harmonic index k must lie in 0..{n + 1}, got {k}")
+    real_jets = lambda m: (ansatz.u[m].jet(grid), ansatz.v[m].jet(grid))
+    akm, akp = coefficient_jet(n, k - 1, real_jets), coefficient_jet(n, k + 1, real_jets)
+    if 0 < k <= n:
+        ak, om = coefficient_jet(n, k, real_jets).v, omega.on_grid(grid)
+    else:   # the magnetic term k a_k Omega vanishes
+        ak, om = 0.0, 0.0
+    residual, terms = harmonic_relation(k, ansatz.lam.jet(grid), akm, akp, ak, om)
+    return residual, _largest(*terms)
 
 
 def residual_harmonic(ansatz: Ansatz, omega: Field, k: int,
@@ -344,22 +376,17 @@ def residual_harmonic(ansatz: Ansatz, omega: Field, k: int,
 
 
 def omega_raw(ansatz: Ansatz) -> Field:
-    """Magnetic field from the unrescaled leading coefficients:
-
-        Omega = [(N-1)(Lambda_y u_{N-1} - Lambda_x v_{N-1})
-                 + 2 Lambda ((v_{N-1})_x - (u_{N-1})_y)] / (4 N Lambda^((N+1)/2))
-
-    The result is an evaluation-only field (its own derivatives would need
-    second derivatives of the inputs, which the field contract excludes).
+    """Magnetic field from the unrescaled leading coefficients
+    (`omega_closed_form`).  The result is an evaluation-only field (its own
+    derivatives would need second derivatives of the inputs, which the field
+    contract excludes).
     """
     n = ansatz.n
 
     def value(lam, u_top, v_top):
         if not np.all(np.asarray(lam.v) > LAMBDA_FLOOR):
             raise DomainError("conformal factor at or below the positivity floor")
-        num = ((n - 1) * (lam.y * u_top.v - lam.x * v_top.v)
-               + 2.0 * lam.v * (v_top.x - u_top.y))
-        return num / (4.0 * n * lam.v ** ((n + 1) / 2.0))
+        return omega_closed_form(n, lam, u_top, v_top)
 
     return value_field(value, (ansatz.lam, ansatz.u[n - 1], ansatz.v[n - 1]),
                        label="omega_raw")
@@ -398,9 +425,7 @@ def constraint_residual(obj, grid: SamplingGrid | None = None) -> ResidualReport
     else:
         raise TypeError("expected an Ansatz or RescaledAnsatz")
     grid = grid if grid is not None else SamplingGrid(64, 64, rescaled.geometry)
-    lam_j, u, v = lam.jet(grid), u_top.jet(grid), v_top.jet(grid)
-    t_lhs = 2.0 * lam_j.v * (u.x + v.y)
-    t_rhs = (n - 1) * (v.v * lam_j.y + u.v * lam_j.x)
+    t_lhs, t_rhs = constraint_sides(n, lam.jet(grid), u_top.jet(grid), v_top.jet(grid))
 
     f_top = rescaled.f[n - 1]
     g_top = rescaled.g[n - 1]

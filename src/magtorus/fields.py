@@ -367,6 +367,31 @@ def value_field(rule, fields, *, label: str) -> AnalyticField:
                  label=label, exact=(False, False))
 
 
+def check_conformal_factor(lam: Field, grid: SamplingGrid):
+    """Raise DomainError unless Lambda stays above LAMBDA_FLOOR.
+
+    For a TrigField the claim holds everywhere: it is accepted when
+    c0 - 2 sum|c| clears the floor, or when the minimum on `grid` minus the
+    Lipschitz bound 2 sum |c| |k| times half the cell diagonal does (every
+    point lies within half a diagonal of a node).  Other fields are checked
+    at the nodes of `grid` only.
+    """
+    lam_min = lam.min_on_grid(grid)
+    if isinstance(lam, TrigField):
+        spread = sum(math.hypot(a, b) for _, _, a, b in lam._terms)
+        lipschitz = sum(math.hypot(a, b) * math.hypot(kx, ky) for kx, ky, a, b in lam._terms)
+        half_diagonal = 0.5 * math.hypot(grid.geometry.period_x / grid.nx,
+                                         grid.geometry.period_y / grid.ny)
+        bound = max(lam._c0 - spread, lam_min - lipschitz * half_diagonal)
+        claim = f"everywhere (lower bound = {bound:g})"
+    else:
+        bound = lam_min
+        claim = f"on the sampling grid (min = {lam_min:g})"
+    if not LAMBDA_FLOOR < bound < math.inf:
+        raise DomainError(f"conformal factor must stay finite and above "
+                          f"{LAMBDA_FLOOR:g} {claim}")
+
+
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------

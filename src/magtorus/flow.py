@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as _dc_field
 import numpy as np
 
 from .fields import (DomainError, Field, LAMBDA_FLOOR, SamplingGrid,
-                     TorusGeometry)
+                     TorusGeometry, check_conformal_factor)
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,12 +63,7 @@ class MagneticSystem:
     geometry: TorusGeometry = _dc_field(default_factory=TorusGeometry)
 
     def __post_init__(self):
-        grid = SamplingGrid(64, 64, self.geometry)
-        lam_min = self.lam.min_on_grid(grid)
-        if not lam_min > LAMBDA_FLOOR:
-            raise DomainError(
-                f"conformal factor must stay above {LAMBDA_FLOOR:g} on the sampling grid "
-                f"(min = {lam_min:g})")
+        check_conformal_factor(self.lam, SamplingGrid(64, 64, self.geometry))
 
 
 def _lam_checked(system: MagneticSystem, x: float, y: float):

@@ -6,9 +6,11 @@ certificate built from the conservation-law pair.
 The 2N stacked equations are: the real harmonic-0 relation, the real and
 imaginary parts of harmonics k = 1 .. N-1 with the magnetic field eliminated
 through its closed-form expression in the leading coefficients, and the
-leading-coefficient divergence constraint.  Each equation is linear in the
-derivative slots (U_x, U_y) with coefficients depending only on U, so the
-matrices are extracted exactly by feeding unit derivative vectors.
+leading-coefficient divergence constraint, each evaluated by the jet
+kernels of `ansatz`.  Each equation is linear in the derivative slots
+(U_x, U_y) with coefficients depending only on U, so one evaluation on the
+slot pair ([I | 0], [0 | I]) yields [A | B] exactly (vector-mode forward
+differentiation of a map linear in the slots).
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 
-from .fields import DomainError, Field, SamplingGrid
-from .ansatz import RescaledAnsatz, conservation_check, constraint_residual
+from .fields import DomainError, Field, Jet, SamplingGrid
+from .ansatz import (RescaledAnsatz, coefficient_jet, conservation_check,
+                     constraint_residual, constraint_sides, harmonic_relation,
+                     omega_closed_form)
 
 
 @dataclass(frozen=True)
@@ -33,6 +37,8 @@ class StateVector:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size < 2 or vals.size % 2 != 0:
             raise ValueError("state vector must have even length 2N >= 2")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"state vector entries must be finite, got {vals.tolist()}")
         if not vals[0] > 0.0:
             raise DomainError(f"state has nonpositive conformal factor {vals[0]:g}")
 
@@ -57,18 +63,6 @@ def state_from_ansatz(ansatz, x: float, y: float) -> StateVector:
     return StateVector(np.asarray(vals, dtype=float))
 
 
-def _components(n: int, vec: np.ndarray):
-    """Split a 2N slot vector into (lam, u_0..u_N, v_0..v_N) including the
-    pinned values v_0 = 0, u_N = Lambda^{N/2}, v_N = 0 (top entries are filled
-    by the caller for derivative slots)."""
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    u[0:n] = vec[1:1 + n]
-    if n > 1:
-        v[1:n] = vec[1 + n:2 * n]
-    return vec[0], u, v
-
-
 def stacked_residual(state, ux, uy) -> np.ndarray:
     """The 2N equation residuals for free derivative slots (ux, uy).
 
@@ -76,47 +70,30 @@ def stacked_residual(state, ux, uy) -> np.ndarray:
     from the normalization u_N = Lambda^{N/2} by the chain rule, and the
     magnetic field is replaced by its closed form in the leading
     coefficients, which keeps every equation first order and linear in the
-    slots.
+    slots.  Slots of shape (2N, m) give rows of shape (2N, m), one column
+    per slot pair.
     """
     state = StateVector.coerce(state)
     n = state.n
     ux = np.asarray(ux, dtype=float)
     uy = np.asarray(uy, dtype=float)
-    if ux.shape != (2 * n,) or uy.shape != (2 * n,):
-        raise ValueError(f"derivative slots must have shape ({2 * n},)")
+    if ux.shape != uy.shape or ux.shape[:1] != (2 * n,) or ux.ndim > 2:
+        raise ValueError(f"derivative slots must have shape ({2 * n},) or ({2 * n}, m)")
 
-    lam, u, v = _components(n, state.values)
-    lam_x, dux, dvx = _components(n, ux)
-    lam_y, duy, dvy = _components(n, uy)
-    u[n] = lam ** (n / 2.0)
-    dux[n] = (n / 2.0) * lam ** (n / 2.0 - 1.0) * lam_x
-    duy[n] = (n / 2.0) * lam ** (n / 2.0 - 1.0) * lam_y
+    lam, *free = map(Jet, state.values, ux, uy)
+    slope = (n / 2.0) * lam.v ** (n / 2.0 - 1.0)
+    u = free[:n] + [Jet(lam.v ** (n / 2.0), slope * lam.x, slope * lam.y)]
+    v = [Jet(0.0, 0.0, 0.0)] + free[n:] + [Jet(0.0, 0.0, 0.0)]
+    a = {j: coefficient_jet(n, j, lambda m: (u[m], v[m])) for j in range(-1, n + 1)}
+    omega = omega_closed_form(n, lam, u[n - 1], v[n - 1])
 
-    sqrt_lam = math.sqrt(lam)
-    omega = ((n - 1) * (lam_y * u[n - 1] - lam_x * v[n - 1])
-             + 2.0 * lam * (dvx[n - 1] - duy[n - 1])) / (4.0 * n * lam ** ((n + 1) / 2.0))
-
-    rows = np.empty(2 * n)
-    rows[0] = (-(lam_y / (2.0 * lam)) * v[1] + (lam_x / (2.0 * lam)) * u[1]
-               + dux[1] - dvy[1])
-    for k in range(1, n):
-        akm = complex(u[k - 1], v[k - 1])
-        akp = complex(u[k + 1], v[k + 1])
-        ak = complex(u[k], v[k])
-        dakm_x = complex(dux[k - 1], dvx[k - 1])
-        dakp_x = complex(dux[k + 1], dvx[k + 1])
-        dakm_y = complex(duy[k - 1], dvy[k - 1])
-        dakp_y = complex(duy[k + 1], dvy[k + 1])
-        e_k = ((lam_y / (2.0 * lam)) * (1j * (k - 1) * akm + 1j * (k + 1) * akp) / 2.0
-               - (lam_x / (2.0 * lam)) * (1j * (k - 1) * akm - 1j * (k + 1) * akp) / 2.0j
-               + (dakm_x + dakp_x) / 2.0
-               + (dakm_y - dakp_y) / 2.0j
-               - 1j * k * omega * ak / sqrt_lam)
-        rows[2 * k - 1] = e_k.real
-        rows[2 * k] = e_k.imag
-    rows[2 * n - 1] = (2.0 * lam * (dux[n - 1] + dvy[n - 1])
-                       - (n - 1) * (v[n - 1] * lam_y + u[n - 1] * lam_x))
-    return rows
+    rows = []
+    for k in range(n):
+        e_k = harmonic_relation(k, lam, a[k - 1], a[k + 1], a[k].v, omega)[0]
+        rows += [e_k.real] if k == 0 else [e_k.real, e_k.imag]
+    lhs, rhs = constraint_sides(n, lam, u[n - 1], v[n - 1])
+    rows.append(lhs - rhs)
+    return np.array(rows)
 
 
 @dataclass(frozen=True)
@@ -131,18 +108,12 @@ class SystemMatrices:
 
 
 def assemble(state) -> SystemMatrices:
-    """Extract A and B columnwise from the residual's linearity in the slots."""
+    """A and B from one residual evaluation: the residual is linear in the
+    slots, so the slot pair ([I | 0], [0 | I]) returns [A | B]."""
     state = StateVector.coerce(state)
     dim = 2 * state.n
-    zero = np.zeros(dim)
-    a = np.empty((dim, dim))
-    b = np.empty((dim, dim))
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = 1.0
-        a[:, j] = stacked_residual(state, e, zero)
-        b[:, j] = stacked_residual(state, zero, e)
-    return SystemMatrices(a, b)
+    rows = stacked_residual(state, np.eye(dim, 2 * dim), np.eye(dim, 2 * dim, dim))
+    return SystemMatrices(rows[:, :dim], rows[:, dim:])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import magtorus as mt
-from magtorus.fields import FieldError, DerivativeUnavailable, TrigField
+from magtorus.fields import (FieldError, DerivativeUnavailable, TrigField,
+                             check_conformal_factor)
 from helpers import eval_complex
 
 
@@ -185,6 +186,23 @@ def test_geometry_and_grid_validation():
     grid = mt.SamplingGrid(4, 8)
     assert grid.xs[0] == 0.0 and len(grid.xs) == 4
     assert grid.mesh_x.shape == (4, 8)
+
+
+def test_conformal_factor_check_is_sound_for_trig_fields():
+    # 1 + 1.5 cos 64x is 2.5 at every node of the 64x64 grid but dips to -0.5.
+    aliased = mt.make_trig_field({(0, 0): 1.0, (64, 0): 0.75})
+    assert aliased.min_on_grid(mt.SamplingGrid(64, 64)) == pytest.approx(2.5)
+    with pytest.raises(mt.DomainError, match="conformal factor"):
+        mt.Ansatz(1, aliased, [mt.zero_field()])
+    with pytest.raises(mt.DomainError, match="conformal factor"):
+        mt.MagneticSystem(aliased, mt.zero_field())
+    # 1 + 0.6 cos x + 0.6 cos 2x has minimum 0.325 although c0 - 2 sum|c|
+    # = -0.2: the grid minimum minus the Lipschitz bound certifies it on a
+    # fine grid, and a coarse grid is refused rather than trusted.
+    dipping = mt.make_trig_field({(0, 0): 1.0, (1, 0): 0.3, (2, 0): 0.3})
+    check_conformal_factor(dipping, mt.SamplingGrid(64, 64))
+    with pytest.raises(mt.DomainError, match="conformal factor"):
+        check_conformal_factor(dipping, mt.SamplingGrid(4, 4))
 
 
 def test_mixed_geometry_rejected():

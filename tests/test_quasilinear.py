@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import magtorus as mt
+from magtorus.ansatz import harmonic_residual_values
 from helpers import (exact_family, manufactured_rescaled,
                      transcription_n1, transcription_n2)
 
@@ -118,6 +119,38 @@ def test_constraint_row_depends_only_on_top_pair():
 def test_stacked_residual_domain_error():
     with pytest.raises(mt.DomainError):
         mt.stacked_residual([0.0, 1.0], np.zeros(2), np.zeros(2))
+
+
+def test_state_vector_refuses_non_finite_entries():
+    for bad in ([1.0, math.nan], [math.inf, 0.0], [2.0, 0.1, -math.inf, 0.3]):
+        with pytest.raises(ValueError, match="state vector"):
+            mt.StateVector(np.array(bad))
+
+
+def test_point_path_matches_grid_path():
+    # At grid nodes, the stacked harmonic rows built from the state and the
+    # field derivatives equal Re/Im of the grid kernel's harmonic residuals.
+    rng = np.random.default_rng(107)
+    n = 3
+    lam = mt.random_trig_field(rng, n_modes=4, max_mode=2, amplitude=0.15, offset=2.0)
+    u = [mt.random_trig_field(rng, n_modes=4, max_mode=2, amplitude=0.3) for _ in range(n)]
+    v = [mt.random_trig_field(rng, n_modes=4, max_mode=2, amplitude=0.3)
+         for _ in range(n - 1)]
+    anz = mt.Ansatz(n, lam, u, v)
+    grid = mt.SamplingGrid(12, 12)
+    omega = mt.omega_raw(anz)
+    harm = [harmonic_residual_values(anz, omega, k, grid)[0] for k in range(n)]
+    free = (anz.lam,) + anz.u[:n] + anz.v[1:n]
+    for i, j in rng.integers(0, 12, (6, 2)):
+        x, y = grid.xs[i], grid.ys[j]
+        jets = [f.jet(x, y) for f in free]
+        rows = mt.stacked_residual(mt.state_from_ansatz(anz, x, y),
+                                   [jet.x for jet in jets], [jet.y for jet in jets])
+        expect = [harm[0][i, j].real]
+        for k in range(1, n):
+            expect += [harm[k][i, j].real, harm[k][i, j].imag]
+        assert np.max(np.abs(rows[:2 * n - 1] - expect)) < 1e-12
+        assert np.max(np.abs(expect)) > 1e-3   # a non-solution: rows are not all zero
 
 
 def test_manufactured_state_annihilates_top_rows():

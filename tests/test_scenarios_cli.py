@@ -149,6 +149,27 @@ def test_verify_nonpositive_lambda_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_aliased_lambda_is_refused_at_load(tmp_path):
+    # Lambda = 1 + 1.5 cos 64x is positive at every node of the 64x64 check
+    # grid; it must be refused before any residual is evaluated.
+    scen = tmp_path / "aliased.json"
+    coeffs = [{"m": 0, "n": 0, "re": 1.0, "im": 0.0},
+              {"m": 64, "n": 0, "re": 0.75, "im": 0.0}]
+    scen.write_text(json.dumps({"N": 1, "lambda": {"type": "trig", "coeffs": coeffs}}))
+    proc = run_python("-m", "magtorus", "verify", str(scen), "--grid", "100,100")
+    assert proc.returncode == 2
+    assert "conformal factor" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("state", ["1,nan", "inf,0"])
+def test_assemble_non_finite_state_is_input_error(state):
+    proc = run_python("-m", "magtorus", "assemble", "flat-zero-field", f"--at={state}")
+    assert proc.returncode == 2
+    assert "state vector" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_verify_deterministic_payload(capsys):
     _, out1, _ = run_cli(capsys, "verify", "linear-family-periodic")
     _, out2, _ = run_cli(capsys, "verify", "linear-family-periodic")
