@@ -37,7 +37,7 @@ rand = lambda amp: mt.random_trig_field(rng, n_modes=4, max_mode=2, amplitude=am
 generic = mt.Ansatz(n, 2.0 + rand(0.1), [rand(0.3) for _ in range(n)],
                     [rand(0.3) for _ in range(n - 1)])
 raw = mt.omega_raw(generic).on_grid(grid)
-rescaled = mt.omega_rescaled(mt.rescale(generic), n).on_grid(grid)
+rescaled = mt.omega_rescaled(mt.rescale(generic)).on_grid(grid)
 print(f"max |omega_raw - omega_rescaled| for random degree-3 fields: "
       f"{np.max(np.abs(raw - rescaled)):.3e}")
 
@@ -57,7 +57,7 @@ print("=" * 70)
 print("4. The Egorov certificate")
 print("=" * 70)
 
-cert = mt.egorov_certificate(mt.rescale(ansatz), ansatz.lam, 1, grid, tol=1e-10)
+cert = mt.egorov_certificate(mt.rescale(ansatz), grid, tol=1e-10)
 print(f"exact family  : certified = {cert.certified}, flags = {cert.flags}")
 print(f"                residual sups = " +
       ", ".join(f"{k}: {v:.2e}" for k, v in cert.residual_sups.items()))
@@ -65,7 +65,7 @@ print(f"                residual sups = " +
 generic_resc = mt.RescaledAnsatz(2, (rand(0.4), rand(0.4)),
                                  (rand(0.4), rand(0.4)),
                                  2.0 + rand(0.1), mt.TorusGeometry())
-cert_bad = mt.egorov_certificate(generic_resc, generic_resc.lam, 2, grid, tol=1e-10)
+cert_bad = mt.egorov_certificate(generic_resc, grid, tol=1e-10)
 print(f"generic fields: certified = {cert_bad.certified}, "
       f"worst residual = {max(cert_bad.residual_sups.values()):.3e}")
 

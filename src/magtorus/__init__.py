@@ -19,9 +19,9 @@ from .ansatz import (Ansatz, EquationResidual, RescaledAnsatz, ResidualReport,
                      rescale, residual_harmonic, residual_stationarity,
                      unrescale)
 from .quasilinear import (EgorovCertificate, SpectrumReport, StateVector,
-                          SystemMatrices, assemble, egorov_certificate,
-                          geodesic_matrix, spectrum, stacked_residual,
-                          state_from_ansatz)
+                          SystemMatrices, assemble, certificate_from_reports,
+                          egorov_certificate, geodesic_matrix, spectrum,
+                          stacked_residual, state_from_ansatz)
 from .scenarios import (Scenario, ScenarioError, TrajectoryRequest,
                         build_scenario, bundled_scenario_names, load_scenario)
 

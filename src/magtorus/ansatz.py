@@ -187,19 +187,16 @@ def rescale(ansatz: Ansatz) -> RescaledAnsatz:
     return RescaledAnsatz(ansatz.n, tuple(f), tuple(g), ansatz.lam, ansatz.geometry)
 
 
-def unrescale(rescaled: RescaledAnsatz, lam: Field | None = None,
-              n: int | None = None) -> tuple:
+def unrescale(rescaled: RescaledAnsatz) -> tuple:
     """Recover (u_0.., v_0..) coefficient fields from the rescaled variables."""
-    lam = lam if lam is not None else rescaled.lam
-    n = n if n is not None else rescaled.n
     u = []
     v = []
-    for k in range(n):
+    for k in range(rescaled.n):
         if k == 0:
             u.append(rescaled.f[0])
             v.append(rescaled.g[0])
         else:
-            scale = lam ** (k / 2.0)
+            scale = rescaled.lam ** (k / 2.0)
             u.append(rescaled.f[k] * scale)
             v.append(rescaled.g[k] * scale)
     return tuple(u), tuple(v)
@@ -392,10 +389,10 @@ def omega_raw(ansatz: Ansatz) -> Field:
                        label="omega_raw")
 
 
-def omega_rescaled(rescaled: RescaledAnsatz, n: int | None = None) -> Field:
+def omega_rescaled(rescaled: RescaledAnsatz) -> Field:
     """Magnetic field from the rescaled leading coefficients:
     Omega = ((g_{N-1})_x - (f_{N-1})_y) / (2 N)."""
-    n = n if n is not None else rescaled.n
+    n = rescaled.n
     return value_field(lambda f_top, g_top: (g_top.x - f_top.y) / (2.0 * n),
                        (rescaled.f[n - 1], rescaled.g[n - 1]), label="omega_rescaled")
 
@@ -409,21 +406,16 @@ def constraint_residual(obj, grid: SamplingGrid | None = None) -> ResidualReport
     """Residuals of the leading-coefficient divergence constraint, in both the
     unrescaled form 2 Lambda ((u_{N-1})_x + (v_{N-1})_y) = (N-1)(v_{N-1}
     Lambda_y + u_{N-1} Lambda_x) and the rescaled form (f_{N-1})_x +
-    (g_{N-1})_y = 0.  The two agree pointwise up to the factor
-    2 Lambda^((N+1)/2)."""
+    (g_{N-1})_y = 0, for an Ansatz or a RescaledAnsatz.  The two agree
+    pointwise up to the factor 2 Lambda^((N+1)/2)."""
     if isinstance(obj, Ansatz):
-        rescaled = rescale(obj)
-        n = obj.n
-        lam = obj.lam
-        u_top, v_top = obj.u[n - 1], obj.v[n - 1]
+        rescaled, (u, v) = rescale(obj), (obj.u, obj.v)
     elif isinstance(obj, RescaledAnsatz):
-        rescaled = obj
-        n = obj.n
-        lam = obj.lam
-        u_all, v_all = unrescale(obj)
-        u_top, v_top = u_all[n - 1], v_all[n - 1]
+        rescaled, (u, v) = obj, unrescale(obj)
     else:
         raise TypeError("expected an Ansatz or RescaledAnsatz")
+    n, lam = rescaled.n, rescaled.lam
+    u_top, v_top = u[n - 1], v[n - 1]
     grid = grid if grid is not None else SamplingGrid(64, 64, rescaled.geometry)
     t_lhs, t_rhs = constraint_sides(n, lam.jet(grid), u_top.jet(grid), v_top.jet(grid))
 
@@ -443,17 +435,17 @@ def constraint_residual(obj, grid: SamplingGrid | None = None) -> ResidualReport
 N1_DEGENERATE_FLAG = "N=1 degenerate"
 
 
-def _second_block(rescaled: RescaledAnsatz, lam: Field, n: int):
+def _second_block(rescaled: RescaledAnsatz):
     """f_{N-2}, g_{N-2}; for N = 1 these are the conjugation-forced values
     f_{-1} = u_1 Lambda^(1/2) = Lambda and g_{-1} = -v_1 Lambda^(1/2) = 0
     under the top normalization."""
+    n = rescaled.n
     if n >= 2:
         return rescaled.f[n - 2], rescaled.g[n - 2], False
-    return lam, zero_field(lam.geometry), True
+    return rescaled.lam, zero_field(rescaled.geometry), True
 
 
-def conservation_flux_fields(rescaled: RescaledAnsatz, lam: Field | None = None,
-                             n: int | None = None):
+def conservation_flux_fields(rescaled: RescaledAnsatz):
     """The density R and the two flux fields of the conservation-law pair
 
         R_x + [ (N-1)/2 (g^2 - f^2) - N^2 Lambda + N f_{N-2} ]_y = 0
@@ -461,11 +453,10 @@ def conservation_flux_fields(rescaled: RescaledAnsatz, lam: Field | None = None,
 
     with R = (N-1) f g - N g_{N-2}, f = f_{N-1}, g = g_{N-1}.
     Returns (R, flux_1, flux_2, degenerate_flag)."""
-    lam = lam if lam is not None else rescaled.lam
-    n = n if n is not None else rescaled.n
+    n, lam = rescaled.n, rescaled.lam
     f = rescaled.f[n - 1]
     g = rescaled.g[n - 1]
-    fm2, gm2, degenerate = _second_block(rescaled, lam, n)
+    fm2, gm2, degenerate = _second_block(rescaled)
     r_field = (n - 1) * (f * g) - n * gm2
     half = (n - 1) / 2.0
     flux1 = half * (g * g - f * f) - float(n * n) * lam + n * fm2
@@ -473,31 +464,21 @@ def conservation_flux_fields(rescaled: RescaledAnsatz, lam: Field | None = None,
     return r_field, flux1, flux2, degenerate
 
 
-def conservation_check(rescaled: RescaledAnsatz, lam: Field | None = None,
-                       n: int | None = None, grid: SamplingGrid | None = None):
-    """Residual report of the two conservation laws on the grid, and the jets
-    (R, flux_1, flux_2) it was computed from.  All outer derivatives are
-    expanded by the product/chain rule onto first derivatives of the inputs."""
-    lam = lam if lam is not None else rescaled.lam
-    n = n if n is not None else rescaled.n
+def conservation_residuals(rescaled: RescaledAnsatz,
+                           grid: SamplingGrid | None = None) -> ResidualReport:
+    """Residual norms of the two conservation laws on the grid.  All outer
+    derivatives are expanded by the product/chain rule onto first derivatives
+    of the inputs."""
     grid = grid if grid is not None else SamplingGrid(64, 64, rescaled.geometry)
-    r_field, flux1, flux2, degenerate = conservation_flux_fields(rescaled, lam, n)
+    r_field, flux1, flux2, degenerate = conservation_flux_fields(rescaled)
     r, f1, f2 = r_field.jet(grid), flux1.jet(grid), flux2.jet(grid)
     entries = [
         _residual_entry("conservation_1", [(r.x + f1.y, _largest(r.x, f1.y))]),
         _residual_entry("conservation_2", [(r.y + f2.x, _largest(r.y, f2.x))]),
     ]
     flags = [N1_DEGENERATE_FLAG] if degenerate else []
-    involved = list(rescaled.f) + list(rescaled.g) + [lam]
-    return (ResidualReport(entries, periodic=_all_periodic(involved), flags=flags),
-            (r, f1, f2))
-
-
-def conservation_residuals(rescaled: RescaledAnsatz, lam: Field | None = None,
-                           n: int | None = None,
-                           grid: SamplingGrid | None = None) -> ResidualReport:
-    """Residual norms of the two conservation laws (see `conservation_check`)."""
-    return conservation_check(rescaled, lam, n, grid)[0]
+    involved = list(rescaled.f) + list(rescaled.g) + [rescaled.lam]
+    return ResidualReport(entries, periodic=_all_periodic(involved), flags=flags)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ gnuplot-ready columnar files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -28,7 +29,8 @@ from .flow import export_csv, integrate, monitor
 from .ansatz import (conservation_residuals, constraint_residual,
                      first_integral_observable, rescale, residual_harmonic,
                      residual_stationarity)
-from .quasilinear import StateVector, assemble, egorov_certificate, geodesic_matrix, spectrum
+from .quasilinear import (StateVector, assemble, certificate_from_reports,
+                          geodesic_matrix, spectrum)
 from .scenarios import Scenario, ScenarioError, bundled_scenario_names, load_scenario
 
 EXIT_PASS = 0
@@ -110,7 +112,9 @@ def _write_grid_dat(path: Path, grid: SamplingGrid, values: np.ndarray):
 
 
 def run_verify_checks(scenario: Scenario, want_grids: bool = False):
-    """Run the scenario's requested residual/certificate checks.
+    """Run the scenario's requested residual/certificate checks.  The
+    constraint and conservation reports are computed at most once each; the
+    certificate judges the same reports.
 
     Returns (payload dict, timings dict, residual grids for --plot-data)."""
     ansatz = scenario.ansatz
@@ -120,7 +124,8 @@ def run_verify_checks(scenario: Scenario, want_grids: bool = False):
     checks = []
     timings = {}
     grids = {}
-    rescaled = rescale(ansatz)
+    constraint = functools.cache(lambda: constraint_residual(ansatz, grid))
+    conservation = functools.cache(lambda: conservation_residuals(rescale(ansatz), grid))
 
     for check in scenario.checks:
         t0 = time.perf_counter()
@@ -146,17 +151,17 @@ def run_verify_checks(scenario: Scenario, want_grids: bool = False):
             entry = {"check": check, "pass": worst < tol,
                      "residuals": residuals, "periodic": periodic}
         elif check == "constraint":
-            report = constraint_residual(ansatz, grid)
+            report = constraint()
             entry = {"check": check, "pass": report.max_sup < tol,
                      "residuals": _residual_entries(report),
                      "periodic": report.periodic}
         elif check == "conservation":
-            report = conservation_residuals(rescaled, ansatz.lam, ansatz.n, grid)
+            report = conservation()
             entry = {"check": check, "pass": report.max_sup < tol,
                      "residuals": _residual_entries(report),
                      "periodic": report.periodic, "flags": list(report.flags)}
         elif check == "certificate":
-            cert = egorov_certificate(rescaled, ansatz.lam, ansatz.n, grid, tol)
+            cert = certificate_from_reports(constraint(), conservation(), tol)
             entry = {"check": check, "pass": cert.certified,
                      "certified": cert.certified, "tolerance": cert.tolerance,
                      "residual_sups": dict(cert.residual_sups),
@@ -273,18 +278,20 @@ def _write_drift_dat(path: Path, traj):
 
 
 def _parse_geodesic(text: str):
-    n = None
-    avals = None
+    values = {}
     for part in text.split():
         key, _, val = part.partition("=")
-        if key == "n":
-            n = int(val)
-        elif key == "a":
-            avals = [float(tok) for tok in val.split(",")]
-        else:
+        if key not in ("n", "a"):
             raise ScenarioError(f"unknown --geodesic key {key!r} (use n=.. a=..)")
-    if n is None or avals is None:
+        values[key] = val
+    if set(values) != {"n", "a"}:
         raise ScenarioError("--geodesic needs 'n=<degree> a=<a_0,...,a_n>'")
+    try:
+        n, avals = int(values["n"]), [float(tok) for tok in values["a"].split(",")]
+    except ValueError:
+        raise ScenarioError(f"--geodesic needs an integer n and numbers a, got {text!r}") from None
+    if not all(map(math.isfinite, avals)):
+        raise ScenarioError(f"--geodesic a values must be finite, got {avals}")
     return n, avals
 
 
@@ -367,10 +374,11 @@ def _ensure_out(path) -> Path:
 def _load(args) -> Scenario:
     grid_override = None
     if getattr(args, "grid", None):
-        parts = args.grid.split(",")
-        if len(parts) != 2:
-            raise ScenarioError("--grid expects NX,NY")
-        grid_override = (int(parts[0]), int(parts[1]))
+        try:
+            nx, ny = map(int, args.grid.split(","))
+        except ValueError:
+            raise ScenarioError(f"--grid expects two integers NX,NY, got {args.grid!r}") from None
+        grid_override = (nx, ny)
     return load_scenario(
         args.scenario,
         seed=getattr(args, "seed", None),

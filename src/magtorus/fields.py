@@ -19,6 +19,7 @@ immutable; evaluation is pure and accepts scalars or same-shaped arrays.
 
 from __future__ import annotations
 
+import cmath
 import math
 import weakref
 from collections import namedtuple
@@ -291,6 +292,8 @@ def _canonicalize_table(table: dict):
     for key, val in table.items():
         m, n = int(key[0]), int(key[1])
         clean[(m, n)] = complex(val)
+        if not cmath.isfinite(clean[(m, n)]):
+            raise FieldError(f"mode {(m, n)} has non-finite coefficient {val!r}")
 
     c00 = clean.pop((0, 0), 0.0)
     if abs(c00.imag) > 1e-13 * (1.0 + abs(c00.real)):
@@ -452,6 +455,9 @@ def _affine_axis(axis: str):
     def factory(params, geometry):
         offset = float(params.get("offset", 0.0))
         slope = float(params.get("slope", 0.0))
+        if not (math.isfinite(offset) and math.isfinite(slope)):
+            raise FieldError(f"affine_{axis} needs finite offset and slope, "
+                             f"got {offset!r}, {slope!r}")
         if axis == "y":
             value = lambda x, y: offset + slope * y + 0.0 * x
             dx = lambda x, y: 0.0 * (x + y)

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 
-from .fields import DomainError, Field, Jet, SamplingGrid
-from .ansatz import (RescaledAnsatz, coefficient_jet, conservation_check,
-                     constraint_residual, constraint_sides, harmonic_relation,
-                     omega_closed_form)
+from .fields import DomainError, Jet, SamplingGrid
+from .ansatz import (RescaledAnsatz, ResidualReport, coefficient_jet,
+                     conservation_residuals, constraint_residual,
+                     constraint_sides, harmonic_relation, omega_closed_form)
 
 
 @dataclass(frozen=True)
@@ -238,21 +238,13 @@ class EgorovCertificate:
     certified: bool
     tolerance: float
     residual_sups: dict
-    fluxes: dict
     flags: list
-    reports: dict
 
 
-def egorov_certificate(rescaled: RescaledAnsatz, lam: Field | None = None,
-                       n: int | None = None, grid: SamplingGrid | None = None,
-                       tol: float = 1e-10) -> EgorovCertificate:
-    lam = lam if lam is not None else rescaled.lam
-    n = n if n is not None else rescaled.n
-    grid = grid if grid is not None else SamplingGrid(64, 64, rescaled.geometry)
-
-    constraint = constraint_residual(rescaled, grid)
-    conservation, (density, flux_1, flux_2) = conservation_check(rescaled, lam, n, grid)
-    fluxes = {"density": density.v, "flux_1": flux_1.v, "flux_2": flux_2.v}
+def certificate_from_reports(constraint: ResidualReport, conservation: ResidualReport,
+                             tol: float) -> EgorovCertificate:
+    """The certificate decision on a `constraint_residual` report and a
+    `conservation_residuals` report of the same configuration and grid."""
     sups = {
         "divergence_rescaled": constraint.entry("divergence_rescaled").sup,
         "conservation_1": conservation.entry("conservation_1").sup,
@@ -261,6 +253,12 @@ def egorov_certificate(rescaled: RescaledAnsatz, lam: Field | None = None,
     flags = list(conservation.flags)
     if not (constraint.periodic and conservation.periodic):
         flags.append("non-periodic fields: certificate is local to the sampled domain")
-    certified = all(s < tol for s in sups.values())
-    return EgorovCertificate(certified, tol, sups, fluxes, flags,
-                             {"constraint": constraint, "conservation": conservation})
+    return EgorovCertificate(all(s < tol for s in sups.values()), tol, sups, flags)
+
+
+def egorov_certificate(rescaled: RescaledAnsatz, grid: SamplingGrid | None = None,
+                       tol: float = 1e-10) -> EgorovCertificate:
+    """Certificate of a rescaled configuration on the grid (default 64 x 64)."""
+    grid = grid if grid is not None else SamplingGrid(64, 64, rescaled.geometry)
+    return certificate_from_reports(constraint_residual(rescaled, grid),
+                                    conservation_residuals(rescaled, grid), tol)

@@ -111,7 +111,7 @@ def build_scenario(data: dict, *, seed: int | None = None,
 
     omega_spec = data.get("omega", "derive")
     if omega_spec == "derive":
-        omega = omega_rescaled(rescale(ansatz), n)
+        omega = omega_rescaled(rescale(ansatz))
         omega_source = "derived"
     else:
         omega = field_from_spec(omega_spec, geometry, seed_override=seed)

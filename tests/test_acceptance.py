@@ -27,8 +27,7 @@ def test_criterion_1_exact_family_residuals():
     constraint = mt.constraint_residual(ansatz, grid)
     sups["divergence_unscaled"] = constraint.entry("divergence_unscaled").sup
     sups["divergence_rescaled"] = constraint.entry("divergence_rescaled").sup
-    conservation = mt.conservation_residuals(mt.rescale(ansatz), ansatz.lam,
-                                             ansatz.n, grid)
+    conservation = mt.conservation_residuals(mt.rescale(ansatz), grid)
     sups["conservation_1"] = conservation.entry("conservation_1").sup
     sups["conservation_2"] = conservation.entry("conservation_2").sup
     elapsed = time.perf_counter() - t0
@@ -53,7 +52,7 @@ def test_criterion_2_omega_formula_equivalence():
              for _ in range(n - 1)]
         anz = mt.Ansatz(n, lam, u, v, check_grid=grid)
         raw = mt.omega_raw(anz).on_grid(grid)
-        res = mt.omega_rescaled(mt.rescale(anz), n).on_grid(grid)
+        res = mt.omega_rescaled(mt.rescale(anz)).on_grid(grid)
         worst = max(worst, float(np.max(np.abs(raw - res))))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-12
@@ -79,7 +78,7 @@ def test_criterion_3_conservation_law_identity():
             resc = mt.RescaledAnsatz(n, tuple([zero] * (n - 2) + [fm2, f]),
                                      tuple([zero] * (n - 2) + [gm2, g]),
                                      lam, lam.geometry)
-            r_field, flux1, flux2, _ = mt.conservation_flux_fields(resc, lam, n)
+            r_field, flux1, flux2, _ = mt.conservation_flux_fields(resc)
             res1 = r_field.d_dx(X, Y) + flux1.d_dy(X, Y)
             res2 = r_field.d_dy(X, Y) + flux2.d_dx(X, Y)
             disp1, disp2 = top_harmonic_displays(n, f, g, fm2, gm2, lam, X, Y)

@@ -178,7 +178,7 @@ def test_omega_formulas_agree():
         n = int(rng.integers(1, 5))
         anz = random_ansatz(rng, n)
         raw = mt.omega_raw(anz).on_grid(grid)
-        res = mt.omega_rescaled(mt.rescale(anz), n).on_grid(grid)
+        res = mt.omega_rescaled(mt.rescale(anz)).on_grid(grid)
         assert np.max(np.abs(raw - res)) < 1e-12
 
 
@@ -298,7 +298,7 @@ def test_conservation_constant_fields():
     consts = lambda c: mt.constant_field(c)
     resc = mt.RescaledAnsatz(2, (consts(0.2), consts(0.4)),
                              (consts(0.1), consts(0.3)), one, one.geometry)
-    rep = mt.conservation_residuals(resc, one, 2, mt.SamplingGrid(8, 8))
+    rep = mt.conservation_residuals(resc, mt.SamplingGrid(8, 8))
     assert rep.entry("conservation_1").sup == 0.0
     assert rep.entry("conservation_2").sup == 0.0
     assert not rep.flags
@@ -309,7 +309,7 @@ def test_conservation_manufactured_solution():
     psi = mt.random_trig_field(rng, n_modes=3, max_mode=2, amplitude=0.3)
     lam = mt.random_trig_field(rng, n_modes=3, max_mode=2, amplitude=0.2, offset=2.0)
     resc = manufactured_rescaled(2, psi, lam)
-    rep = mt.conservation_residuals(resc, lam, 2, mt.SamplingGrid(32, 32))
+    rep = mt.conservation_residuals(resc, mt.SamplingGrid(32, 32))
     assert rep.entry("conservation_1").sup < 1e-10
     assert rep.entry("conservation_2").sup < 1e-10
 
@@ -332,7 +332,7 @@ def test_conservation_identity_with_top_harmonics():
         resc = mt.RescaledAnsatz(n, tuple([zero] * (n - 2) + [fm2, f]),
                                  tuple([zero] * (n - 2) + [gm2, g]),
                                  lam, lam.geometry)
-        r_field, flux1, flux2, _ = mt.conservation_flux_fields(resc, lam, n)
+        r_field, flux1, flux2, _ = mt.conservation_flux_fields(resc)
         res1 = r_field.d_dx(X, Y) + flux1.d_dy(X, Y)
         res2 = r_field.d_dy(X, Y) + flux2.d_dx(X, Y)
         disp1, disp2 = top_harmonic_displays(n, f, g, fm2, gm2, lam, X, Y)
@@ -342,7 +342,7 @@ def test_conservation_identity_with_top_harmonics():
 
 def test_conservation_degenerate_n1():
     ansatz, _ = exact_family()
-    rep = mt.conservation_residuals(mt.rescale(ansatz), ansatz.lam, 1)
+    rep = mt.conservation_residuals(mt.rescale(ansatz))
     assert "N=1 degenerate" in rep.flags
     assert rep.entry("conservation_1").sup < 1e-12
     assert rep.entry("conservation_2").sup < 1e-12

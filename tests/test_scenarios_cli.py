@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import magtorus as mt
-from magtorus.cli import canonical_json, main
+import magtorus.cli
+from magtorus.cli import canonical_json, main, run_verify_checks
 from magtorus.scenarios import BUNDLED, ScenarioError
 from helpers import circular_closed_form
 
@@ -123,6 +124,44 @@ def test_verify_random_nonsolution_fails(capsys):
     assert max(cert["residual_sups"].values()) > 1e-3
 
 
+@pytest.mark.parametrize("checks", [list(mt.scenarios.KNOWN_CHECKS), ["certificate"]],
+                         ids=["all", "certificate-only"])
+def test_verify_evaluates_constraint_and_conservation_once(monkeypatch, checks):
+    random_spec = lambda seed, **kw: {"type": "random_trig", "seed": seed, "modes": 4,
+                                      "max_mode": 2, "amplitude": 0.2, **kw}
+    scenario = mt.build_scenario({
+        "N": 3, "lambda": random_spec(1, offset=2.0), "grid": [16, 16],
+        "coefficients": [{"k": 0, "u": random_spec(2)},
+                         {"k": 1, "u": random_spec(3), "v": random_spec(4)},
+                         {"k": 2, "u": random_spec(5), "v": random_spec(6)}],
+        "checks": checks})
+    calls = {"constraint_residual": 0, "conservation_flux_fields": 0}
+    for name in calls:
+        original = getattr(mt.ansatz, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        for module in (mt.ansatz, mt.quasilinear, magtorus.cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    payload = run_verify_checks(scenario)[0]
+    assert [c["check"] for c in payload["checks"]] == checks
+    assert calls == {"constraint_residual": 1, "conservation_flux_fields": 1}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_verify_certificate_matches_standalone_certificate(name):
+    scenario = mt.load_scenario(name)
+    payload = run_verify_checks(scenario)[0]
+    entry = [c for c in payload["checks"] if c["check"] == "certificate"][0]
+    cert = mt.egorov_certificate(mt.rescale(scenario.ansatz), scenario.grid,
+                                 scenario.tolerance)
+    assert entry["residual_sups"] == cert.residual_sups
+    assert entry["flags"] == cert.flags
+    assert entry["certified"] is cert.certified
+
+
 def test_verify_truncated_json_is_input_error(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text('{"N": 1, "lambda": ')
@@ -160,6 +199,36 @@ def test_aliased_lambda_is_refused_at_load(tmp_path):
     assert proc.returncode == 2
     assert "conformal factor" in proc.stderr
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("spec", [
+    {"type": "trig", "coeffs": [{"m": 1, "n": 0, "re": math.nan}]},
+    {"type": "constant", "value": math.inf},
+    {"type": "random_trig", "seed": 3, "amplitude": 0.2, "offset": math.nan},
+    {"type": "analytic", "name": "affine_y", "params": {"slope": -math.inf}},
+], ids=["trig", "constant", "random_trig", "affine"])
+def test_non_finite_field_spec_is_refused_at_load(tmp_path, spec):
+    scen = tmp_path / "non_finite.json"
+    scen.write_text(json.dumps({"N": 1, "lambda": 2.0,
+                                "coefficients": [{"k": 0, "u": spec}]}))
+    proc = run_python("-m", "magtorus", "verify", str(scen))
+    assert proc.returncode == 2
+    assert "finite" in proc.stderr
+    assert "reports must not contain" not in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["assemble", "--geodesic", "n=2 a=nan,1,1"], "--geodesic a values must be finite"),
+    (["assemble", "--geodesic", "n=2 a=0,inf,1"], "--geodesic a values must be finite"),
+    (["assemble", "--geodesic", "n=two a=0,1,1"], "--geodesic needs an integer n and numbers a"),
+    (["assemble", "--geodesic", "n=2 a=0,x,1"], "--geodesic needs an integer n and numbers a"),
+    (["verify", "flat-zero-field", "--grid", "16,1e3"], "--grid expects two integers"),
+])
+def test_malformed_flag_value_names_the_flag(capsys, argv, message):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert message in err
 
 
 @pytest.mark.parametrize("state", ["1,nan", "inf,0"])
