@@ -3,13 +3,14 @@ assembly with machine-readable reports.
 
 Exit codes: 0 when every requested check passes, 1 on a check failure or an
 aborted integration, 2 on input errors (malformed JSON, unknown presets or
-scenario names, nonpositive conformal factor, wrong state-vector length).
+scenario names, nonpositive conformal factor, wrong state-vector length, step,
+tolerance or trajectory values that are not finite and positive).
 
 Reports are JSON with sorted keys and floats printed to 17 significant
 digits, so identical scenarios and flags produce byte-identical payloads;
-wall-clock timings live outside the comparison payload.  Trajectories are
-written as CSV, one file per trajectory.  ``--plot-data`` additionally emits
-gnuplot-ready columnar files.
+wall-clock timings and the integration work counters (``stats``) live outside
+the comparison payload.  Trajectories are written as CSV, one file per
+trajectory.  ``--plot-data`` additionally emits gnuplot-ready columnar files.
 """
 
 from __future__ import annotations
@@ -215,6 +216,7 @@ def cmd_simulate(args) -> int:
     f_obs = first_integral_observable(scenario.ansatz)
     results = []
     timings = {}
+    work = {}
     overall = True
     for req in scenario.trajectories:
         t0 = time.perf_counter()
@@ -222,6 +224,7 @@ def cmd_simulate(args) -> int:
         traj = integrate(scenario.system, req.initial_state(), req.t_end,
                          req.control, observables)
         timings[req.name + "_s"] = time.perf_counter() - t0
+        work[req.name] = _step_stats(traj.stats)
         stats = monitor(traj)
         csv_path = out / f"{scenario.name}_{req.name}.csv"
         csv_tmp = csv_path.with_name(csv_path.name + ".tmp")
@@ -255,11 +258,21 @@ def cmd_simulate(args) -> int:
     payload = {"name": scenario.name, "trajectories": results,
                "overall_pass": overall}
     report = {"schema_version": 1, "kind": "simulate", "payload": payload,
-              "timings": timings}
+              "stats": work, "timings": timings}
     text = canonical_json(report) + "\n"
     print(text, end="")
     _atomic_write(out / f"{scenario.name}_simulate.json", text)
     return EXIT_PASS if overall else EXIT_CHECK_FAILED
+
+
+def _step_stats(stats) -> dict:
+    """Integration work of one trajectory; h_min/h_max are null without an
+    accepted step."""
+    accepted = stats.accepted > 0
+    return {"rk4_steps_accepted": stats.accepted, "rk4_steps_rejected": stats.rejected,
+            "rhs_calls": stats.rhs_calls,
+            "h_min": stats.h_min if accepted else None,
+            "h_max": stats.h_max if accepted else None}
 
 
 def _write_drift_dat(path: Path, traj):

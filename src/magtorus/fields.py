@@ -209,7 +209,8 @@ class TrigField(Field):
             out.flags.writeable = False   # shared through the grid's memo
             jet = Jet(*out)
         else:
-            # At a single point math beats numpy's per-call overhead.
+            # At a single point math beats numpy's per-call overhead, and the
+            # jet stays in plain floats (the same IEEE arithmetic as float64).
             point = isinstance(x, (int, float)) and isinstance(y, (int, float))
             cos, sin = (math.cos, math.sin) if point else (np.cos, np.sin)
             v_x = v_y = 0.0 * (x + y)
@@ -219,7 +220,7 @@ class TrigField(Field):
                 c, s = cos(theta), sin(theta)
                 slope = -(a * s + b * c)
                 v, v_x, v_y = v + (a * c - b * s), v_x + kx * slope, v_y + ky * slope
-            jet = Jet(*map(np.float64, (v, v_x, v_y)))
+            jet = Jet(v, v_x, v_y) if point else Jet(*map(np.float64, (v, v_x, v_y)))
         memo[self] = jet
         return jet
 
@@ -357,7 +358,7 @@ class _Node(AnalyticField):
         self._rule, self._children = rule, children
 
     def _jet(self, x, y, memo):
-        return self._rule(*(c._jet(x, y, memo) for c in self._children))
+        return self._rule(*[c._jet(x, y, memo) for c in self._children])
 
 
 def value_field(rule, fields, *, label: str) -> AnalyticField:

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 
-from .fields import (DomainError, Field, LAMBDA_FLOOR, SamplingGrid,
-                     TorusGeometry, check_conformal_factor)
+from .fields import (DerivativeUnavailable, DomainError, Field, LAMBDA_FLOOR,
+                     SamplingGrid, TorusGeometry, check_conformal_factor)
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,16 +63,21 @@ class MagneticSystem:
     geometry: TorusGeometry = _dc_field(default_factory=TorusGeometry)
 
     def __post_init__(self):
+        if not all(self.lam.exact):
+            raise DerivativeUnavailable(f"no first-derivative rules for {self.lam!r}")
         check_conformal_factor(self.lam, SamplingGrid(64, 64, self.geometry))
 
 
-def _lam_checked(system: MagneticSystem, x: float, y: float):
-    """Jet (Lambda, Lambda_x, Lambda_y) at a point above the positivity floor."""
-    lam = system.lam.jet(x, y)
+def _lam_omega(system: MagneticSystem, x: float, y: float):
+    """Jet (Lambda, Lambda_x, Lambda_y) above the positivity floor and the value
+    of Omega at a point, from one leaf memo: a trigonometric leaf shared by
+    both (the Lambda of a derived Omega) is evaluated once."""
+    memo = {}
+    lam = system.lam._jet(x, y, memo)
     if not lam.v > LAMBDA_FLOOR:
         raise DomainError(f"conformal factor {lam.v:g} fell below the positivity floor at "
                           f"({x:g}, {y:g})")
-    return lam
+    return lam, system.omega._jet(x, y, memo).v
 
 
 def flow_rhs(system: MagneticSystem, state) -> tuple:
@@ -84,10 +89,9 @@ def flow_rhs(system: MagneticSystem, state) -> tuple:
         x, y, phi = state.x, state.y, state.phi
     else:
         x, y, phi = state
-    lam, lam_x, lam_y = _lam_checked(system, x, y)
+    (lam, lam_x, lam_y), om = _lam_omega(system, x, y)
     sqrt_lam = math.sqrt(lam)
     c, s = math.cos(phi), math.sin(phi)
-    om = system.omega.eval(x, y)
     dphi = (lam_y * c - lam_x * s) / (2.0 * lam * sqrt_lam) - om / lam
     return (c / sqrt_lam, s / sqrt_lam, dphi)
 
@@ -98,8 +102,7 @@ def cotangent_rhs(system: MagneticSystem, state) -> tuple:
         x, y, p1, p2 = state.x, state.y, state.p1, state.p2
     else:
         x, y, p1, p2 = state
-    lam, lam_x, lam_y = _lam_checked(system, x, y)
-    om = system.omega.eval(x, y)
+    (lam, lam_x, lam_y), om = _lam_omega(system, x, y)
     p_sq = p1 * p1 + p2 * p2
     # dH/dx = -p^2 Lambda_x / (2 Lambda^2), dH/dp_i = p_i / Lambda
     h_x = -p_sq * lam_x / (2.0 * lam * lam)
@@ -123,6 +126,17 @@ class StepControl:
     atol: float = 1e-10
     sample_dt: float | None = 1e-2
 
+    def __post_init__(self):
+        # A step, tolerance or sample spacing that is not finite and positive
+        # would never reach t_end (or never meet its tolerance).
+        for name in ("dt", "atol", "sample_dt"):
+            value = getattr(self, name)
+            if name == "sample_dt" and value is None:
+                continue
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"step control {name} must be finite and positive, "
+                                 f"got {value!r}")
+
     @classmethod
     def fixed(cls, dt: float = 1e-3, sample_dt: float | None = 1e-2):
         return cls(mode="fixed", dt=float(dt), sample_dt=sample_dt)
@@ -131,6 +145,27 @@ class StepControl:
     def adaptive(cls, atol: float = 1e-10, dt: float = 1e-3,
                  sample_dt: float | None = 1e-2):
         return cls(mode="adaptive", dt=float(dt), atol=float(atol), sample_dt=sample_dt)
+
+
+@dataclass
+class StepStats:
+    """Work of one integration, counted per step: RK4 steps accepted and
+    rejected, right-hand-side calls, and the range of accepted step sizes.
+    A step cut short by a DomainError is not counted."""
+
+    accepted: int = 0
+    rejected: int = 0
+    rhs_calls: int = 0
+    h_min: float = math.inf
+    h_max: float = 0.0
+
+    def accept(self, h: float, rhs_calls: int):
+        self.accepted += 1
+        self.rhs_calls += rhs_calls
+        if h < self.h_min:
+            self.h_min = h
+        if h > self.h_max:
+            self.h_max = h
 
 
 @dataclass
@@ -149,6 +184,7 @@ class Trajectory:
     geometry: TorusGeometry
     aborted: bool = False
     diagnostic: str | None = None
+    stats: StepStats = _dc_field(default_factory=StepStats)
 
     @property
     def phi(self) -> np.ndarray:
@@ -165,12 +201,14 @@ class Trajectory:
         return len(self.t)
 
 
-def _rk4_step(rhs, state, dt):
-    k1 = rhs(state)
-    k2 = rhs(tuple(s + 0.5 * dt * k for s, k in zip(state, k1)))
-    k3 = rhs(tuple(s + 0.5 * dt * k for s, k in zip(state, k2)))
+def _rk4_step(rhs, state, dt, k1):
+    """One classical RK4 step from `state`, given its first stage k1 = rhs(state)."""
+    half = 0.5 * dt
+    k2 = rhs(tuple(s + half * k for s, k in zip(state, k1)))
+    k3 = rhs(tuple(s + half * k for s, k in zip(state, k2)))
     k4 = rhs(tuple(s + dt * k for s, k in zip(state, k3)))
-    return tuple(s + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+    sixth = dt / 6.0
+    return tuple(s + sixth * (a + 2.0 * b + 2.0 * c + d)
                  for s, a, b, c, d in zip(state, k1, k2, k3, k4))
 
 
@@ -186,12 +224,13 @@ def _sample_times(t_end: float, sample_dt):
     return times
 
 
-def _advance_fixed(rhs, state, t0, t1, dt):
+def _advance_fixed(rhs, state, t0, t1, dt, stats):
     t = t0
     while t < t1 - 1e-14 * max(1.0, t1):
         h = min(dt, t1 - t)
-        state = _rk4_step(rhs, state, h)
+        state = _rk4_step(rhs, state, h, rhs(state))
         t += h
+        stats.accept(h, 4)
     return state
 
 
@@ -203,16 +242,24 @@ class StepFloorError(ArithmeticError):
     """Step doubling could not meet its tolerance even at the step floor."""
 
 
-def _advance_adaptive(rhs, state, t0, t1, h, atol):
+def _advance_adaptive(rhs, state, t0, t1, h, atol, stats):
+    """Step doubling: one full step against two half steps, all three
+    starting from the same first stage rhs(state), which each retry reuses.
+    An accepted first attempt costs 11 RHS calls, each retry 10 more."""
     t = t0
     while t < t1 - 1e-14 * max(1.0, t1):
         h = min(h, t1 - t)
+        k1 = rhs(state)
+        stats.rhs_calls += 1
         while True:
-            full = _rk4_step(rhs, state, h)
-            half = _rk4_step(rhs, _rk4_step(rhs, state, 0.5 * h), 0.5 * h)
+            full = _rk4_step(rhs, state, h, k1)
+            mid = _rk4_step(rhs, state, 0.5 * h, k1)
+            half = _rk4_step(rhs, mid, 0.5 * h, rhs(mid))
             err = max(abs(a - b) for a, b in zip(full, half)) / 15.0
             if err <= atol:
                 break
+            stats.rejected += 1
+            stats.rhs_calls += 10
             if h <= STEP_FLOOR:
                 raise StepFloorError(
                     f"adaptive step reached the floor h = {STEP_FLOOR:g} at t = {t:.17g} "
@@ -220,6 +267,7 @@ def _advance_adaptive(rhs, state, t0, t1, h, atol):
             h = max(0.5 * h, STEP_FLOOR)
         state = half
         t += h
+        stats.accept(h, 10)
         if err > 0.0:
             h = max(h * min(5.0, max(0.2, 0.9 * (atol / err) ** 0.2)), STEP_FLOOR)
         else:
@@ -228,27 +276,28 @@ def _advance_adaptive(rhs, state, t0, t1, h, atol):
 
 
 def _integrate_path(rhs, state0, t_end, control):
-    """Shared sampling loop; returns times, states, abort diagnostics."""
+    """Shared sampling loop; returns times, states, abort diagnostics, stats."""
     times = _sample_times(t_end, control.sample_dt)
     states = [tuple(float(s) for s in state0)]
     state = states[0]
     aborted = False
     diagnostic = None
     h = control.dt
+    stats = StepStats()
     kept_times = [times[0]]
     for t0, t1 in zip(times[:-1], times[1:]):
         try:
             if control.mode == "adaptive":
-                state, h = _advance_adaptive(rhs, state, t0, t1, h, control.atol)
+                state, h = _advance_adaptive(rhs, state, t0, t1, h, control.atol, stats)
             else:
-                state = _advance_fixed(rhs, state, t0, t1, control.dt)
+                state = _advance_fixed(rhs, state, t0, t1, control.dt, stats)
         except (DomainError, StepFloorError) as exc:
             aborted = True
             diagnostic = str(exc)
             break
         states.append(state)
         kept_times.append(t1)
-    return np.array(kept_times), states, aborted, diagnostic
+    return np.array(kept_times), states, aborted, diagnostic, stats
 
 
 def integrate(system: MagneticSystem, state0: PhaseState, t_end: float,
@@ -266,7 +315,8 @@ def integrate(system: MagneticSystem, state0: PhaseState, t_end: float,
     control = control if control is not None else StepControl.fixed()
     rhs = lambda s: flow_rhs(system, s)
     start = (state0.x, state0.y, state0.phi)
-    kept_times, states, aborted, diagnostic = _integrate_path(rhs, start, t_end, control)
+    kept_times, states, aborted, diagnostic, stats = _integrate_path(rhs, start, t_end,
+                                                                     control)
     arr = np.array(states)
     x, y, phi_un = arr[:, 0], arr[:, 1], arr[:, 2]
     monitored = {"H": np.full(len(kept_times), 0.5)}
@@ -275,7 +325,7 @@ def integrate(system: MagneticSystem, state0: PhaseState, t_end: float,
         for name, fn in observables.items():
             monitored[name] = np.asarray(fn(x, y, phi_w), dtype=float)
     return Trajectory(kept_times, x, y, phi_un, monitored, system.geometry,
-                      aborted=aborted, diagnostic=diagnostic)
+                      aborted=aborted, diagnostic=diagnostic, stats=stats)
 
 
 def integrate_cotangent(system: MagneticSystem, state0: CotangentState, t_end: float,
@@ -283,14 +333,14 @@ def integrate_cotangent(system: MagneticSystem, state0: CotangentState, t_end: f
     """Integrate the bracket form; returns (times, states array, aborted, diagnostic)."""
     if not t_end > 0.0:
         raise ValueError("t_end must be positive")
-    lam0 = _lam_checked(system, state0.x, state0.y).v
+    lam0 = _lam_omega(system, state0.x, state0.y)[0].v
     energy0 = (state0.p1 ** 2 + state0.p2 ** 2) / (2.0 * lam0)
     if not (math.isfinite(energy0) and energy0 > 0.0):
         raise ValueError(f"initial energy must be finite and positive, got {energy0!r}")
     control = control if control is not None else StepControl.fixed()
     rhs = lambda s: cotangent_rhs(system, s)
     start = (state0.x, state0.y, state0.p1, state0.p2)
-    kept_times, states, aborted, diagnostic = _integrate_path(rhs, start, t_end, control)
+    kept_times, states, aborted, diagnostic, _ = _integrate_path(rhs, start, t_end, control)
     return kept_times, np.array(states), aborted, diagnostic
 
 

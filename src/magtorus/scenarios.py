@@ -11,6 +11,7 @@ as the acceptance fixtures.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as _dc_field
 from pathlib import Path
 
@@ -60,6 +61,20 @@ class Scenario:
 def _require(cond, msg):
     if not cond:
         raise ScenarioError(msg)
+
+
+def _number(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{what} must be a number, got {value!r}") from None
+
+
+def _positive(value, what: str) -> float:
+    """`value` as a float, refused unless finite and strictly positive."""
+    value = _number(value, what)
+    _require(0.0 < value < math.inf, f"{what} must be finite and positive, got {value!r}")
+    return value
 
 
 def build_scenario(data: dict, *, seed: int | None = None,
@@ -128,9 +143,14 @@ def build_scenario(data: dict, *, seed: int | None = None,
         nx, ny = grid_spec
     grid = SamplingGrid(int(nx), int(ny), geometry)
 
-    tolerance = float(tol_override if tol_override is not None
-                      else data.get("tolerance", 1e-10))
-    _require(tolerance > 0.0, "tolerance must be positive")
+    if tol_override is not None:
+        tolerance = _positive(tol_override, "--tol")
+    else:
+        tolerance = _positive(data.get("tolerance", 1e-10), "tolerance")
+    if adaptive_override is not None:
+        _positive(adaptive_override, "--adaptive")
+    if dt_override is not None:
+        _positive(dt_override, "--dt")
 
     checks = tuple(data.get("checks", list(KNOWN_CHECKS)))
     for c in checks:
@@ -139,26 +159,29 @@ def build_scenario(data: dict, *, seed: int | None = None,
     trajectories = []
     for i, rec in enumerate(data.get("trajectories", [])):
         _require(isinstance(rec, dict), "trajectory request must be an object")
+        traj_name = str(rec.get("name", f"traj{i}"))
+        label = f"trajectory {traj_name!r}"
         initial = rec.get("initial")
         _require(isinstance(initial, (list, tuple)) and len(initial) == 3,
-                 "trajectory initial state must be [x, y, phi]")
-        t_end = float(rec.get("t_end", 0.0))
-        _require(t_end > 0.0, "trajectory t_end must be positive")
+                 f"{label} initial state must be [x, y, phi]")
+        initial = tuple(_number(c, f"{label} initial state") for c in initial)
+        _require(all(map(math.isfinite, initial)),
+                 f"{label} initial state must be finite, got {list(initial)}")
+        t_end = _positive(rec.get("t_end", 0.0), f"{label} t_end")
         if adaptive_override is not None:
             control = StepControl.adaptive(adaptive_override)
         elif dt_override is not None:
             control = StepControl.fixed(dt_override)
         elif "adaptive" in rec:
-            control = StepControl.adaptive(float(rec["adaptive"]))
+            control = StepControl.adaptive(_positive(rec["adaptive"], f"{label} adaptive"))
         else:
-            control = StepControl.fixed(float(rec.get("dt", 1e-3)))
+            control = StepControl.fixed(_positive(rec.get("dt", 1e-3), f"{label} dt"))
         observables = tuple(rec.get("observables", ["H", "F"]))
         for obs in observables:
             _require(obs in ("H", "F"), f"unknown observable {obs!r}")
         drift_tol = {str(k): float(v) for k, v in rec.get("drift_tol", {}).items()}
-        trajectories.append(TrajectoryRequest(
-            str(rec.get("name", f"traj{i}")), tuple(float(c) for c in initial),
-            t_end, control, observables, drift_tol))
+        trajectories.append(TrajectoryRequest(traj_name, initial, t_end, control,
+                                              observables, drift_tol))
 
     return Scenario(name, geometry, n, ansatz, omega, omega_source, system,
                     grid, tolerance, checks, tuple(trajectories), data)

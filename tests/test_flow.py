@@ -1,11 +1,13 @@
 """Flow equations, integration, conserved-quantity monitoring, cross-checks."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
 import magtorus as mt
+from magtorus.fields import TrigField
 from helpers import circular_closed_form, exact_family
 
 
@@ -243,3 +245,95 @@ def test_trajectory_wrapped_and_unwrapped():
     wx, wy = traj.wrapped_xy()
     assert 0.0 <= wx[-1] < 2 * math.pi
     assert wx[-1] == pytest.approx(8.0 - 2 * math.pi, abs=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# One leaf memo per RHS call, and the work counters of an integration
+# ---------------------------------------------------------------------------
+
+
+def random_system(rng, n, derived=True):
+    """Random degree-n ansatz on a random trig Lambda, with its derived Omega
+    (sharing the Lambda leaf) or an independent trig Omega."""
+    trig = lambda **kw: mt.random_trig_field(rng, n_modes=4, max_mode=2, **kw)
+    lam = trig(amplitude=0.1, offset=2.0)
+    ansatz = mt.Ansatz(n, lam, [trig(amplitude=0.3) for _ in range(n)],
+                       [trig(amplitude=0.3) for _ in range(n - 1)])
+    omega = mt.omega_rescaled(mt.rescale(ansatz)) if derived else trig(amplitude=0.5)
+    return mt.MagneticSystem(lam, omega)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("derived", [True, False])
+def test_rhs_equals_separate_field_evaluations(n, derived):
+    rng = np.random.default_rng(100 + n)
+    system = random_system(rng, n, derived)
+    for x, y, phi, p1, p2 in rng.uniform(-4.0, 4.0, (10, 5)).tolist():
+        lam, lam_x, lam_y = system.lam.jet(x, y)
+        om = system.omega.eval(x, y)
+        sqrt_lam = math.sqrt(lam)
+        c, s = math.cos(phi), math.sin(phi)
+        dphi = (lam_y * c - lam_x * s) / (2.0 * lam * sqrt_lam) - om / lam
+        assert mt.flow_rhs(system, (x, y, phi)) == (c / sqrt_lam, s / sqrt_lam, dphi)
+        p_sq = p1 * p1 + p2 * p2
+        h_x = -p_sq * lam_x / (2.0 * lam * lam)
+        h_y = -p_sq * lam_y / (2.0 * lam * lam)
+        assert mt.cotangent_rhs(system, (x, y, p1, p2)) == (
+            p1 / lam, p2 / lam, -h_x + om * p2 / lam, -h_y - om * p1 / lam)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rhs_evaluates_each_trig_leaf_once(monkeypatch, n):
+    system = random_system(np.random.default_rng(200 + n), n)
+    evaluated = []
+    original = TrigField._jet
+
+    def counting(self, x, y, memo):
+        if self not in memo:
+            evaluated.append(self)
+        return original(self, x, y, memo)
+
+    monkeypatch.setattr(TrigField, "_jet", counting)
+    for rhs, state in ((mt.flow_rhs, (0.3, 1.1, 0.7)),
+                       (mt.cotangent_rhs, (0.3, 1.1, 0.4, -0.9))):
+        evaluated.clear()
+        rhs(system, state)
+        counts = collections.Counter(id(leaf) for leaf in evaluated)
+        assert max(counts.values()) == 1
+        # Lambda and the leaves u_{n-1}, v_{n-1} of Omega; for n > 1 Omega
+        # also holds Lambda, through Lambda ** (-(n-1)/2).
+        assert id(system.lam) in counts and len(counts) == 3
+
+
+@pytest.mark.parametrize("b, control, calls_per_step, retries", [
+    (1.0, mt.StepControl.fixed(0.01), 4, False),
+    # Flat and field-free: the full and doubled half steps agree exactly, so
+    # every first attempt is accepted.
+    (0.0, mt.StepControl.adaptive(1e-10), 11, False),
+    # A first step far too long for the tolerance is retried.
+    (1.0, mt.StepControl.adaptive(1e-12, dt=1.0, sample_dt=None), 11, True),
+], ids=["fixed", "adaptive", "adaptive-retries"])
+def test_step_stats_count_the_rhs_calls(monkeypatch, b, control, calls_per_step, retries):
+    calls = []
+    original = mt.flow.flow_rhs
+
+    def counting(system, state):
+        calls.append(state)
+        return original(system, state)
+
+    monkeypatch.setattr(mt.flow, "flow_rhs", counting)
+    stats = mt.integrate(flat_system(b), mt.PhaseState(0, 0, 0.4), 2.0, control).stats
+    assert stats.accepted > 0 and (stats.rejected > 0) == retries
+    # Step doubling shares the first stage between the full step, the first
+    # half step and every retry: 11 calls per step and 10 per retry.
+    assert stats.rhs_calls == calls_per_step * stats.accepted + 10 * stats.rejected
+    assert stats.rhs_calls == len(calls)
+    assert 0.0 < stats.h_min <= stats.h_max
+
+
+@pytest.mark.parametrize("kwargs", [{"dt": 0.0}, {"dt": -1.0}, {"dt": math.inf},
+                                    {"dt": math.nan}, {"atol": 0.0}, {"atol": math.nan},
+                                    {"sample_dt": 0.0}])
+def test_step_control_refuses_values_that_never_finish(kwargs):
+    with pytest.raises(ValueError, match="step control"):
+        mt.StepControl(**kwargs)

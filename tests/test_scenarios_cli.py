@@ -364,6 +364,62 @@ def test_simulate_unreachable_adaptive_tolerance_aborts(tmp_path):
     assert (tmp_path / traj["csv"]).is_file()
 
 
+def write_orbit_scenario(tmp_path, **request):
+    """flat-zero-field with its one trajectory request changed by `request`."""
+    data = json.loads(json.dumps(BUNDLED["flat-zero-field"]))
+    data["trajectories"][0].update(request)
+    path = tmp_path / "orbit.json"
+    # json writes NaN and Infinity literals, which the scenario loader reads.
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, message", [
+    # A fixed step that never advances used to loop forever.
+    (["simulate", "flat-zero-field", "--dt", "0"], "--dt"),
+    (["simulate", "flat-zero-field", "--dt", "-1"], "--dt"),
+    ({"dt": -1.0}, "trajectory 'line' dt"),
+    (["simulate", "flat-zero-field", "--dt", "nan"], "--dt"),
+    (["simulate", "flat-zero-field", "--dt", "inf"], "--dt"),
+    (["simulate", "flat-zero-field", "--adaptive", "nan"], "--adaptive"),
+    (["simulate", "flat-zero-field", "--adaptive", "0"], "--adaptive"),
+    (["simulate", "flat-zero-field", "--adaptive", "-1"], "--adaptive"),
+    (["verify", "flat-zero-field", "--tol", "inf"], "--tol"),
+    ({"initial": [0.0, math.nan, 0.0]}, "trajectory 'line' initial state"),
+    ({"dt": math.inf}, "trajectory 'line' dt"),
+    ({"adaptive": math.nan}, "trajectory 'line' adaptive"),
+    ({"t_end": math.inf}, "trajectory 'line' t_end"),
+    ({"dt": None}, "trajectory 'line' dt"),
+], ids=["dt-zero", "dt-negative", "scenario-dt-negative", "dt-nan", "dt-inf",
+        "adaptive-nan", "adaptive-zero", "adaptive-negative", "tol-inf", "initial-nan",
+        "scenario-dt-inf", "scenario-adaptive-nan", "t_end-inf", "dt-null"])
+def test_bad_step_tolerance_and_trajectory_values_are_refused(tmp_path, argv, message):
+    if isinstance(argv, dict):
+        argv = ["simulate", write_orbit_scenario(tmp_path, **argv)]
+    proc = run_python("-m", "magtorus", *argv, "--out", str(tmp_path), timeout=30.0)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "reports must not contain" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("step, calls_per_step", [
+    (["--dt", "1e-2"], 4),
+    (["--adaptive", "1e-10"], 11),   # flat and field-free: no step is rejected
+])
+def test_simulate_report_stats(tmp_path, capsys, step, calls_per_step):
+    code, out, _ = run_cli(capsys, "simulate", "flat-zero-field", *step,
+                           "--out", str(tmp_path))
+    assert code == 0
+    doc = stdout_json(out)
+    stats = doc["stats"]["line"]
+    assert "stats" not in doc["payload"]
+    assert stats["rk4_steps_accepted"] > 0
+    assert stats["rk4_steps_rejected"] == 0
+    assert stats["rhs_calls"] == calls_per_step * stats["rk4_steps_accepted"]
+    assert 0.0 < stats["h_min"] <= stats["h_max"]
+
+
 def test_import_does_not_load_scipy():
     proc = run_python("-c", "import sys, magtorus, magtorus.cli; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
