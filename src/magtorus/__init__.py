@@ -20,7 +20,7 @@ from .ansatz import (Ansatz, EquationResidual, RescaledAnsatz, ResidualReport,
                      unrescale)
 from .quasilinear import (EgorovCertificate, SpectrumReport, StateVector,
                           SystemMatrices, assemble, certificate_from_reports,
-                          egorov_certificate, geodesic_matrix, spectrum,
+                          egorov_certificate, geodesic_matrix, spectra, spectrum,
                           stacked_residual, state_from_ansatz)
 from .scenarios import (Scenario, ScenarioError, TrajectoryRequest,
                         build_scenario, bundled_scenario_names, load_scenario)

@@ -3,13 +3,15 @@ assembly with machine-readable reports.
 
 Exit codes: 0 when every requested check passes, 1 on a check failure or an
 aborted integration, 2 on input errors (malformed JSON, unknown presets or
-scenario names, nonpositive conformal factor, wrong state-vector length, step,
-tolerance or trajectory values that are not finite and positive).
+scenario names, nonpositive conformal factor, wrong state-vector length, an
+``--at`` state whose A or B is not finite in float64, step, tolerance,
+trajectory or torus-period values that are not finite and positive).
 
 Reports are JSON with sorted keys and floats printed to 17 significant
 digits, so identical scenarios and flags produce byte-identical payloads;
-wall-clock timings and the integration work counters (``stats``) live outside
-the comparison payload.  Trajectories are written as CSV, one file per
+wall-clock timings and the work counters (``stats``: integration steps and
+RHS calls, or how the assembled pencils were solved) live outside the
+comparison payload.  Trajectories are written as CSV, one file per
 trajectory.  ``--plot-data`` additionally emits gnuplot-ready columnar files.
 """
 
@@ -31,7 +33,7 @@ from .ansatz import (conservation_residuals, constraint_residual,
                      first_integral_observable, rescale, residual_harmonic,
                      residual_stationarity)
 from .quasilinear import (StateVector, assemble, certificate_from_reports,
-                          geodesic_matrix, spectrum)
+                          geodesic_matrix, spectra, spectrum)
 from .scenarios import Scenario, ScenarioError, bundled_scenario_names, load_scenario
 
 EXIT_PASS = 0
@@ -44,12 +46,13 @@ EXIT_INPUT_ERROR = 2
 # ---------------------------------------------------------------------------
 
 
+NON_FINITE_REPORT = "reports must not contain NaN or infinity"
+
+
 def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("reports must not contain NaN or infinity")
-    if x == int(x) and abs(x) < 1e16:
-        return f"{x:.1f}"
-    return f"{x:.17g}"
+    """The report form of a finite float: integral values below 1e16 as
+    ``.1f``, everything else at 17 significant digits."""
+    return f"{x:.1f}" if abs(x) < 1e16 and x.is_integer() else f"{x:.17g}"
 
 
 def canonical_json(obj, indent: int = 0) -> str:
@@ -67,22 +70,32 @@ def canonical_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(NON_FINITE_REPORT)
         return _fmt_float(float(obj))
+    # Members are joined from a generator and bracketed in one copy, so a
+    # large report is held at most twice while it is written.
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = []
-        for key in sorted(obj):
+        for key in obj:
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be strings, got {key!r}")
-            items.append(f'{inner}"{key}": {canonical_json(obj[key], indent + 1)}')
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        body = ",\n".join(f'{inner}"{key}": {canonical_json(obj[key], indent + 1)}'
+                          for key in sorted(obj))
+        return f"{{\n{body}\n{pad}}}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
         if not seq:
             return "[]"
-        items = [f"{inner}{canonical_json(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        if all(type(v) is float for v in seq):   # plain floats: one check, one join
+            if not all(map(math.isfinite, seq)):
+                raise ValueError(NON_FINITE_REPORT)
+            items = map(_fmt_float, seq)
+        else:
+            items = (canonical_json(v, indent + 1) for v in seq)
+        body = (",\n" + inner).join(items)
+        return f"[\n{inner}{body}\n{pad}]"
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
@@ -316,10 +329,51 @@ def _spectrum_payload(report) -> dict:
         elif isinstance(val, (int, float, str)):
             diagnostics[key] = val
     return {
-        "eigenvalues": [[ev.real, ev.imag] for ev in report.eigenvalues],
+        "eigenvalues": [[ev.real, ev.imag] for ev in report.eigenvalues.tolist()],
         "class": report.classification,
         "diagnostics": diagnostics,
     }
+
+
+def _spectra_stats(reports, states: int) -> dict:
+    """How the pencils were solved: by QZ, by the A^{-1} B fallback, or not
+    at all (left degenerate)."""
+    fallback = sum(r.diagnostics.get("method") == "a_inverse_b" for r in reports)
+    failed = sum("qz_error" in r.diagnostics for r in reports)
+    return {"states": states, "qz": len(reports) - failed, "a_inverse_b": fallback,
+            "degenerate_without_qz": failed - fallback}
+
+
+def _parse_states(texts, n: int) -> np.ndarray:
+    """The --at states as an (M, 2N) array; the first bad state is refused
+    with the message it gets on its own."""
+    rows = []
+    for text in texts:
+        values = [float(tok) for tok in text.split(",")]
+        if len(values) != 2 * n:
+            raise ScenarioError(f"state vector must have length 2N = {2 * n}, "
+                                f"got {len(values)}")
+        if not (all(map(math.isfinite, values)) and values[0] > 0.0):
+            StateVector(np.asarray(values))   # raises the state's own error
+        rows.append(values)
+    return np.array(rows)
+
+
+def _state_entries(texts, points: np.ndarray):
+    """Report entries and solve counts of the --at states, assembled and
+    solved as one stack; the stacked arrays are freed on return, before the
+    report is written."""
+    with np.errstate(all="ignore"):   # a non-finite A or B is refused below
+        mats = assemble(points)
+    finite = np.isfinite(mats.a).all(axis=(1, 2)) & np.isfinite(mats.b).all(axis=(1, 2))
+    if not finite.all():
+        raise DomainError(f"--at state {texts[int(np.argmin(finite))]} gives a "
+                          "non-finite A or B (float64 overflow or underflow)")
+    reports = spectra(mats)
+    entries = [{"point": point, "a": a, "b": b, **_spectrum_payload(report)}
+               for point, a, b, report in zip(points.tolist(), mats.a.tolist(),
+                                              mats.b.tolist(), reports)]
+    return entries, _spectra_stats(reports, len(entries))
 
 
 def cmd_assemble(args) -> int:
@@ -329,9 +383,9 @@ def cmd_assemble(args) -> int:
         n, avals = _parse_geodesic(args.geodesic)
         mat = geodesic_matrix(n, avals)
         report = spectrum(mat)
-        payload = {"geodesic": {"n": n, "a": avals,
-                                "matrix": [list(row) for row in mat],
+        payload = {"geodesic": {"n": n, "a": avals, "matrix": mat.tolist(),
                                 **_spectrum_payload(report)}}
+        stats = _spectra_stats([report], 0)
     else:
         if not args.scenario:
             print("assemble needs a scenario (or --geodesic)", file=sys.stderr)
@@ -340,24 +394,11 @@ def cmd_assemble(args) -> int:
         if not args.at:
             print("assemble needs at least one --at U-vector", file=sys.stderr)
             return EXIT_INPUT_ERROR
-        entries = []
-        for text in args.at:
-            values = [float(tok) for tok in text.split(",")]
-            if len(values) != 2 * scenario.n:
-                raise ScenarioError(
-                    f"state vector must have length 2N = {2 * scenario.n}, "
-                    f"got {len(values)}")
-            state = StateVector(np.asarray(values))
-            mats = assemble(state)
-            report = spectrum(mats)
-            entries.append({"point": values,
-                            "a": [list(row) for row in mats.a],
-                            "b": [list(row) for row in mats.b],
-                            **_spectrum_payload(report)})
+        entries, stats = _state_entries(args.at, _parse_states(args.at, scenario.n))
         payload = {"name": scenario.name, "N": scenario.n, "entries": entries}
     timings["assemble_s"] = time.perf_counter() - t0
     report_doc = {"schema_version": 1, "kind": "assemble", "payload": payload,
-                  "timings": timings}
+                  "stats": stats, "timings": timings}
     text = canonical_json(report_doc) + "\n"
     print(text, end="")
     if args.out:

@@ -53,8 +53,11 @@ class TorusGeometry:
     period_y: float = TWO_PI
 
     def __post_init__(self):
-        if not (self.period_x > 0.0 and self.period_y > 0.0):
-            raise FieldError("torus periods must be strictly positive")
+        for name in ("period_x", "period_y"):
+            period = getattr(self, name)
+            if not (period > 0.0 and math.isfinite(period)):
+                raise FieldError(f"torus {name} must be finite and strictly positive, "
+                                 f"got {period!r}")
 
     def wavenumbers(self, m: int, n: int) -> tuple[float, float]:
         return TWO_PI * m / self.period_x, TWO_PI * n / self.period_y

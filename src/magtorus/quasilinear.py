@@ -15,6 +15,7 @@ differentiation of a map linear in the slots).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as _dc_field
 
@@ -28,23 +29,28 @@ from .ansatz import (RescaledAnsatz, ResidualReport, coefficient_jet,
 
 @dataclass(frozen=True)
 class StateVector:
-    """Pointwise state (Lambda, u_0..u_{N-1}, v_1..v_{N-1}) of even length 2N."""
+    """Pointwise state (Lambda, u_0..u_{N-1}, v_1..v_{N-1}) of even length 2N,
+    or a stack of M such states of shape (M, 2N)."""
 
     values: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
-        if vals.ndim != 1 or vals.size < 2 or vals.size % 2 != 0:
+        if vals.ndim not in (1, 2) or vals.shape[-1] < 2 or vals.shape[-1] % 2 != 0:
             raise ValueError("state vector must have even length 2N >= 2")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"state vector entries must be finite, got {vals.tolist()}")
-        if not vals[0] > 0.0:
-            raise DomainError(f"state has nonpositive conformal factor {vals[0]:g}")
+        rows = vals.reshape(-1, vals.shape[-1])
+        finite = np.isfinite(rows).all(axis=1)
+        valid = finite & (rows[:, 0] > 0.0)
+        if not valid.all():   # the first invalid state is named
+            first = int(np.argmin(valid))
+            if not finite[first]:
+                raise ValueError(f"state vector entries must be finite, got {rows[first].tolist()}")
+            raise DomainError(f"state has nonpositive conformal factor {rows[first, 0]:g}")
 
     @property
     def n(self) -> int:
-        return self.values.size // 2
+        return self.values.shape[-1] // 2
 
     @property
     def lam(self) -> float:
@@ -63,6 +69,20 @@ def state_from_ansatz(ansatz, x: float, y: float) -> StateVector:
     return StateVector(np.asarray(vals, dtype=float))
 
 
+class _PerStatePowers(np.ndarray):
+    """Lambda values of a stack of states.  `**` is taken per state on a
+    float64 scalar, as for a single state: numpy's array power may round
+    differently in the last bit.  Every other operation returns a plain
+    array."""
+
+    def __pow__(self, exponent):
+        return np.reshape([x ** exponent for x in self.view(np.ndarray).flat], self.shape)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = [np.asarray(x) if isinstance(x, _PerStatePowers) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
 def stacked_residual(state, ux, uy) -> np.ndarray:
     """The 2N equation residuals for free derivative slots (ux, uy).
 
@@ -71,7 +91,7 @@ def stacked_residual(state, ux, uy) -> np.ndarray:
     magnetic field is replaced by its closed form in the leading
     coefficients, which keeps every equation first order and linear in the
     slots.  Slots of shape (2N, m) give rows of shape (2N, m), one column
-    per slot pair.
+    per slot pair; a stack of M states gives shape (M, 2N, m).
     """
     state = StateVector.coerce(state)
     n = state.n
@@ -80,7 +100,11 @@ def stacked_residual(state, ux, uy) -> np.ndarray:
     if ux.shape != uy.shape or ux.shape[:1] != (2 * n,) or ux.ndim > 2:
         raise ValueError(f"derivative slots must have shape ({2 * n},) or ({2 * n}, m)")
 
-    lam, *free = map(Jet, state.values, ux, uy)
+    # one value per slot with a leading state axis, broadcast over slot columns
+    stack = np.atleast_2d(state.values)
+    values = stack.T.reshape(stack.shape[::-1] + (1,) * (ux.ndim - 1))
+    lam, *free = map(Jet, values, ux, uy)
+    lam = lam._replace(v=lam.v.view(_PerStatePowers))
     slope = (n / 2.0) * lam.v ** (n / 2.0 - 1.0)
     u = free[:n] + [Jet(lam.v ** (n / 2.0), slope * lam.x, slope * lam.y)]
     v = [Jet(0.0, 0.0, 0.0)] + free[n:] + [Jet(0.0, 0.0, 0.0)]
@@ -93,12 +117,14 @@ def stacked_residual(state, ux, uy) -> np.ndarray:
         rows += [e_k.real] if k == 0 else [e_k.real, e_k.imag]
     lhs, rhs = constraint_sides(n, lam, u[n - 1], v[n - 1])
     rows.append(lhs - rhs)
-    return np.array(rows)
+    rows = np.moveaxis(np.array(rows), 0, 1)
+    return rows if state.values.ndim == 2 else rows[0]
 
 
 @dataclass(frozen=True)
 class SystemMatrices:
-    """A, B with A U_x + B U_y = 0 the assembled system at a state."""
+    """A, B with A U_x + B U_y = 0 the assembled system at a state, or the
+    (M, 2N, 2N) stacks of A and B at a stack of M states."""
 
     a: np.ndarray
     b: np.ndarray
@@ -109,11 +135,12 @@ class SystemMatrices:
 
 def assemble(state) -> SystemMatrices:
     """A and B from one residual evaluation: the residual is linear in the
-    slots, so the slot pair ([I | 0], [0 | I]) returns [A | B]."""
+    slots, so the slot pair ([I | 0], [0 | I]) returns [A | B].  A stack of
+    states is assembled in the same single evaluation."""
     state = StateVector.coerce(state)
     dim = 2 * state.n
     rows = stacked_residual(state, np.eye(dim, 2 * dim), np.eye(dim, 2 * dim, dim))
-    return SystemMatrices(rows[:, :dim], rows[:, dim:])
+    return SystemMatrices(rows[..., :dim], rows[..., dim:])
 
 
 # ---------------------------------------------------------------------------
@@ -166,61 +193,153 @@ def _safe_cond(mat) -> float:
         return float("inf")
 
 
+def _conds(mats) -> list:
+    """2-norm condition numbers of a stack of matrices: one call for the
+    stack, matrix by matrix (inf where the SVD fails) if that call fails."""
+    try:
+        return np.linalg.cond(mats).tolist()
+    except np.linalg.LinAlgError:
+        return [_safe_cond(mat) for mat in mats]
+
+
+@functools.cache
+def _qz_solver(dim: int):
+    """LAPACK xGGEV for real dim x dim pencils and its workspace size, queried
+    as `scipy.linalg.eig` queries it."""
+    from scipy.linalg.lapack import get_lapack_funcs   # dominates `import magtorus`
+
+    probe = np.eye(dim)
+    ggev, = get_lapack_funcs(("ggev",), (probe, probe))
+    lwork = ggev(probe, probe, lwork=-1)[-2][0].real.astype(np.int_)
+    return ggev, lwork
+
+
+def _qz_error(info: int) -> str:
+    """`scipy.linalg.eig`'s message for a nonzero xGGEV info."""
+    if info < 0:
+        return f"illegal value in argument {-info} of internal generalized eig algorithm (ggev)"
+    return f"generalized eig algorithm (ggev) did not converge (LAPACK info={info})"
+
+
+def _pencil(matrices):
+    """(A, B) of a SystemMatrices, an (A, B) pair, or a single matrix B
+    with A = I."""
+    if isinstance(matrices, SystemMatrices):
+        return matrices.a, matrices.b
+    if isinstance(matrices, (tuple, list)) and len(matrices) == 2:
+        return np.asarray(matrices[0], dtype=float), np.asarray(matrices[1], dtype=float)
+    b_mat = np.asarray(matrices, dtype=float)
+    return np.broadcast_to(np.eye(b_mat.shape[-1]), b_mat.shape), b_mat
+
+
 def spectrum(matrices, distinct_tol: float = 1e-9,
              cond_threshold: float = 1e12) -> SpectrumReport:
-    """Eigenvalues of the pencil det(B - lambda A) = 0 via a generalized (QZ)
-    eigenvalue computation; the A^{-1} B route is used only as a fallback when
-    QZ fails and A is well conditioned.  Never raises on singular input:
-    a singular pencil is reported as a degenerate classification."""
-    import scipy.linalg   # imported on first use: it dominates `import magtorus`
+    """Spectrum report of one pencil: `spectra` of a stack of one."""
+    a_mat, b_mat = _pencil(matrices)
+    return spectra((a_mat[None], b_mat[None]), distinct_tol, cond_threshold)[0]
 
-    if isinstance(matrices, SystemMatrices):
-        a_mat, b_mat = matrices.a, matrices.b
-    elif isinstance(matrices, (tuple, list)) and len(matrices) == 2:
-        a_mat = np.asarray(matrices[0], dtype=float)
-        b_mat = np.asarray(matrices[1], dtype=float)
-    else:
-        b_mat = np.asarray(matrices, dtype=float)
-        a_mat = np.eye(b_mat.shape[0])
 
-    diagnostics = {"cond_a": _safe_cond(a_mat), "cond_b": _safe_cond(b_mat)}
-    try:
-        alpha, beta = scipy.linalg.eig(b_mat, a_mat, right=False,
-                                       homogeneous_eigvals=True)
-    except Exception as exc:  # LAPACK failure; try the explicit inverse route
-        diagnostics["qz_error"] = str(exc)
-        if diagnostics["cond_a"] < cond_threshold:
-            w = np.linalg.eigvals(np.linalg.solve(a_mat, b_mat))
-            alpha, beta = w, np.ones_like(w)
-            diagnostics["method"] = "a_inverse_b"
+def _homogeneous_eigenvalues(a_stack, b_stack, diagnostics, cond_threshold):
+    """Eigenvalue pairs (alpha, beta) of each pencil by LAPACK xGGEV, with
+    alpha / beta, and the mask of the pencils solved.  A pencil that QZ
+    refuses (non-finite) or fails on (info != 0) gets a `qz_error`
+    diagnostic; if A is finite and well conditioned the A^{-1} B
+    eigenvalues w stand in, as (w, 1)."""
+    m, dim = a_stack.shape[:2]
+    finite_input = np.isfinite(a_stack).all(axis=(1, 2)) & np.isfinite(b_stack).all(axis=(1, 2))
+    ggev, lwork = _qz_solver(dim)
+    alpha = np.zeros((m, dim), dtype=complex)
+    beta = np.zeros((m, dim), dtype=complex)
+    fallback = {}
+    for i in range(m):
+        if finite_input[i]:
+            alphar, alphai, beta_i, *_, info = ggev(b_stack[i], a_stack[i], 0, 0, lwork)
+            if info == 0:
+                alpha[i] = alphar + 1j * alphai
+                beta[i] = beta_i
+                continue
+            diagnostics[i]["qz_error"] = _qz_error(info)
         else:
-            return SpectrumReport(np.array([], dtype=complex), DEGENERATE, diagnostics)
+            diagnostics[i]["qz_error"] = "array must not contain infs or NaNs"
+        if finite_input[i] and diagnostics[i]["cond_a"] < cond_threshold:
+            w = np.linalg.eigvals(np.linalg.solve(a_stack[i], b_stack[i]))
+            fallback[i] = np.asarray(w / np.ones_like(w), dtype=complex)   # w's own dtype
+            alpha[i], beta[i] = w, 1.0
+            diagnostics[i]["method"] = "a_inverse_b"
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = alpha / beta
+    for i, w in fallback.items():
+        values[i] = w
+    solved = np.array(["qz_error" not in d or "method" in d for d in diagnostics], dtype=bool)
+    return alpha, beta, values, solved
+
+
+def spectra(matrices, distinct_tol: float = 1e-9,
+            cond_threshold: float = 1e12) -> list:
+    """Eigenvalues of the pencils det(B - lambda A) = 0 of a stack of M
+    pencils (A and B of shape (M, d, d)) via a generalized (QZ) eigenvalue
+    computation, one SpectrumReport per pencil; the A^{-1} B route is used
+    only as a fallback when QZ fails and A is well conditioned.  Never raises
+    on singular or non-finite input: such a pencil is reported as a
+    degenerate classification."""
+    a_stack, b_stack = _pencil(matrices)
+    diagnostics = [{"cond_a": ca, "cond_b": cb}
+                   for ca, cb in zip(_conds(a_stack), _conds(b_stack))]
+    alpha, beta, values, solved = _homogeneous_eigenvalues(a_stack, b_stack, diagnostics,
+                                                           cond_threshold)
 
     pair_scale = np.abs(alpha) + np.abs(beta)
-    tiny = np.finfo(float).eps * max(1.0, float(np.max(pair_scale, initial=0.0))) * 100.0
-    indeterminate = pair_scale <= tiny
-    infinite = (~indeterminate) & (np.abs(beta) <= tiny)
-    finite_mask = (~indeterminate) & (~infinite)
-    finite = np.asarray(alpha[finite_mask] / beta[finite_mask], dtype=complex)
-    order = np.argsort(finite.real + 1e-300 * finite.imag)
-    finite = finite[order]
+    tiny = np.finfo(float).eps * np.maximum(1.0, np.max(pair_scale, axis=1, initial=0.0)) * 100.0
+    indeterminate = pair_scale <= tiny[:, None]
+    infinite = ~indeterminate & (np.abs(beta) <= tiny[:, None])
+    finite_mask = ~indeterminate & ~infinite
+    counts = finite_mask.sum(axis=1)
+    n_infinite = infinite.sum(axis=1).tolist()
+    n_indeterminate = indeterminate.sum(axis=1).tolist()
 
-    diagnostics["n_infinite"] = int(np.sum(infinite))
-    diagnostics["n_indeterminate"] = int(np.sum(indeterminate))
+    reports = [SpectrumReport(np.array([], dtype=complex), DEGENERATE, diag)
+               for diag in diagnostics]
+    # The finite eigenvalues of the pencils with c of them, as a (pencils, c)
+    # array: sorting each row at its own length orders ties as sorting the
+    # pencil alone does.
+    for c in np.unique(counts[solved]).tolist():
+        rows = np.flatnonzero(solved & (counts == c))
+        finite = values[rows][finite_mask[rows]].reshape(len(rows), c)
+        order = np.argsort(finite.real + 1e-300 * finite.imag, axis=1)
+        finite = np.take_along_axis(finite, order, axis=1)
+        classes = _classify(finite, distinct_tol, indeterminate[rows].any(axis=1))
+        for i, eigs, (cls, gap) in zip(rows.tolist(), finite, classes):
+            diagnostics[i].update(n_infinite=n_infinite[i], n_indeterminate=n_indeterminate[i])
+            if gap is not None:
+                diagnostics[i]["min_gap"] = gap
+            reports[i] = SpectrumReport(eigs, cls, diagnostics[i])
+    return reports
 
-    if np.any(indeterminate) or finite.size == 0:
-        classification = DEGENERATE
+
+def _classify(finite, distinct_tol, indeterminate) -> list:
+    """(classification, smallest real gap) of each row of a (pencils, c)
+    array of sorted finite eigenvalues; the gap is None where it is not
+    computed (a degenerate pencil or a complex eigenvalue)."""
+    n_rows, c = finite.shape
+    if c == 0:
+        return [(DEGENERATE, None)] * n_rows
+    radius = np.maximum(np.max(np.abs(finite), axis=1), 1e-300)
+    tol = distinct_tol * np.maximum(radius, 1.0)
+    complex_pair = np.any(np.abs(finite.imag) > tol[:, None], axis=1)
+    if c > 1:
+        gaps = np.min(np.diff(np.sort(finite.real, axis=1), axis=1), axis=1)
     else:
-        radius = max(float(np.max(np.abs(finite))), 1e-300)
-        tol = distinct_tol * max(radius, 1.0)
-        if np.any(np.abs(finite.imag) > tol):
-            classification = ELLIPTIC_MIXED
+        gaps = np.full(n_rows, math.inf)
+    out = []
+    for ind, cpx, gap, t in zip(indeterminate.tolist(), complex_pair.tolist(),
+                                gaps.tolist(), tol.tolist()):
+        if ind:
+            out.append((DEGENERATE, None))
+        elif cpx:
+            out.append((ELLIPTIC_MIXED, None))
         else:
-            gaps = np.diff(np.sort(finite.real))
-            min_gap = float(np.min(gaps)) if gaps.size else math.inf
-            diagnostics["min_gap"] = min_gap
-            classification = HYPERBOLIC if min_gap > tol else DEGENERATE
-    return SpectrumReport(finite, classification, diagnostics)
+            out.append((HYPERBOLIC if gap > t else DEGENERATE, gap))
+    return out
 
 
 # ---------------------------------------------------------------------------

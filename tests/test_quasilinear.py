@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 import magtorus as mt
-from magtorus.ansatz import harmonic_residual_values
+from magtorus import quasilinear
+from magtorus.ansatz import (coefficient_jet, constraint_sides, harmonic_relation,
+                             harmonic_residual_values, omega_closed_form)
+from magtorus.fields import Jet
 from helpers import (exact_family, manufactured_rescaled,
                      transcription_n1, transcription_n2)
 
@@ -290,6 +293,173 @@ def test_crafted_state_with_both_matrices_singular():
     assert abs(np.linalg.det(mats.a)) < 1e-14
     assert abs(np.linalg.det(mats.b)) < 1e-14
     assert mt.spectrum(mats).classification == "degenerate"
+
+
+def test_spectrum_non_finite_pencil_is_degenerate():
+    for where in ("a", "b"):
+        for bad in (math.nan, math.inf, -math.inf):
+            mats = {"a": np.eye(2), "b": np.diag([1.0, 2.0])}
+            mats[where][0, 1] = bad
+            rep = mt.spectrum((mats["a"], mats["b"]))
+            assert rep.classification == "degenerate"
+            assert rep.eigenvalues.size == 0
+            assert "qz_error" in rep.diagnostics
+            assert "method" not in rep.diagnostics
+
+
+def failing_qz(monkeypatch, fails=lambda b, a: True):
+    """Make the LAPACK QZ driver report non-convergence (info = 1) on the
+    pencils for which `fails(B, A)` holds."""
+    solver = quasilinear._qz_solver
+
+    def qz_solver(dim):
+        ggev, lwork = solver(dim)
+
+        def flaky(b, a, *args):
+            if fails(b, a):
+                zeros = np.zeros(dim)
+                return zeros, zeros, zeros, None, None, None, 1
+            return ggev(b, a, *args)
+
+        return flaky, lwork
+
+    monkeypatch.setattr(quasilinear, "_qz_solver", qz_solver)
+
+
+def test_qz_failure_falls_back_to_a_inverse_b(monkeypatch):
+    failing_qz(monkeypatch)
+    rep = mt.spectrum((np.eye(2), np.diag([2.0, 1.0])))
+    assert rep.diagnostics["method"] == "a_inverse_b"
+    assert "did not converge" in rep.diagnostics["qz_error"]
+    assert rep.classification == "hyperbolic"
+    assert rep.eigenvalues.tolist() == [1.0, 2.0]
+
+
+def test_qz_failure_with_ill_conditioned_a_is_degenerate(monkeypatch):
+    failing_qz(monkeypatch)
+    rep = mt.spectrum((np.diag([1.0, 1e-14]), np.diag([1.0, 2.0])))
+    assert rep.classification == "degenerate"
+    assert rep.eigenvalues.size == 0
+    assert "method" not in rep.diagnostics and "n_infinite" not in rep.diagnostics
+    assert rep.diagnostics["cond_a"] > 1e12
+
+
+def test_qz_failure_of_one_pencil_leaves_the_stack_alone(monkeypatch):
+    rng = np.random.default_rng(131)
+    mats = mt.assemble(np.stack([random_state(rng, 2).values for _ in range(5)]))
+    expect = quasilinear.spectra(mats)
+    failing_qz(monkeypatch, lambda b, a: np.array_equal(a, mats.a[2]))
+    got = quasilinear.spectra(mats)
+    assert got[2].diagnostics["method"] == "a_inverse_b"
+    for i in (0, 1, 3, 4):
+        assert_same_report(got[i], expect[i])
+
+
+# ---------------------------------------------------------------------------
+# stacks of states and of pencils
+# ---------------------------------------------------------------------------
+
+
+def wide_states(rng, n, count):
+    """States with Lambda log-uniform in [1e-3, 1e3]."""
+    lam = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), count))
+    return np.column_stack([lam, rng.uniform(-1.0, 1.0, (count, 2 * n - 1))])
+
+
+def scalar_assemble(values):
+    """A and B of one state evaluated on float64 scalars: the jet kernels of
+    `stacked_residual` fed one state at a time, without a state axis."""
+    n = len(values) // 2
+    dim = 2 * n
+    ux, uy = np.eye(dim, 2 * dim), np.eye(dim, 2 * dim, dim)
+    lam, *free = map(Jet, np.asarray(values), ux, uy)
+    slope = (n / 2.0) * lam.v ** (n / 2.0 - 1.0)
+    u = free[:n] + [Jet(lam.v ** (n / 2.0), slope * lam.x, slope * lam.y)]
+    v = [Jet(0.0, 0.0, 0.0)] + free[n:] + [Jet(0.0, 0.0, 0.0)]
+    a = {j: coefficient_jet(n, j, lambda m: (u[m], v[m])) for j in range(-1, n + 1)}
+    omega = omega_closed_form(n, lam, u[n - 1], v[n - 1])
+    rows = []
+    for k in range(n):
+        e_k = harmonic_relation(k, lam, a[k - 1], a[k + 1], a[k].v, omega)[0]
+        rows += [e_k.real] if k == 0 else [e_k.real, e_k.imag]
+    lhs, rhs = constraint_sides(n, lam, u[n - 1], v[n - 1])
+    rows = np.array(rows + [lhs - rhs])
+    return rows[:, :dim], rows[:, dim:]
+
+
+def test_stacked_assemble_equals_per_state_assemble_bitwise():
+    # Array powers may round differently from scalar ones in the last bit;
+    # a stack must give each state the bits it gets on its own.
+    rng = np.random.default_rng(137)
+    for n in (1, 2, 3, 4):
+        states = wide_states(rng, n, 200)
+        stack = mt.assemble(states)
+        assert stack.a.shape == stack.b.shape == (200, 2 * n, 2 * n)
+        for i, values in enumerate(states):
+            one = mt.assemble(values)
+            a_ref, b_ref = scalar_assemble(values)
+            assert np.array_equal(stack.a[i], one.a) and np.array_equal(stack.b[i], one.b)
+            assert np.array_equal(one.a, a_ref) and np.array_equal(one.b, b_ref)
+
+
+def test_stacked_residual_keeps_a_state_axis():
+    rng = np.random.default_rng(139)
+    states = wide_states(rng, 2, 3)
+    p, q = rng.uniform(-1, 1, (2, 4))
+    rows = mt.stacked_residual(states, p, q)
+    assert rows.shape == (3, 4)
+    for i in range(3):
+        assert np.array_equal(rows[i], mt.stacked_residual(states[i], p, q))
+
+
+def test_state_stack_names_the_first_invalid_state():
+    good = [1.0, 0.1, 0.2, 0.3]
+    with pytest.raises(mt.DomainError, match="nonpositive conformal factor -2"):
+        mt.StateVector(np.array([good, [-2.0, 0, 0, 0], [math.nan, 0, 0, 0]]))
+    with pytest.raises(ValueError, match=r"finite, got \[1.0, nan"):
+        mt.StateVector(np.array([good, [1.0, math.nan, 0, 0], [-2.0, 0, 0, 0]]))
+
+
+def assert_same_report(got, want):
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert np.array_equal(np.signbit(got.eigenvalues.view(float)),
+                          np.signbit(want.eigenvalues.view(float)))
+    assert got.classification == want.classification
+    assert got.diagnostics == want.diagnostics
+
+
+def test_spectra_equal_the_per_pencil_reports():
+    rng = np.random.default_rng(149)
+    classes = set()
+    for n in (1, 2, 3, 4):
+        states = np.concatenate([wide_states(rng, n, 150),
+                                 # integer states: singular pencils, repeated eigenvalues
+                                 np.column_stack([rng.integers(1, 4, 50),
+                                                  rng.integers(-1, 2, (50, 2 * n - 1))])])
+        mats = mt.assemble(states)
+        reports = quasilinear.spectra(mats)
+        assert len(reports) == len(states)
+        for i, rep in enumerate(reports):
+            assert_same_report(rep, mt.spectrum((mats.a[i], mats.b[i])))
+        classes |= {rep.classification for rep in reports}
+    assert classes == {"hyperbolic", "degenerate", "elliptic/mixed"}
+
+
+def test_spectra_eigenvalues_are_those_of_scipy_eig():
+    import scipy.linalg
+    rng = np.random.default_rng(151)
+    compared = 0
+    for n in (1, 2, 3, 4):
+        mats = mt.assemble(wide_states(rng, n, 40))
+        for rep, a, b in zip(quasilinear.spectra(mats), mats.a, mats.b):
+            if rep.diagnostics["n_infinite"] or rep.diagnostics["n_indeterminate"]:
+                continue
+            alpha, beta = scipy.linalg.eig(b, a, right=False, homogeneous_eigvals=True)
+            want = alpha / beta   # in the order a lone 1-d sort gives, ties included
+            want = want[np.argsort(want.real + 1e-300 * want.imag)]
+            assert np.array_equal(rep.eigenvalues, want)
+            compared += 1
+    assert compared > 100
 
 
 def test_state_from_ansatz():

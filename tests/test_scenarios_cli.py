@@ -98,6 +98,29 @@ def test_canonical_json_format():
         canonical_json(float("nan"))
 
 
+@pytest.mark.parametrize("values", [
+    [0.0, -0.0, 1.0, -3.0, 2.0 ** 52, 1e16 - 2.0, 1e16, -1e16, 1e17, 0.1, -2.5,
+     5e-324, 2.2250738585072014e-308, 1e-300, 1.7976931348623157e308, -1e300],
+    [1.0],
+    [0.30000000000000004, 1e22],
+])
+def test_canonical_json_float_list_fast_path(values):
+    # The plain-float fast path writes what the element-wise path writes:
+    # a list holding one non-float (here a numpy scalar) takes the latter.
+    fast = canonical_json(values, 1)
+    assert fast == canonical_json([np.float64(v) for v in values], 1)
+    slow = canonical_json(values[:-1] + [np.float64(values[-1])], 1)
+    assert fast == slow
+    assert fast == "[\n    " + ",\n    ".join(canonical_json(v) for v in values) + "\n  ]"
+    assert json.loads(fast) == values
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_canonical_json_float_list_refuses_non_finite(bad):
+    with pytest.raises(ValueError, match="NaN or infinity"):
+        canonical_json([1.0, bad])
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -420,6 +443,20 @@ def test_simulate_report_stats(tmp_path, capsys, step, calls_per_step):
     assert 0.0 < stats["h_min"] <= stats["h_max"]
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_non_finite_torus_period_is_refused(tmp_path, command):
+    data = json.loads(json.dumps(BUNDLED["flat-constant-field"]))
+    data["geometry"] = {"period_x": 1.0, "period_y": 6.0}
+    text = json.dumps(data).replace('"period_x": 1.0', '"period_x": 1e309')
+    path = tmp_path / "infinite-torus.json"
+    path.write_text(text)
+    proc = run_python("-m", "magtorus", command, str(path), "--out", str(tmp_path),
+                      timeout=30.0)
+    assert proc.returncode == 2
+    assert "period_x" in proc.stderr and "finite" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_import_does_not_load_scipy():
     proc = run_python("-c", "import sys, magtorus, magtorus.cli; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
@@ -468,6 +505,69 @@ def test_assemble_crafted_degenerate_state(capsys):
     assert code == 0
     entry = stdout_json(out)["payload"]["entries"][0]
     assert entry["class"] == "degenerate"
+
+
+def test_assemble_state_with_non_finite_matrices_is_named():
+    # Lambda = 1e-300 underflows Omega's denominator: A and B are not finite.
+    proc = run_python("-m", "magtorus", "assemble", "random-nonsolution",
+                      "--at=1,0.3,0.2,0.1", "--at=1e-300,1,1,1", timeout=60.0)
+    assert proc.returncode == 2
+    assert "--at state 1e-300,1,1,1" in proc.stderr
+    assert "reports must not contain" not in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_assemble_huge_state_still_passes():
+    proc = run_python("-m", "magtorus", "assemble", "random-nonsolution",
+                      "--at=1e300,1e300,1e300,1e300", timeout=60.0)
+    assert proc.returncode == 0
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    entry = stdout_json(proc.stdout)["payload"]["entries"][0]
+    assert entry["a"][3] == [-1e300, 0.0, 2e300, 0.0]
+    assert entry["class"] == "degenerate"
+    assert entry["diagnostics"]["cond_a"] == "inf"
+
+
+def test_assemble_stack_reports_what_each_state_gives_alone(capsys):
+    states = ["1,0.3,0,0", "1.2,0.3,-0.2,0.4", "2,-0.5,0.25,0.125"]
+    code, out, _ = run_cli(capsys, "assemble", "random-nonsolution",
+                           *[f"--at={s}" for s in states])
+    assert code == 0
+    entries = stdout_json(out)["payload"]["entries"]
+    for state, entry in zip(states, entries):
+        _, one, _ = run_cli(capsys, "assemble", "random-nonsolution", f"--at={state}")
+        assert stdout_json(one)["payload"]["entries"] == [entry]
+
+
+def test_assemble_report_stats(capsys, monkeypatch):
+    # One well-conditioned A and one singular A (both matrices singular at
+    # u_1 = v_1 = 0): with QZ working both are solved by it; with QZ failing
+    # the first falls back to A^{-1} B and the second stays degenerate.
+    argv = ["assemble", "random-nonsolution", "--at", "1.2,0.3,-0.2,0.4",
+            "--at", "1,0.3,0,0"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    doc = stdout_json(out)
+    assert "stats" not in doc["payload"]
+    assert doc["stats"] == {"states": 2, "qz": 2, "a_inverse_b": 0,
+                            "degenerate_without_qz": 0}
+
+    def broken_qz(dim):
+        return (lambda b, a, *args: (np.zeros(dim),) * 3 + (None,) * 3 + (1,)), 1
+
+    monkeypatch.setattr(mt.quasilinear, "_qz_solver", broken_qz)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    doc = stdout_json(out)
+    assert doc["stats"] == {"states": 2, "qz": 0, "a_inverse_b": 1,
+                            "degenerate_without_qz": 1}
+    first, second = doc["payload"]["entries"]
+    assert first["diagnostics"]["method"] == "a_inverse_b"
+    assert "method" not in second["diagnostics"] and second["class"] == "degenerate"
+
+    code, out, _ = run_cli(capsys, "assemble", "--geodesic", "n=2 a=0,1,1")   # QZ still fails
+    assert stdout_json(out)["stats"] == {"states": 0, "qz": 0, "a_inverse_b": 1,
+                                         "degenerate_without_qz": 0}
 
 
 def test_assemble_wrong_state_length(capsys):
