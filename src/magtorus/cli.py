@@ -11,7 +11,11 @@ Reports are JSON with sorted keys and floats printed to 17 significant
 digits, so identical scenarios and flags produce byte-identical payloads;
 wall-clock timings and the work counters (``stats``: integration steps and
 RHS calls, or how the assembled pencils were solved) live outside the
-comparison payload.  Trajectories are written as CSV, one file per
+comparison payload.  A simulate ``stats`` entry also says that H is 1/2 by
+construction on the angle form, and gives ``rhs_kernel``: the trigonometric
+terms the system's compiled point kernel inlines, the node rules it traced
+into arithmetic, and the rules it calls (a rule that could not be traced, or
+an analytic leaf's rules).  Trajectories are written as CSV, one file per
 trajectory.  ``--plot-data`` additionally emits gnuplot-ready columnar files.
 """
 
@@ -237,7 +241,8 @@ def cmd_simulate(args) -> int:
         traj = integrate(scenario.system, req.initial_state(), req.t_end,
                          req.control, observables)
         timings[req.name + "_s"] = time.perf_counter() - t0
-        work[req.name] = _step_stats(traj.stats)
+        work[req.name] = dict(_step_stats(traj.stats), H=H_BY_CONSTRUCTION,
+                              rhs_kernel=scenario.system.kernel.counts)
         stats = monitor(traj)
         csv_path = out / f"{scenario.name}_{req.name}.csv"
         csv_tmp = csv_path.with_name(csv_path.name + ".tmp")
@@ -278,6 +283,10 @@ def cmd_simulate(args) -> int:
     return EXIT_PASS if overall else EXIT_CHECK_FAILED
 
 
+#: The stats note on the H column of simulate reports.
+H_BY_CONSTRUCTION = "identically 1/2 on the angle form; its drift is 0 by construction"
+
+
 def _step_stats(stats) -> dict:
     """Integration work of one trajectory; h_min/h_max are null without an
     accepted step."""
@@ -304,6 +313,8 @@ def _write_drift_dat(path: Path, traj):
 
 
 def _parse_geodesic(text: str):
+    """(n, a values, geodesic matrix) of a --geodesic spec; a spec whose
+    matrix overflows float64 is refused here, naming the flag."""
     values = {}
     for part in text.split():
         key, _, val = part.partition("=")
@@ -318,7 +329,11 @@ def _parse_geodesic(text: str):
         raise ScenarioError(f"--geodesic needs an integer n and numbers a, got {text!r}") from None
     if not all(map(math.isfinite, avals)):
         raise ScenarioError(f"--geodesic a values must be finite, got {avals}")
-    return n, avals
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = geodesic_matrix(n, avals)
+    if not np.isfinite(mat).all():
+        raise ScenarioError(f"--geodesic matrix overflows float64 for a = {avals}")
+    return n, avals, mat
 
 
 def _spectrum_payload(report) -> dict:
@@ -380,8 +395,7 @@ def cmd_assemble(args) -> int:
     timings = {}
     t0 = time.perf_counter()
     if args.geodesic:
-        n, avals = _parse_geodesic(args.geodesic)
-        mat = geodesic_matrix(n, avals)
+        n, avals, mat = _parse_geodesic(args.geodesic)
         report = spectrum(mat)
         payload = {"geodesic": {"n": n, "a": avals, "matrix": mat.tolist(),
                                 **_spectrum_payload(report)}}

@@ -13,13 +13,21 @@ Two backends:
 Evaluation is forward mode: ``field.jet(x, y)`` returns ``(v, v_x, v_y)``;
 sums, products and powers of fields are nodes combining their children's
 jets once.  On a `SamplingGrid`, trigonometric leaves evaluate separably and
-at most once per grid (the grid memoizes leaf jets only).  Fields are
-immutable; evaluation is pure and accepts scalars or same-shaped arrays.
+at most once per grid (the grid memoizes leaf jets only); same-shaped arrays
+go through the same expression tree with numpy.  At a single point (plain
+int or float coordinates) a field runs its compiled point kernel
+(`point_kernel`): one straight-line Python function of (x, y), written once
+per field on first use, with each trigonometric term inlined and each node's
+jet rule traced into plain arithmetic (or called, where the rule cannot be
+traced).  It performs the operations of the recursive evaluation in the same
+order, so it returns the same bits.  Fields are immutable; evaluation is pure.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 import weakref
 from collections import namedtuple
@@ -107,7 +115,13 @@ class Field:
     def _evaluate(self, x, y) -> Jet:
         if isinstance(x, SamplingGrid):
             return self._jet(x, None, x.leaf_jets)
+        if isinstance(x, (int, float)) and isinstance(y, (int, float)):
+            return Jet(*self._point_kernel(x, y))
         return self._jet(x, y, {})
+
+    @functools.cached_property
+    def _point_kernel(self):
+        return point_kernel(self)
 
     def eval(self, x, y):
         return self._evaluate(x, y).v
@@ -211,19 +225,15 @@ class TrigField(Field):
             out = left.real @ right.real - left.imag @ right.imag
             out.flags.writeable = False   # shared through the grid's memo
             jet = Jet(*out)
-        else:
-            # At a single point math beats numpy's per-call overhead, and the
-            # jet stays in plain floats (the same IEEE arithmetic as float64).
-            point = isinstance(x, (int, float)) and isinstance(y, (int, float))
-            cos, sin = (math.cos, math.sin) if point else (np.cos, np.sin)
+        else:   # arrays; a single point runs the field's point kernel
             v_x = v_y = 0.0 * (x + y)
             v = self._c0 + v_x
             for kx, ky, a, b in self._terms:
                 theta = kx * x + ky * y
-                c, s = cos(theta), sin(theta)
+                c, s = np.cos(theta), np.sin(theta)
                 slope = -(a * s + b * c)
                 v, v_x, v_y = v + (a * c - b * s), v_x + kx * slope, v_y + ky * slope
-            jet = Jet(v, v_x, v_y) if point else Jet(*map(np.float64, (v, v_x, v_y)))
+            jet = Jet(*map(np.float64, (v, v_x, v_y)))
         memo[self] = jet
         return jet
 
@@ -372,6 +382,211 @@ def value_field(rule, fields, *, label: str) -> AnalyticField:
             raise DerivativeUnavailable(f"no first-derivative rules for {f!r}")
     return _Node(lambda *jets: Jet(rule(*jets), math.nan, math.nan), tuple(fields),
                  label=label, exact=(False, False))
+
+
+# ---------------------------------------------------------------------------
+# Compiled point kernels
+# ---------------------------------------------------------------------------
+#
+# At one point, walking the expression tree (a `_jet` call per node, a memo
+# dict, a Jet per node) costs more than the arithmetic it performs.  A point
+# kernel walks the tree once and writes one straight-line function of (x, y):
+# every leaf and node becomes locals assigned once, trigonometric terms are
+# inlined with their coefficients as literals, and each node's jet rule is
+# traced once on symbolic operands, so the rules stay the one statement of
+# the algebra.  A rule that does more than arithmetic on its operands (it
+# compares them, branches on them or hands them to numpy) cannot be traced
+# and is called from the kernel instead, as are the rules of analytic leaves.
+# Every operation is the one the recursive evaluation performs, in the same
+# order, so a kernel returns the same bits and raises the same errors; lines
+# of + - * whose results are never used are left out (they cannot raise).
+
+
+class _Untraceable(TypeError):
+    """A traced rule asked for something a symbolic operand does not have."""
+
+
+class _Operand:
+    """A local of the kernel being written.  Arithmetic with another operand
+    or with an int or float constant writes one line and returns its result;
+    anything else raises, and the rule is called instead of traced."""
+
+    __slots__ = ("writer", "name")
+    __array_ufunc__ = None   # numpy scalars defer to the reflected methods
+
+    def __init__(self, writer, name: str):
+        self.writer, self.name = writer, name
+
+    def _binary(self, op: str, other, reflected=False):
+        text = self.writer.literal(other)
+        left, right = (text, self.name) if reflected else (self.name, text)
+        return self.writer.assign(f"{left} {op} {right}", self, other,
+                                  pure=op in "+-*")
+
+    __add__ = functools.partialmethod(_binary, "+")
+    __radd__ = functools.partialmethod(_binary, "+", reflected=True)
+    __sub__ = functools.partialmethod(_binary, "-")
+    __rsub__ = functools.partialmethod(_binary, "-", reflected=True)
+    __mul__ = functools.partialmethod(_binary, "*")
+    __rmul__ = functools.partialmethod(_binary, "*", reflected=True)
+    __truediv__ = functools.partialmethod(_binary, "/")
+    __rtruediv__ = functools.partialmethod(_binary, "/", reflected=True)
+    __pow__ = functools.partialmethod(_binary, "**")
+    __rpow__ = functools.partialmethod(_binary, "**", reflected=True)
+
+    def __neg__(self):
+        return self.writer.assign(f"-{self.name}", self)
+
+    def _refuse(self, *args):
+        raise _Untraceable(f"operand {self.name} has no value while tracing")
+
+    __bool__ = __float__ = __int__ = __index__ = __complex__ = __array__ = _refuse
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
+
+
+def _below_floor(lam, x, y):
+    raise DomainError(f"conformal factor {lam:g} fell below the positivity floor at "
+                      f"({x:g}, {y:g})")
+
+
+class _KernelWriter:
+    """Lines of one point kernel: (targets, code, locals read, pure)."""
+
+    def __init__(self):
+        self.lines = []
+        self.namespace = {"cos": math.cos, "sin": math.sin, "Jet": Jet,
+                          "_below_floor": _below_floor}
+        self.jets = {}      # field -> (v, v_x, v_y), each an _Operand or a constant
+        self.modes = {}     # (kx, ky) literals -> (cos, sin) of kx x + ky y
+        self.seed = None    # 0.0 * (x + y), every trigonometric leaf's start
+        self.counts = {"trig_terms": 0, "traced_nodes": 0, "called_rules": 0}
+        self._names = itertools.count()
+
+    def assign(self, code: str, *operands, pure=True) -> _Operand:
+        target = _Operand(self, f"t{next(self._names)}")
+        reads = tuple(o.name for o in operands if isinstance(o, _Operand))
+        self.lines.append(((target.name,), f"{target.name} = {code}", reads, pure))
+        return target
+
+    def literal(self, value) -> str:
+        """An operand's name, or a finite int or float constant as a literal."""
+        if isinstance(value, _Operand):
+            return value.name
+        if type(value) is int or (type(value) is float and math.isfinite(value)):
+            text = repr(value)
+            return f"({text})" if text.startswith("-") else text
+        raise _Untraceable(f"constant {value!r} has no literal")
+
+    def ref(self, value) -> str:
+        """Like `literal`, binding any other constant in the kernel's namespace."""
+        try:
+            return self.literal(value)
+        except _Untraceable:
+            name = f"_k{next(self._names)}"
+            self.namespace[name] = value
+            return name
+
+    def jet(self, field: Field) -> tuple:
+        jet = self.jets.get(field)
+        if jet is None:
+            if isinstance(field, TrigField):
+                jet = self._trig(field)
+            elif isinstance(field, _Node):
+                jet = self._node(field)
+            else:
+                jet = self._analytic(field)
+            self.jets[field] = jet
+        return jet
+
+    def _trig(self, leaf: TrigField) -> tuple:
+        """`TrigField._jet`'s term loop, unrolled; the seed and each mode's
+        cos and sin are shared by every leaf of the kernel."""
+        lit = self.literal
+        if self.seed is None:
+            self.seed = self.assign("0.0 * (x + y)")
+        v = self.assign(f"{lit(leaf._c0)} + {self.seed.name}", self.seed)
+        v_x = v_y = self.seed
+        for kx, ky, a, b in leaf._terms:
+            key = (lit(kx), lit(ky))
+            if key not in self.modes:
+                theta = self.assign(f"{key[0]} * x + {key[1]} * y")
+                self.modes[key] = (self.assign(f"cos({theta.name})", theta, pure=False),
+                                   self.assign(f"sin({theta.name})", theta, pure=False))
+            c, s = self.modes[key]
+            slope = self.assign(f"-({lit(a)} * {s.name} + {lit(b)} * {c.name})", s, c)
+            v = self.assign(f"{v.name} + ({lit(a)} * {c.name} - {lit(b)} * {s.name})", v, c, s)
+            v_x = self.assign(f"{v_x.name} + {key[0]} * {slope.name}", v_x, slope)
+            v_y = self.assign(f"{v_y.name} + {key[1]} * {slope.name}", v_y, slope)
+        self.counts["trig_terms"] += len(leaf._terms)
+        return v, v_x, v_y
+
+    def _node(self, node: _Node) -> tuple:
+        operands = [Jet(*self.jet(child)) for child in node._children]
+        mark = len(self.lines)
+        try:
+            jet = tuple(node._rule(*operands))
+            if len(jet) != 3:
+                raise _Untraceable(f"rule of {node!r} returned {len(jet)} parts")
+        except Exception:   # any failure on symbolic operands: call the rule
+            del self.lines[mark:]
+            args = ", ".join(f"Jet({', '.join(map(self.ref, o))})" for o in operands)
+            return self._call(f"{self.ref(node._rule)}({args})",
+                              [part for o in operands for part in o], 3)
+        self.counts["traced_nodes"] += 1
+        return jet
+
+    def _analytic(self, leaf: AnalyticField) -> tuple:
+        return tuple(self._call(f"{self.ref(rule)}(x, y)", (), 1)[0] if rule else math.nan
+                     for rule in leaf._rules)
+
+    def _call(self, code: str, operands, parts: int) -> tuple:
+        targets = tuple(_Operand(self, f"t{next(self._names)}") for _ in range(parts))
+        names = ", ".join(t.name for t in targets)
+        reads = tuple(o.name for o in operands if isinstance(o, _Operand))
+        self.lines.append((tuple(t.name for t in targets), f"{names} = {code}", reads, False))
+        self.counts["called_rules"] += 1
+        return targets
+
+    def check_floor(self, lam):
+        text = self.ref(lam)
+        self.lines.append(((), f"if not {text} > {LAMBDA_FLOOR!r}: _below_floor({text}, x, y)",
+                           (lam.name,) if isinstance(lam, _Operand) else (), False))
+
+    def compile(self, outputs):
+        live = {o.name for o in outputs if isinstance(o, _Operand)}
+        kept = []
+        for targets, code, reads, pure in reversed(self.lines):
+            if pure and live.isdisjoint(targets):
+                continue
+            live.update(reads)
+            kept.append(code)
+        body = "".join(f"    {code}\n" for code in reversed(kept))
+        source = (f"def point_kernel(x, y):\n{body}"
+                  f"    return ({', '.join(map(self.ref, outputs))},)\n")
+        exec(compile(source, "<point kernel>", "exec"), self.namespace)
+        kernel = self.namespace["point_kernel"]
+        kernel.source, kernel.counts = source, dict(self.counts)
+        return kernel
+
+
+def point_kernel(field: Field, *values: Field, floor: bool = False):
+    """Compile `field` and `values` into one function (x, y) -> (v, v_x, v_y)
+    of `field` followed by the value of each field in `values`, for plain
+    int or float coordinates.  Subgraphs shared between them are evaluated
+    once.  With `floor`, `field` is a conformal factor: right after its
+    subgraph, before any of the others, the kernel raises DomainError where
+    its value is not above LAMBDA_FLOOR.
+
+    The function carries `source` (its text) and `counts`: the trigonometric
+    terms inlined, the node rules traced, and the rules it calls (untraceable
+    node rules and the value and derivative rules of analytic leaves).
+    """
+    writer = _KernelWriter()
+    outputs = list(writer.jet(field))
+    if floor:
+        writer.check_floor(outputs[0])
+    outputs += [writer.jet(f)[0] for f in values]
+    return writer.compile(outputs)
 
 
 def check_conformal_factor(lam: Field, grid: SamplingGrid):

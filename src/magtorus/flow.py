@@ -14,18 +14,30 @@ sin(phi) (positive square-root branch), giving
 Both this parameterized form and the cotangent (x, y, p1, p2) form are
 integrated with the classical fixed-step order-4 one-step method (optional
 tolerance-driven step doubling); angles are unwrapped internally and wrapped
-on output.
+on output.  H = 1/2 holds identically on the parameterized form, so its
+recorded drift is 0 by construction, not a measurement.
+
+Each right-hand-side call evaluates Lambda's jet and Omega's value through
+the system's point kernel (`fields.point_kernel`), compiled on the first call:
+one straight-line function of (x, y) that checks the positivity floor right
+after Lambda's subgraph and evaluates a leaf shared by Lambda and Omega once.
+Its `counts` (trigonometric terms inlined, node rules traced, rules called)
+are reported beside each trajectory's step counts.  The RK4 step is unrolled
+per state length from one template.  A trajectory may take at most
+STEP_BUDGET steps: a fixed step that needs more is refused before the run,
+and step doubling that reaches it aborts the run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 
-from .fields import (DerivativeUnavailable, DomainError, Field, LAMBDA_FLOOR,
-                     SamplingGrid, TorusGeometry, check_conformal_factor)
+from .fields import (DerivativeUnavailable, DomainError, Field, SamplingGrid,
+                     TorusGeometry, check_conformal_factor, point_kernel)
 
 TWO_PI = 2.0 * math.pi
 
@@ -67,17 +79,12 @@ class MagneticSystem:
             raise DerivativeUnavailable(f"no first-derivative rules for {self.lam!r}")
         check_conformal_factor(self.lam, SamplingGrid(64, 64, self.geometry))
 
-
-def _lam_omega(system: MagneticSystem, x: float, y: float):
-    """Jet (Lambda, Lambda_x, Lambda_y) above the positivity floor and the value
-    of Omega at a point, from one leaf memo: a trigonometric leaf shared by
-    both (the Lambda of a derived Omega) is evaluated once."""
-    memo = {}
-    lam = system.lam._jet(x, y, memo)
-    if not lam.v > LAMBDA_FLOOR:
-        raise DomainError(f"conformal factor {lam.v:g} fell below the positivity floor at "
-                          f"({x:g}, {y:g})")
-    return lam, system.omega._jet(x, y, memo).v
+    @functools.cached_property
+    def kernel(self):
+        """(x, y) -> (Lambda, Lambda_x, Lambda_y, Omega) at a point, raising
+        DomainError where Lambda is not above the positivity floor; compiled
+        on first use, so systems that are never integrated never pay for it."""
+        return point_kernel(self.lam, self.omega, floor=True)
 
 
 def flow_rhs(system: MagneticSystem, state) -> tuple:
@@ -89,7 +96,7 @@ def flow_rhs(system: MagneticSystem, state) -> tuple:
         x, y, phi = state.x, state.y, state.phi
     else:
         x, y, phi = state
-    (lam, lam_x, lam_y), om = _lam_omega(system, x, y)
+    lam, lam_x, lam_y, om = system.kernel(x, y)
     sqrt_lam = math.sqrt(lam)
     c, s = math.cos(phi), math.sin(phi)
     dphi = (lam_y * c - lam_x * s) / (2.0 * lam * sqrt_lam) - om / lam
@@ -102,7 +109,7 @@ def cotangent_rhs(system: MagneticSystem, state) -> tuple:
         x, y, p1, p2 = state.x, state.y, state.p1, state.p2
     else:
         x, y, p1, p2 = state
-    (lam, lam_x, lam_y), om = _lam_omega(system, x, y)
+    lam, lam_x, lam_y, om = system.kernel(x, y)
     p_sq = p1 * p1 + p2 * p2
     # dH/dx = -p^2 Lambda_x / (2 Lambda^2), dH/dp_i = p_i / Lambda
     h_x = -p_sq * lam_x / (2.0 * lam * lam)
@@ -201,15 +208,34 @@ class Trajectory:
         return len(self.t)
 
 
-def _rk4_step(rhs, state, dt, k1):
-    """One classical RK4 step from `state`, given its first stage k1 = rhs(state)."""
-    half = 0.5 * dt
-    k2 = rhs(tuple(s + half * k for s, k in zip(state, k1)))
-    k3 = rhs(tuple(s + half * k for s, k in zip(state, k2)))
-    k4 = rhs(tuple(s + dt * k for s, k in zip(state, k3)))
-    sixth = dt / 6.0
-    return tuple(s + sixth * (a + 2.0 * b + 2.0 * c + d)
-                 for s, a, b, c, d in zip(state, k1, k2, k3, k4))
+def _rk4_source(lengths) -> str:
+    """Source of `_rk4_step(rhs, state, dt, k1)`, one classical RK4 step from
+    `state` given its first stage k1 = rhs(state), unrolled for states of
+    each length in `lengths`.  Each component is computed as s + h * k per
+    stage and s + dt / 6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4) at the end."""
+    lines = ["def _rk4_step(rhs, state, dt, k1):",
+             '    """One classical RK4 step from `state`, given k1 = rhs(state)."""',
+             "    half = 0.5 * dt"]
+    for n in lengths:
+        names = lambda p: ", ".join(f"{p}{i}" for i in range(n))
+        stage = lambda h, k: "rhs((" + ", ".join(f"s{i} + {h} * {k}{i}"
+                                                  for i in range(n)) + ",))"
+        lines += [f"    if len(state) == {n}:",
+                  f"        {names('s')} = state",
+                  f"        {names('a')} = k1",
+                  f"        {names('b')} = {stage('half', 'a')}",
+                  f"        {names('c')} = {stage('half', 'b')}",
+                  f"        {names('d')} = {stage('dt', 'c')}",
+                  "        sixth = dt / 6.0",
+                  "        return (" + ", ".join(
+                      f"s{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})"
+                      for i in range(n)) + ",)"]
+    lines.append('    raise ValueError(f"no RK4 step for a state of length {len(state)}")')
+    return "\n".join(lines) + "\n"
+
+
+# The flow's (x, y, phi) and the bracket form's (x, y, p1, p2).
+exec(compile(_rk4_source((3, 4)), "<rk4 step>", "exec"))
 
 
 def _sample_times(t_end: float, sample_dt):
@@ -222,6 +248,22 @@ def _sample_times(t_end: float, sample_dt):
     else:
         times[-1] = t_end
     return times
+
+
+#: Most RK4 steps, accepted and rejected together, that one trajectory may
+#: take: 100 times the 10^4 steps of the longest bundled request.  A fixed
+#: step that needs more to reach t_end is refused before integration, and
+#: step doubling that reaches the budget aborts the run.
+STEP_BUDGET = 10 ** 6
+
+
+def check_step_budget(t_end: float, dt: float, what: str = "dt"):
+    """Refuse a fixed step `dt` (named `what`) that needs more than
+    STEP_BUDGET steps to reach t_end."""
+    if t_end / dt > STEP_BUDGET:
+        raise ValueError(f"{what} = {dt!r} needs {t_end / dt:.3g} steps to reach "
+                         f"t_end = {t_end!r}, above the step budget of {STEP_BUDGET} "
+                         "steps per trajectory")
 
 
 def _advance_fixed(rhs, state, t0, t1, dt, stats):
@@ -242,16 +284,25 @@ class StepFloorError(ArithmeticError):
     """Step doubling could not meet its tolerance even at the step floor."""
 
 
+class StepBudgetError(ArithmeticError):
+    """Step doubling used up STEP_BUDGET steps before reaching t_end."""
+
+
 def _advance_adaptive(rhs, state, t0, t1, h, atol, stats):
     """Step doubling: one full step against two half steps, all three
     starting from the same first stage rhs(state), which each retry reuses.
-    An accepted first attempt costs 11 RHS calls, each retry 10 more."""
+    An accepted first attempt costs 11 RHS calls, each retry 10 more.
+    Attempts beyond STEP_BUDGET per trajectory raise StepBudgetError."""
     t = t0
     while t < t1 - 1e-14 * max(1.0, t1):
         h = min(h, t1 - t)
         k1 = rhs(state)
         stats.rhs_calls += 1
         while True:
+            if stats.accepted + stats.rejected >= STEP_BUDGET:
+                raise StepBudgetError(
+                    f"adaptive integration used up the step budget of {STEP_BUDGET} "
+                    f"steps (accepted plus rejected) at t = {t:.17g}")
             full = _rk4_step(rhs, state, h, k1)
             mid = _rk4_step(rhs, state, 0.5 * h, k1)
             half = _rk4_step(rhs, mid, 0.5 * h, rhs(mid))
@@ -277,6 +328,8 @@ def _advance_adaptive(rhs, state, t0, t1, h, atol, stats):
 
 def _integrate_path(rhs, state0, t_end, control):
     """Shared sampling loop; returns times, states, abort diagnostics, stats."""
+    if control.mode != "adaptive":
+        check_step_budget(t_end, control.dt)
     times = _sample_times(t_end, control.sample_dt)
     states = [tuple(float(s) for s in state0)]
     state = states[0]
@@ -291,7 +344,7 @@ def _integrate_path(rhs, state0, t_end, control):
                 state, h = _advance_adaptive(rhs, state, t0, t1, h, control.atol, stats)
             else:
                 state = _advance_fixed(rhs, state, t0, t1, control.dt, stats)
-        except (DomainError, StepFloorError) as exc:
+        except (DomainError, StepFloorError, StepBudgetError) as exc:
             aborted = True
             diagnostic = str(exc)
             break
@@ -333,7 +386,7 @@ def integrate_cotangent(system: MagneticSystem, state0: CotangentState, t_end: f
     """Integrate the bracket form; returns (times, states array, aborted, diagnostic)."""
     if not t_end > 0.0:
         raise ValueError("t_end must be positive")
-    lam0 = _lam_omega(system, state0.x, state0.y)[0].v
+    lam0 = system.kernel(state0.x, state0.y)[0]
     energy0 = (state0.p1 ** 2 + state0.p2 ** 2) / (2.0 * lam0)
     if not (math.isfinite(energy0) and energy0 > 0.0):
         raise ValueError(f"initial energy must be finite and positive, got {energy0!r}")

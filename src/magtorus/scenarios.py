@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as _dc_field
 from pathlib import Path
 
 from .fields import Field, SamplingGrid, TorusGeometry, field_from_spec
-from .flow import MagneticSystem, PhaseState, StepControl
+from .flow import MagneticSystem, PhaseState, StepControl, check_step_budget
 from .ansatz import Ansatz, omega_rescaled, rescale
 
 SCHEMA_VERSION = 1
@@ -70,6 +70,18 @@ def _number(value, what: str) -> float:
         raise ScenarioError(f"{what} must be a number, got {value!r}") from None
 
 
+def _integer(value, what: str) -> int:
+    """`value` as an int: a JSON integer, or a number with an integral value."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ScenarioError(f"{what} must be an integer, got {value!r}")
+
+
+def _list(value, what: str) -> list:
+    _require(isinstance(value, (list, tuple)), f"{what} must be a list, got {value!r}")
+    return value
+
+
 def _positive(value, what: str) -> float:
     """`value` as a float, refused unless finite and strictly positive."""
     value = _number(value, what)
@@ -95,11 +107,11 @@ def build_scenario(data: dict, *, seed: int | None = None,
 
     geo_spec = data.get("geometry", {})
     _require(isinstance(geo_spec, dict), "geometry must be an object")
-    geometry = TorusGeometry(float(geo_spec.get("period_x", 2.0 * 3.141592653589793)),
-                             float(geo_spec.get("period_y", 2.0 * 3.141592653589793)))
+    geometry = TorusGeometry(*(_number(geo_spec.get(key, 2.0 * math.pi), f"geometry {key}")
+                               for key in ("period_x", "period_y")))
 
     _require("N" in data, "scenario needs the ansatz degree N")
-    n = int(data["N"])
+    n = _integer(data["N"], "N")
     _require(n >= 1, "N must be >= 1")
 
     _require("lambda" in data, "scenario needs a 'lambda' field spec")
@@ -109,10 +121,10 @@ def build_scenario(data: dict, *, seed: int | None = None,
     u_lower = [zero_field(geometry) for _ in range(n)]
     v_lower = [zero_field(geometry) for _ in range(max(n - 1, 0))]
     seen = set()
-    for rec in data.get("coefficients", []):
+    for rec in _list(data.get("coefficients", []), "coefficients"):
         _require(isinstance(rec, dict) and "k" in rec,
                  "each coefficient entry needs an index k")
-        k = int(rec["k"])
+        k = _integer(rec["k"], "coefficient index k")
         _require(0 <= k <= n - 1, f"coefficient index k={k} outside 0..{n - 1}")
         _require(k not in seen, f"duplicate coefficient entry k={k}")
         seen.add(k)
@@ -140,8 +152,8 @@ def build_scenario(data: dict, *, seed: int | None = None,
         grid_spec = data.get("grid", [64, 64])
         _require(isinstance(grid_spec, (list, tuple)) and len(grid_spec) == 2,
                  "grid must be [nx, ny]")
-        nx, ny = grid_spec
-    grid = SamplingGrid(int(nx), int(ny), geometry)
+        nx, ny = (_integer(v, "grid entry") for v in grid_spec)
+    grid = SamplingGrid(nx, ny, geometry)
 
     if tol_override is not None:
         tolerance = _positive(tol_override, "--tol")
@@ -152,12 +164,12 @@ def build_scenario(data: dict, *, seed: int | None = None,
     if dt_override is not None:
         _positive(dt_override, "--dt")
 
-    checks = tuple(data.get("checks", list(KNOWN_CHECKS)))
+    checks = tuple(_list(data.get("checks", list(KNOWN_CHECKS)), "checks"))
     for c in checks:
         _require(c in KNOWN_CHECKS, f"unknown check {c!r} (known: {KNOWN_CHECKS})")
 
     trajectories = []
-    for i, rec in enumerate(data.get("trajectories", [])):
+    for i, rec in enumerate(_list(data.get("trajectories", []), "trajectories")):
         _require(isinstance(rec, dict), "trajectory request must be an object")
         traj_name = str(rec.get("name", f"traj{i}"))
         label = f"trajectory {traj_name!r}"
@@ -176,10 +188,18 @@ def build_scenario(data: dict, *, seed: int | None = None,
             control = StepControl.adaptive(_positive(rec["adaptive"], f"{label} adaptive"))
         else:
             control = StepControl.fixed(_positive(rec.get("dt", 1e-3), f"{label} dt"))
-        observables = tuple(rec.get("observables", ["H", "F"]))
+        if control.mode == "fixed":
+            check_step_budget(t_end, control.dt,
+                              "--dt" if dt_override is not None else f"{label} dt")
+        observables = tuple(_list(rec.get("observables", ["H", "F"]),
+                                  f"{label} observables"))
         for obs in observables:
             _require(obs in ("H", "F"), f"unknown observable {obs!r}")
-        drift_tol = {str(k): float(v) for k, v in rec.get("drift_tol", {}).items()}
+        drift_spec = rec.get("drift_tol", {})
+        _require(isinstance(drift_spec, dict),
+                 f"{label} drift_tol must be an object, got {drift_spec!r}")
+        drift_tol = {str(k): _number(v, f"{label} drift_tol {k!r}")
+                     for k, v in drift_spec.items()}
         trajectories.append(TrajectoryRequest(traj_name, initial, t_end, control,
                                               observables, drift_tol))
 
@@ -198,7 +218,8 @@ def load_scenario(path_or_name: str, **kwargs) -> Scenario:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"malformed scenario JSON in {path}: {exc}") from exc
-    data.setdefault("name", path.stem)
+    if isinstance(data, dict):
+        data.setdefault("name", path.stem)
     return build_scenario(data, **kwargs)
 
 

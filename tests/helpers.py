@@ -1,10 +1,13 @@
-"""Shared fixtures: exact configurations, independent transcriptions, and the
-manufactured leading-harmonic block used by the conservation-law tests."""
+"""Shared fixtures: exact configurations, independent transcriptions, the
+manufactured leading-harmonic block used by the conservation-law tests, and
+the recursive point evaluator that compiled point kernels must reproduce."""
+
+import math
 
 import numpy as np
 
 import magtorus as mt
-from magtorus.fields import TrigField
+from magtorus.fields import LAMBDA_FLOOR, DomainError, Jet, TrigField, _Node
 
 
 def exact_family():
@@ -114,3 +117,69 @@ def transcription_n2(state, ux, uy):
     row2 = lam_y - u0y / 2.0 - omega * u1 / sqrt_lam
     row3 = 2.0 * lam * (u1x + v1y) - (v1 * lam_y + u1 * lam_x)
     return np.array([row0, row1, row2, row3])
+
+
+# ---------------------------------------------------------------------------
+# The recursive point evaluator (one `_jet` call per node, a memo of
+# trigonometric leaves per call): the oracle of the compiled point kernels
+# ---------------------------------------------------------------------------
+
+
+def recursive_point_jet(field, x, y, memo=None) -> Jet:
+    """Jet of `field` at the point (x, y) by walking its expression tree."""
+    memo = {} if memo is None else memo
+    if isinstance(field, TrigField):
+        jet = memo.get(field)
+        if jet is None:
+            v_x = v_y = 0.0 * (x + y)
+            v = field._c0 + v_x
+            for kx, ky, a, b in field._terms:
+                theta = kx * x + ky * y
+                c, s = math.cos(theta), math.sin(theta)
+                slope = -(a * s + b * c)
+                v, v_x, v_y = v + (a * c - b * s), v_x + kx * slope, v_y + ky * slope
+            jet = memo[field] = Jet(v, v_x, v_y)
+        return jet
+    if isinstance(field, _Node):
+        return field._rule(*[recursive_point_jet(c, x, y, memo) for c in field._children])
+    return Jet(*(rule(x, y) if rule else math.nan for rule in field._rules))
+
+
+def recursive_lam_omega(lam, omega, x, y) -> tuple:
+    """(Lambda, Lambda_x, Lambda_y, Omega) from one leaf memo, with the
+    positivity floor checked before Omega is evaluated."""
+    memo = {}
+    jet = recursive_point_jet(lam, x, y, memo)
+    if not jet.v > LAMBDA_FLOOR:
+        raise DomainError(f"conformal factor {jet.v:g} fell below the positivity floor at "
+                          f"({x:g}, {y:g})")
+    return (*jet, recursive_point_jet(omega, x, y, memo).v)
+
+
+def same_bits(a, b) -> bool:
+    """`a == b` of the same type, telling -0.0 from 0.0 and nan equal to nan."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, complex):
+        return same_bits(a.real, b.real) and same_bits(a.imag, b.imag)
+    if isinstance(a, float):
+        if math.isnan(a) or math.isnan(b):
+            return math.isnan(a) and math.isnan(b)
+        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    return a == b
+
+
+def outcome(fn):
+    """What calling `fn` gives: ("value", tuple) or ("raise", type, message)."""
+    try:
+        return ("value", tuple(fn()))
+    except Exception as exc:   # the oracle and the kernel must fail alike
+        return ("raise", type(exc), str(exc))
+
+
+def assert_same_outcome(got, want):
+    assert got[0] == want[0], (got, want)
+    if got[0] == "raise":
+        assert got == want
+    else:
+        assert len(got[1]) == len(want[1]) and all(map(same_bits, got[1], want[1])), (got, want)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import magtorus as mt
-from magtorus.fields import TrigField
+from magtorus.fields import _KernelWriter
 from helpers import circular_closed_form, exact_family
 
 
@@ -285,24 +285,31 @@ def test_rhs_equals_separate_field_evaluations(n, derived):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_rhs_evaluates_each_trig_leaf_once(monkeypatch, n):
     system = random_system(np.random.default_rng(200 + n), n)
-    evaluated = []
-    original = TrigField._jet
+    written = []
+    original = _KernelWriter._trig
 
-    def counting(self, x, y, memo):
-        if self not in memo:
-            evaluated.append(self)
-        return original(self, x, y, memo)
+    def counting(self, leaf):
+        written.append(leaf)
+        return original(self, leaf)
 
-    monkeypatch.setattr(TrigField, "_jet", counting)
+    monkeypatch.setattr(_KernelWriter, "_trig", counting)
+    mt.flow_rhs(system, (0.3, 1.1, 0.7))   # compiles the system's kernel
+    counts = collections.Counter(id(leaf) for leaf in written)
+    assert max(counts.values()) == 1
+    # Lambda and the leaves u_{n-1}, v_{n-1} of Omega; for n > 1 Omega also
+    # holds Lambda, through Lambda ** (-(n-1)/2).
+    assert id(system.lam) in counts and len(counts) == 3
+    # The kernel is straight-line: one call computes each distinct mode's
+    # cosine once, so no leaf is evaluated twice per call.
+    modes = {(kx, ky) for leaf in written for kx, ky, _, _ in leaf._terms}
+    cosines = []
+    namespace = system.kernel.__globals__
+    monkeypatch.setitem(namespace, "cos", lambda t: cosines.append(t) or math.cos(t))
     for rhs, state in ((mt.flow_rhs, (0.3, 1.1, 0.7)),
                        (mt.cotangent_rhs, (0.3, 1.1, 0.4, -0.9))):
-        evaluated.clear()
+        cosines.clear()
         rhs(system, state)
-        counts = collections.Counter(id(leaf) for leaf in evaluated)
-        assert max(counts.values()) == 1
-        # Lambda and the leaves u_{n-1}, v_{n-1} of Omega; for n > 1 Omega
-        # also holds Lambda, through Lambda ** (-(n-1)/2).
-        assert id(system.lam) in counts and len(counts) == 3
+        assert len(cosines) == len(modes)
 
 
 @pytest.mark.parametrize("b, control, calls_per_step, retries", [

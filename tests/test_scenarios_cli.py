@@ -604,3 +604,95 @@ def test_scenario_file_equivalent_to_bundled(tmp_path, capsys):
     doc1, doc2 = stdout_json(out), stdout_json(out_bundled)
     del doc1["timings"], doc2["timings"]
     assert canonical_json(doc1) == canonical_json(doc2)
+
+
+@pytest.mark.parametrize("name, kernel", [
+    # Lambda = 1 (no term); u_0 = -2 y is an analytic leaf whose three rules
+    # the kernel calls; the derived Omega's value rule is traced.
+    ("flat-constant-field", {"trig_terms": 0, "traced_nodes": 1, "called_rules": 3}),
+    ("linear-family-periodic", {"trig_terms": 2, "traced_nodes": 1, "called_rules": 0}),
+])
+def test_simulate_stats_describe_the_rhs_kernel(tmp_path, capsys, name, kernel):
+    code, out, _ = run_cli(capsys, "simulate", name, "--out", str(tmp_path))
+    assert code == 0
+    doc = stdout_json(out)
+    for entry in doc["stats"].values():
+        assert entry["rhs_kernel"] == kernel
+        assert entry["H"] == magtorus.cli.H_BY_CONSTRUCTION
+    assert "rhs_kernel" not in json.dumps(doc["payload"])
+
+
+def test_bundled_requests_stay_far_below_the_step_budget():
+    for data in BUNDLED.values():
+        for rec in data.get("trajectories", []):
+            assert rec["t_end"] / rec.get("dt", 1e-3) <= mt.flow.STEP_BUDGET / 100
+
+
+@pytest.mark.parametrize("argv, message", [
+    # t += h stops advancing t: this request used to run forever.
+    ({"dt": 1e-20}, "trajectory 'line' dt = 1e-20"),
+    (["simulate", "flat-zero-field", "--dt", "1e-7"], "--dt = 1e-07"),
+], ids=["scenario-dt", "dt-flag"])
+def test_fixed_step_beyond_the_budget_is_refused_at_load(tmp_path, argv, message):
+    if isinstance(argv, dict):
+        argv = ["simulate", write_orbit_scenario(tmp_path, **argv)]
+    proc = run_python("-m", "magtorus", *argv, "--out", str(tmp_path), timeout=30.0)
+    assert proc.returncode == 2
+    assert message in proc.stderr and "step budget of 1000000" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_adaptive_run_beyond_the_budget_aborts(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(mt.flow, "STEP_BUDGET", 25)
+    code, out, _ = run_cli(capsys, "simulate", "flat-constant-field", "--adaptive", "1e-12",
+                           "--out", str(tmp_path))
+    assert code == 1
+    doc = stdout_json(out)
+    traj = doc["payload"]["trajectories"][0]
+    assert traj["aborted"] and "step budget of 25" in traj["diagnostic"]
+    stats = doc["stats"]["circle"]
+    assert stats["rk4_steps_accepted"] + stats["rk4_steps_rejected"] == 25
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"N": None}, "N must be an integer, got None"),
+    ({"N": 1.5}, "N must be an integer, got 1.5"),
+    ({"N": True}, "N must be an integer, got True"),
+    ({"grid": [None, 8]}, "grid entry must be an integer, got None"),
+    ({"coefficients": [{"k": 0.5, "u": 1.0}]}, "coefficient index k must be an integer"),
+    ({"coefficients": None}, "coefficients must be a list"),
+    ({"checks": None}, "checks must be a list"),
+    ({"trajectories": None}, "trajectories must be a list"),
+    ({"geometry": {"period_x": None}}, "geometry period_x must be a number"),
+    ({"trajectories": [{"initial": [0, 0, 0], "t_end": 1.0, "drift_tol": {"F": None}}]},
+     "drift_tol 'F' must be a number"),
+    ({"trajectories": [{"initial": [0, 0, 0], "t_end": 1.0, "drift_tol": [1e-8]}]},
+     "drift_tol must be an object"),
+    ({"trajectories": [{"initial": [0, 0, 0], "t_end": 1.0, "observables": None}]},
+     "observables must be a list"),
+], ids=["N-null", "N-fraction", "N-bool", "grid-null", "k-fraction", "coefficients-null",
+        "checks-null", "trajectories-null", "period-null", "drift_tol-null",
+        "drift_tol-list", "observables-null"])
+def test_scenario_values_of_the_wrong_type_name_their_key(tmp_path, capsys, change, message):
+    data = dict(json.loads(json.dumps(BUNDLED["flat-zero-field"])), **change)
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "simulate", str(path), "--out", str(tmp_path))
+    assert code == 2
+    assert message in err
+
+
+def test_scenario_file_that_is_not_an_object_is_input_error(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert "scenario must be a JSON object" in err
+
+
+def test_geodesic_matrix_overflow_names_the_flag():
+    proc = run_python("-m", "magtorus", "assemble", "--geodesic", "n=3 a=1e308,-1e308,0.5,1",
+                      timeout=60.0)
+    assert proc.returncode == 2
+    assert "--geodesic matrix overflows float64" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
