@@ -115,6 +115,22 @@ def _residual_entries(report) -> list:
             for e in report.entries]
 
 
+def _fail_non_finite(entry: dict) -> dict:
+    """The check entry, failed if a residual norm is not finite: each such
+    norm is written as its string ("inf", "nan") and named in `non_finite`."""
+    named = []
+    tables = [(res["label"], res) for res in entry.get("residuals", [])]
+    tables.append(("residual_sups", entry.get("residual_sups", {})))
+    for label, norms in tables:
+        for key, value in norms.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                norms[key] = repr(value)
+                named.append(f"{label} {key}")
+    if named:
+        entry.update({"pass": False, "non_finite": named})
+    return entry
+
+
 def _write_grid_dat(path: Path, grid: SamplingGrid, values: np.ndarray):
     lines = []
     for i in range(grid.nx):
@@ -129,6 +145,7 @@ def _write_grid_dat(path: Path, grid: SamplingGrid, values: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(all="ignore")   # a check whose norms are not finite fails
 def run_verify_checks(scenario: Scenario, want_grids: bool = False):
     """Run the scenario's requested residual/certificate checks.  The
     constraint and conservation reports are computed at most once each; the
@@ -187,7 +204,7 @@ def run_verify_checks(scenario: Scenario, want_grids: bool = False):
         else:  # unreachable: scenario validation rejects unknown checks
             raise ScenarioError(f"unknown check {check!r}")
         timings[check + "_s"] = time.perf_counter() - t0
-        checks.append(entry)
+        checks.append(_fail_non_finite(entry))
 
     payload = {
         "name": scenario.name,

@@ -35,6 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .readers import _integer, _list, _number, _require
+
 TWO_PI = 2.0 * math.pi
 
 #: Positivity floor for conformal factors; evaluation below it is a domain error.
@@ -665,15 +667,15 @@ def register_analytic_preset(name: str, factory):
 
 def analytic_preset(name: str, params: dict | None = None,
                     geometry: TorusGeometry | None = None) -> Field:
-    if name not in _PRESETS:
+    if not isinstance(name, str) or name not in _PRESETS:
         raise FieldError(f"unknown analytic preset {name!r}")
     return _PRESETS[name](params or {}, geometry if geometry is not None else TorusGeometry())
 
 
 def _affine_axis(axis: str):
     def factory(params, geometry):
-        offset = float(params.get("offset", 0.0))
-        slope = float(params.get("slope", 0.0))
+        offset = _number(params.get("offset", 0.0), f"affine_{axis} offset")
+        slope = _number(params.get("slope", 0.0), f"affine_{axis} slope")
         if not (math.isfinite(offset) and math.isfinite(slope)):
             raise FieldError(f"affine_{axis} needs finite offset and slope, "
                              f"got {offset!r}, {slope!r}")
@@ -728,26 +730,33 @@ def field_from_spec(spec, geometry: TorusGeometry | None = None, *,
         raise FieldError(f"field spec must be a number or an object, got {type(spec).__name__}")
     kind = spec.get("type")
     if kind == "constant":
-        return constant_field(float(spec["value"]), geometry)
+        return constant_field(_number(spec.get("value"), "constant field value"), geometry)
     if kind == "trig":
         table = {}
-        for rec in spec.get("coeffs", []):
-            key = (int(rec["m"]), int(rec["n"]))
+        for rec in _list(spec.get("coeffs", []), "trig coeffs"):
+            _require(isinstance(rec, dict), f"trig coefficient must be an object, got {rec!r}")
+            key = (_integer(rec.get("m"), "trig coefficient m"),
+                   _integer(rec.get("n"), "trig coefficient n"))
             if key in table:
                 raise FieldError(f"duplicate mode {key} in trig spec")
-            table[key] = complex(float(rec.get("re", 0.0)), float(rec.get("im", 0.0)))
+            table[key] = complex(_number(rec.get("re", 0.0), "trig coefficient re"),
+                                 _number(rec.get("im", 0.0), "trig coefficient im"))
         return TrigField(table, geometry)
     if kind == "analytic":
-        return analytic_preset(spec["name"], spec.get("params"), geometry)
+        params = spec.get("params")
+        _require(params is None or isinstance(params, dict),
+                 f"analytic params must be an object, got {params!r}")
+        return analytic_preset(spec.get("name"), params, geometry)
     if kind == "random_trig":
         seed = seed_override if seed_override is not None else spec.get("seed")
         if seed is None:
             raise FieldError("random_trig spec needs a seed")
-        rng = np.random.default_rng(int(seed))
+        seed, modes, max_mode = (
+            _integer(value, f"random_trig {key}", lo=0)
+            for key, value in (("seed", seed), ("modes", spec.get("modes", 5)),
+                               ("max_mode", spec.get("max_mode", 3))))
         return random_trig_field(
-            rng, geometry,
-            n_modes=int(spec.get("modes", 5)),
-            max_mode=int(spec.get("max_mode", 3)),
-            amplitude=float(spec.get("amplitude", 1.0)),
-            offset=float(spec.get("offset", 0.0)))
+            np.random.default_rng(seed), geometry, n_modes=modes, max_mode=max_mode,
+            amplitude=_number(spec.get("amplitude", 1.0), "random_trig amplitude"),
+            offset=_number(spec.get("offset", 0.0), "random_trig offset"))
     raise FieldError(f"unknown field spec type {kind!r}")

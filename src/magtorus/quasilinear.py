@@ -16,7 +16,10 @@ differentiation of a map linear in the slots).
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
@@ -203,13 +206,34 @@ def _conds(mats) -> list:
 
 
 @functools.cache
+def _flapack():
+    """scipy's compiled LAPACK wrapper, `scipy.linalg._flapack`, loaded once
+    from its file without running `scipy/linalg/__init__.py`, whose imports
+    (about 0.2 s and 25 MB) would dominate an `assemble` run.  The extension
+    keeps its own name, so a later `import scipy.linalg` reuses it."""
+    name = "scipy.linalg._flapack"
+    scipy_spec = importlib.util.find_spec("scipy")   # imports nothing
+    locations = scipy_spec.submodule_search_locations if scipy_spec else []
+    paths = [os.path.join(location, "linalg", "_flapack" + suffix)
+             for location in locations for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        looked = " or ".join(paths) if paths else "an installed scipy package"
+        raise ImportError(f"no LAPACK extension {name}: looked for {looked}", name=name)
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, path, loader=loader))
+    loader.exec_module(module)
+    return module
+
+
+@functools.cache
 def _qz_solver(dim: int):
     """LAPACK xGGEV for real dim x dim pencils and its workspace size, queried
-    as `scipy.linalg.eig` queries it."""
-    from scipy.linalg.lapack import get_lapack_funcs   # dominates `import magtorus`
-
+    as `scipy.linalg.eig` queries it: `dggev` is the routine that
+    `scipy.linalg.lapack.get_lapack_funcs(("ggev",), (probe, probe))` returns."""
+    ggev = _flapack().dggev
     probe = np.eye(dim)
-    ggev, = get_lapack_funcs(("ggev",), (probe, probe))
     lwork = ggev(probe, probe, lwork=-1)[-2][0].real.astype(np.int_)
     return ggev, lwork
 

@@ -18,15 +18,16 @@ from pathlib import Path
 from .fields import Field, SamplingGrid, TorusGeometry, field_from_spec
 from .flow import MagneticSystem, PhaseState, StepControl, check_step_budget
 from .ansatz import Ansatz, omega_rescaled, rescale
+from .readers import ScenarioError, _integer, _list, _number, _positive, _require
 
 SCHEMA_VERSION = 1
 
 KNOWN_CHECKS = ("stationarity", "harmonics", "constraint", "conservation",
                 "certificate")
 
-
-class ScenarioError(ValueError):
-    """Malformed or inconsistent scenario input."""
+#: Largest sampling grid, nx * ny, a scenario or ``--grid`` may ask for: a
+#: grid kernel holds about 400 bytes per point, so 2048^2 needs about 1.7 GB.
+MAX_GRID_POINTS = 2048 * 2048
 
 
 @dataclass
@@ -56,37 +57,6 @@ class Scenario:
     checks: tuple
     trajectories: tuple
     raw: dict
-
-
-def _require(cond, msg):
-    if not cond:
-        raise ScenarioError(msg)
-
-
-def _number(value, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{what} must be a number, got {value!r}") from None
-
-
-def _integer(value, what: str) -> int:
-    """`value` as an int: a JSON integer, or a number with an integral value."""
-    if type(value) is int or (type(value) is float and value.is_integer()):
-        return int(value)
-    raise ScenarioError(f"{what} must be an integer, got {value!r}")
-
-
-def _list(value, what: str) -> list:
-    _require(isinstance(value, (list, tuple)), f"{what} must be a list, got {value!r}")
-    return value
-
-
-def _positive(value, what: str) -> float:
-    """`value` as a float, refused unless finite and strictly positive."""
-    value = _number(value, what)
-    _require(0.0 < value < math.inf, f"{what} must be finite and positive, got {value!r}")
-    return value
 
 
 def build_scenario(data: dict, *, seed: int | None = None,
@@ -148,11 +118,16 @@ def build_scenario(data: dict, *, seed: int | None = None,
 
     if grid_override is not None:
         nx, ny = grid_override
+        grid_source = "--grid"
     else:
         grid_spec = data.get("grid", [64, 64])
         _require(isinstance(grid_spec, (list, tuple)) and len(grid_spec) == 2,
                  "grid must be [nx, ny]")
         nx, ny = (_integer(v, "grid entry") for v in grid_spec)
+        grid_source = "grid"
+    _require(nx * ny <= MAX_GRID_POINTS,
+             f"{grid_source} {nx}x{ny} exceeds the limit of {MAX_GRID_POINTS} "
+             f"(2048x2048) grid points")
     grid = SamplingGrid(nx, ny, geometry)
 
     if tol_override is not None:

@@ -462,6 +462,51 @@ def test_spectra_eigenvalues_are_those_of_scipy_eig():
     assert compared > 100
 
 
+def ggev_pencils(rng):
+    """Random, integer-valued and singular pencils (B, A) of dimension 2..8."""
+    for dim in range(2, 9):
+        yield rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim))
+        yield (rng.integers(-3, 4, (dim, dim)).astype(float),
+               rng.integers(-3, 4, (dim, dim)).astype(float))
+        low_rank = rng.standard_normal((dim, 1)) @ rng.standard_normal((1, dim))
+        yield rng.standard_normal((dim, dim)), low_rank          # A singular
+        yield low_rank, np.zeros((dim, dim))                     # both singular
+
+
+def test_direct_dggev_is_scipys_ggev():
+    from scipy.linalg.lapack import get_lapack_funcs
+    ggev = quasilinear._flapack().dggev
+    rng = np.random.default_rng(152)
+    for b, a in ggev_pencils(rng):
+        lwork = quasilinear._qz_solver(b.shape[0])[1]
+        reference, = get_lapack_funcs(("ggev",), (b, a))
+        got = ggev(b, a, 0, 0, lwork)
+        want = reference(b, a, 0, 0, lwork)
+        for g, w in zip(got[:3], want[:3]):   # alphar, alphai, beta
+            assert np.array_equal(g, w, equal_nan=True)
+            assert np.array_equal(np.signbit(g), np.signbit(w))
+        assert got[-1] == want[-1]
+
+
+def test_missing_lapack_extension_names_the_path(monkeypatch, tmp_path):
+    import importlib.machinery
+    import importlib.util
+    find_spec = importlib.util.find_spec
+
+    def empty_scipy(name, *args):
+        if name != "scipy":
+            return find_spec(name, *args)
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path)]
+        return spec
+
+    monkeypatch.setattr(importlib.util, "find_spec", empty_scipy)
+    with pytest.raises(ImportError) as err:
+        quasilinear._flapack.__wrapped__()   # uncached: the real one may be loaded
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    assert str(tmp_path / "linalg" / ("_flapack" + suffix)) in str(err.value)
+
+
 def test_state_from_ansatz():
     ansatz, _ = exact_family()
     sv = mt.state_from_ansatz(ansatz, 0.4, 1.1)

@@ -463,6 +463,19 @@ def test_import_does_not_load_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_assemble_does_not_import_scipy_linalg():
+    # xGGEV comes from scipy's LAPACK extension, loaded on its own.
+    code = ("import sys, contextlib, io\n"
+            "from magtorus.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['assemble', 'random-nonsolution', '--at', '1.2,0.3,-0.2,0.4']),\n"
+            "             main(['assemble', '--geodesic', 'n=3 a=0.5,1,1,1'])]\n"
+            "print(codes, 'scipy.linalg' in sys.modules)")
+    proc = run_python("-c", code, timeout=60.0)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0] False"
+
+
 def test_simulate_adaptive_flag(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "simulate", "flat-constant-field",
                            "--adaptive", "1e-10", "--out", str(tmp_path))
@@ -696,3 +709,117 @@ def test_geodesic_matrix_overflow_names_the_flag():
     assert proc.returncode == 2
     assert "--geodesic matrix overflows float64" in proc.stderr
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("where, spec, message", [
+    ("u", {"type": "trig", "coeffs": [{"m": 1, "n": 0, "re": None}]},
+     "trig coefficient re must be a number, got None"),
+    ("u", {"type": "trig", "coeffs": [{"m": 1, "n": 0, "re": 0.1, "im": "x"}]},
+     "trig coefficient im must be a number"),
+    ("u", {"type": "trig", "coeffs": [{"m": 0.5, "n": 0, "re": 0.1}]},
+     "trig coefficient m must be an integer, got 0.5"),
+    ("u", {"type": "trig", "coeffs": [{"m": 1, "re": 0.1}]},
+     "trig coefficient n must be an integer, got None"),
+    ("u", {"type": "trig", "coeffs": None}, "trig coeffs must be a list"),
+    ("u", {"type": "trig", "coeffs": [[1, 0, 0.1]]}, "trig coefficient must be an object"),
+    ("lambda", {"type": "constant", "value": None},
+     "constant field value must be a number, got None"),
+    ("lambda", {"type": "constant"}, "constant field value must be a number"),
+    ("u", {"type": "random_trig", "seed": 1.5}, "random_trig seed must be an integer"),
+    ("u", {"type": "random_trig", "seed": -1}, "random_trig seed must be >= 0"),
+    ("u", {"type": "random_trig", "seed": 1, "modes": None},
+     "random_trig modes must be an integer, got None"),
+    ("u", {"type": "random_trig", "seed": 1, "max_mode": "3"},
+     "random_trig max_mode must be an integer"),
+    ("u", {"type": "random_trig", "seed": 1, "amplitude": None},
+     "random_trig amplitude must be a number, got None"),
+    ("u", {"type": "random_trig", "seed": 1, "offset": [0.0]},
+     "random_trig offset must be a number"),
+    ("u", {"type": "analytic", "name": "affine_y", "params": {"slope": None}},
+     "affine_y slope must be a number, got None"),
+    ("u", {"type": "analytic", "name": "affine_y", "params": [1.0]},
+     "analytic params must be an object"),
+    ("u", {"type": "analytic", "name": ["affine_y"]}, "unknown analytic preset ['affine_y']"),
+], ids=["re-null", "im-string", "m-fraction", "n-missing", "coeffs-null", "coeff-list",
+        "value-null", "value-missing", "seed-fraction", "seed-negative", "modes-null",
+        "max_mode-string", "amplitude-null", "offset-list", "slope-null", "params-list",
+        "name-list"])
+def test_field_spec_values_of_the_wrong_type_name_their_key(tmp_path, where, spec, message):
+    data = json.loads(json.dumps(BUNDLED["flat-constant-field"]))
+    if where == "lambda":
+        data["lambda"] = spec
+    else:
+        data["coefficients"] = [{"k": 0, "u": spec}]
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(data))
+    proc = run_python("-m", "magtorus", "verify", str(path), timeout=30.0)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_non_finite_residual_fails_its_check(tmp_path):
+    # A u_0 mode of size 1e300 overflows the squared sums of the rms norms.
+    data = json.loads(json.dumps(BUNDLED["random-nonsolution"]))
+    data["grid"] = [16, 16]
+    data["coefficients"][0]["u"] = {"type": "trig", "coeffs": [
+        {"m": 1, "n": 0, "re": 0.3, "im": 0.1}, {"m": 5, "n": 5, "re": 1e300, "im": 0.0}]}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(data))
+    proc = run_python("-m", "magtorus", "verify", str(path), timeout=30.0)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    checks = {c["check"]: c for c in json.loads(proc.stdout)["payload"]["checks"]}
+    conservation = checks["conservation"]
+    assert conservation["pass"] is False
+    assert conservation["non_finite"] == ["conservation_1 rms", "conservation_2 rms"]
+    assert {r["rms"] for r in conservation["residuals"]} == {"inf"}
+    assert "harmonic_1_real rms" in checks["harmonics"]["non_finite"]
+    assert "non_finite" not in checks["constraint"]
+
+
+def test_non_finite_certificate_sup_fails_the_certificate():
+    entry = {"check": "certificate", "pass": False, "certified": False,
+             "residual_sups": {"conservation_1": math.nan, "conservation_2": 1.0,
+                               "divergence_rescaled": math.inf}}
+    entry = magtorus.cli._fail_non_finite(entry)
+    assert entry["residual_sups"] == {"conservation_1": "nan", "conservation_2": 1.0,
+                                      "divergence_rescaled": "inf"}
+    assert entry["non_finite"] == ["residual_sups conservation_1",
+                                   "residual_sups divergence_rescaled"]
+    assert entry["pass"] is False
+
+
+@pytest.mark.parametrize("argv, message", [
+    ({"grid": [100000, 100000]}, "grid 100000x100000 exceeds the limit of 4194304"),
+    ({"grid": [2048, 2049]}, "grid 2048x2049 exceeds the limit of 4194304"),
+    (["--grid", "100000,100000"], "--grid 100000x100000 exceeds the limit of 4194304"),
+], ids=["scenario-huge", "scenario-just-above", "flag-huge"])
+def test_grid_above_the_cap_is_refused(tmp_path, argv, message):
+    if isinstance(argv, dict):
+        data = dict(json.loads(json.dumps(BUNDLED["flat-zero-field"])), **argv)
+        path = tmp_path / "big-grid.json"
+        path.write_text(json.dumps(data))
+        argv = ["verify", str(path)]
+    else:
+        argv = ["verify", "flat-zero-field", *argv]
+    proc = run_python("-m", "magtorus", *argv, timeout=30.0)
+    assert proc.returncode == 2
+    assert f"error: {message}" in proc.stderr and "(2048x2048)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_grid_cap_is_checked_before_the_grid_is_built(monkeypatch):
+    built = []
+    monkeypatch.setattr(mt.scenarios, "SamplingGrid",
+                        lambda nx, ny, geometry: built.append((nx, ny)))
+    data = dict(BUNDLED["flat-zero-field"], grid=[2048, 2048])
+    mt.build_scenario(data)
+    assert built == [(2048, 2048)]
+    with pytest.raises(ScenarioError, match="2049x2048 exceeds the limit"):
+        mt.build_scenario(data, grid_override=(2049, 2048))
+    with pytest.raises(ScenarioError, match="grid 4194305x1 exceeds the limit"):
+        mt.build_scenario(dict(data, grid=[4194305, 1]))
+    assert built == [(2048, 2048)]
+    assert all(nx * ny <= mt.scenarios.MAX_GRID_POINTS
+               for nx, ny in (d.get("grid", [64, 64]) for d in BUNDLED.values()))
