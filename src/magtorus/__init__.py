@@ -5,8 +5,8 @@ the associated quasi-linear system."""
 from .fields import (AnalyticField, DerivativeUnavailable, DomainError, Field,
                      FieldError, SamplingGrid, TorusGeometry, TrigField,
                      analytic_preset, constant_field, field_from_spec,
-                     make_trig_field, random_trig_field,
-                     register_analytic_preset, trig_records, zero_field)
+                     make_trig_field, random_trig_field, trig_records,
+                     zero_field)
 from .flow import (CotangentState, CrosscheckReport, DriftStats,
                    MagneticSystem, PhaseState, StepControl, Trajectory,
                    cotangent_rhs, crosscheck_formulations, export_csv,

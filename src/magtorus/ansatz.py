@@ -77,10 +77,6 @@ class ResidualReport:
     def max_sup(self) -> float:
         return max(e.sup for e in self.entries)
 
-    @property
-    def max_rel_sup(self) -> float:
-        return max(e.rel_sup for e in self.entries)
-
     def summary(self) -> str:
         return "; ".join(f"{e.label}: sup={e.sup:.3e} rel={e.rel_sup:.3e}"
                          for e in self.entries)
@@ -121,14 +117,12 @@ class Ansatz:
 
     The constructor takes the free lower coefficients u_0 .. u_{N-1} and
     v_1 .. v_{N-1}; v_0 is identically zero (a_0 is real) and the top pair is
-    pinned to u_N = Lambda^(N/2), v_N = 0.  Pass ``normalize=False`` only to
-    inject explicit top coefficients for testing.
+    pinned to u_N = Lambda^(N/2), v_N = 0.
     """
 
     def __init__(self, n: int, lam: Field, u_lower, v_lower=(),
                  geometry: TorusGeometry | None = None, *,
-                 normalize: bool = True, u_top: Field | None = None,
-                 v_top: Field | None = None, check_grid: SamplingGrid | None = None):
+                 check_grid: SamplingGrid | None = None):
         if n < 1:
             raise ValueError("ansatz degree must be >= 1")
         self.n = int(n)
@@ -143,14 +137,8 @@ class Ansatz:
         check_conformal_factor(lam, check_grid if check_grid is not None
                                else SamplingGrid(64, 64, self.geometry))
         zero = zero_field(self.geometry)
-        if normalize:
-            u_top = lam ** (n / 2.0)
-            v_top = zero
-        else:
-            u_top = u_top if u_top is not None else lam ** (n / 2.0)
-            v_top = v_top if v_top is not None else zero
-        self.u = tuple(u_lower) + (u_top,)
-        self.v = (zero,) + tuple(v_lower) + (v_top,)
+        self.u = tuple(u_lower) + (lam ** (n / 2.0),)
+        self.v = (zero,) + tuple(v_lower) + (zero,)
 
     def fields(self):
         return (self.lam,) + self.u + self.v
@@ -314,13 +302,12 @@ def stationarity_residual_values(ansatz: Ansatz, omega: Field,
 
 
 def residual_stationarity(ansatz: Ansatz, omega: Field,
-                          grid: SamplingGrid | None = None,
-                          n_phi: int | None = None) -> ResidualReport:
-    """Norms of the stationarity residual over grid x equispaced angles,
-    streamed one angle at a time; `values` is the largest |residual| over
-    the angles at each grid node."""
+                          grid: SamplingGrid | None = None) -> ResidualReport:
+    """Norms of the stationarity residual over grid x `default_phi_count`
+    equispaced angles, streamed one angle at a time; `values` is the largest
+    |residual| over the angles at each grid node."""
     grid = grid if grid is not None else SamplingGrid(64, 64, ansatz.geometry)
-    n_phi = n_phi if n_phi is not None else default_phi_count(ansatz.n)
+    n_phi = default_phi_count(ansatz.n)
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
     peak = np.zeros((grid.nx, grid.ny))
 

@@ -24,15 +24,14 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from .fields import DomainError, FieldError, SamplingGrid
-from .flow import export_csv, integrate, monitor
+from .fields import DomainError, SamplingGrid
+from .flow import atomic_write as _atomic_write, export_csv, integrate, monitor, write_table
 from .ansatz import (conservation_residuals, constraint_residual,
                      first_integral_observable, rescale, residual_harmonic,
                      residual_stationarity)
@@ -103,12 +102,6 @@ def canonical_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def _atomic_write(path: Path, text: str):
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def _residual_entries(report) -> list:
     return [{"label": e.label, "sup": e.sup, "rms": e.rms,
              "rel_sup": e.rel_sup, "rel_rms": e.rel_rms}
@@ -132,12 +125,14 @@ def _fail_non_finite(entry: dict) -> dict:
 
 
 def _write_grid_dat(path: Path, grid: SamplingGrid, values: np.ndarray):
-    lines = []
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            lines.append(f"{grid.xs[i]:.17g} {grid.ys[j]:.17g} {values[i, j]:.17g}")
-        lines.append("")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """`x y value` rows, one block per x node, each block followed by a
+    blank line (gnuplot's `splot` grid layout)."""
+    ys = grid.ys.tolist()
+    rows = []
+    for x, column in zip(grid.xs.tolist(), values.tolist()):
+        rows += [(x, y, value) for y, value in zip(ys, column)]
+        rows.append(())
+    write_table(path, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +257,7 @@ def cmd_simulate(args) -> int:
                               rhs_kernel=scenario.system.kernel.counts)
         stats = monitor(traj)
         csv_path = out / f"{scenario.name}_{req.name}.csv"
-        csv_tmp = csv_path.with_name(csv_path.name + ".tmp")
-        export_csv(traj, csv_tmp)
-        os.replace(csv_tmp, csv_path)
+        export_csv(traj, csv_path)
         if args.plot_data:
             _write_drift_dat(out / f"{scenario.name}_{req.name}_drift.dat", traj)
         drifts = {name: {"initial": s.initial, "max_abs": s.max_abs_drift,
@@ -316,12 +309,9 @@ def _step_stats(stats) -> dict:
 
 def _write_drift_dat(path: Path, traj):
     names = sorted(traj.monitored)
-    lines = ["# t " + " ".join(f"|d{n}|" for n in names)]
-    for i in range(len(traj)):
-        drifts = " ".join(
-            f"{abs(traj.monitored[n][i] - traj.monitored[n][0]):.17g}" for n in names)
-        lines.append(f"{traj.t[i]:.17g} {drifts}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    drifts = [np.abs(traj.monitored[n] - traj.monitored[n][0]).tolist() for n in names]
+    write_table(path, zip(traj.t.tolist(), *drifts),
+                header="# t " + " ".join(f"|d{n}|" for n in names))
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +426,9 @@ def cmd_assemble(args) -> int:
         out = _ensure_out(args.out)
         _atomic_write(out / "assemble.json", text)
         if args.plot_data:
-            lines = []
             entries = payload.get("entries") or [payload["geodesic"]]
-            for entry in entries:
-                for re_part, im_part in entry["eigenvalues"]:
-                    lines.append(f"{re_part:.17g} {im_part:.17g}")
-            _atomic_write(out / "spectrum.dat", "\n".join(lines) + "\n")
+            write_table(out / "spectrum.dat",
+                        [ev for entry in entries for ev in entry["eigenvalues"]])
     return EXIT_PASS
 
 
@@ -473,14 +460,10 @@ def _load(args) -> Scenario:
         adaptive_override=getattr(args, "adaptive", None))
 
 
-def _add_common(parser):
-    parser.add_argument("--grid", help="override the sampling grid, NX,NY")
-    parser.add_argument("--tol", type=float, help="override the pass tolerance")
+def _add_output(parser):
     parser.add_argument("--out", help="output directory for reports and artifacts")
     parser.add_argument("--plot-data", action="store_true",
                         help="emit gnuplot-ready columnar files (with --out)")
-    parser.add_argument("--seed", type=int,
-                        help="override seeds of randomized field specs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -494,7 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("scenario",
                           help="bundled scenario name or JSON file "
                                f"(bundled: {', '.join(bundled_scenario_names())})")
-    _add_common(p_verify)
+    p_verify.add_argument("--grid", help="override the sampling grid, NX,NY")
+    p_verify.add_argument("--tol", type=float, help="override the pass tolerance")
+    p_verify.add_argument("--seed", type=int, help="override seeds of randomized field specs")
+    _add_output(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_sim = sub.add_parser("simulate", help="integrate trajectories, monitor drifts")
@@ -503,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     step.add_argument("--dt", type=float, help="fixed integration step")
     step.add_argument("--adaptive", type=float, metavar="ATOL",
                       help="step-doubling tolerance per step")
-    _add_common(p_sim)
+    p_sim.add_argument("--seed", type=int, help="override seeds of randomized field specs")
+    _add_output(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_asm = sub.add_parser("assemble", help="assemble the quasi-linear system "
@@ -513,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="state vector (Lambda,u_0,...,v_1,...), repeatable")
     p_asm.add_argument("--geodesic", metavar="SPEC",
                        help="geodesic coefficient matrix, e.g. 'n=2 a=0,1,1'")
-    _add_common(p_asm)
+    _add_output(p_asm)
     p_asm.set_defaults(func=cmd_assemble)
     return parser
 
@@ -523,10 +510,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, FieldError, DomainError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+    except (ValueError, OSError) as exc:   # every input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -641,14 +641,21 @@ def zero_field(geometry: TorusGeometry | None = None) -> TrigField:
 def random_trig_field(rng, geometry: TorusGeometry | None = None, *,
                       n_modes: int = 5, max_mode: int = 3,
                       amplitude: float = 1.0, offset: float = 0.0) -> TrigField:
-    """Random real trig polynomial with n_modes canonical modes, |m|,|n| <= max_mode."""
+    """Random real trig polynomial with n_modes canonical modes, |m|,|n| <= max_mode.
+
+    The modes are drawn by index from the canonical modes in (m, n) order,
+    (0, 1) .. (0, M) and then (m, -M) .. (m, M) for m = 1 .. M, M = max_mode;
+    each index is turned into its mode by arithmetic, without listing them."""
     geometry = geometry if geometry is not None else TorusGeometry()
-    pool = [(m, n) for m in range(-max_mode, max_mode + 1)
-            for n in range(-max_mode, max_mode + 1) if _canonical(m, n)]
-    idx = rng.choice(len(pool), size=min(n_modes, len(pool)), replace=False)
+    width = 2 * max_mode + 1
+    pool_size = max_mode + max_mode * width
+    idx = rng.choice(pool_size, size=min(n_modes, pool_size), replace=False)
     table = {(0, 0): offset}
-    for i in np.sort(idx):
-        m, n = pool[int(i)]
+    for i in np.sort(idx).tolist():
+        if i < max_mode:
+            m, n = 0, i + 1
+        else:
+            m, n = 1 + (i - max_mode) // width, (i - max_mode) % width - max_mode
         table[(m, n)] = amplitude * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     return TrigField(table, geometry)
 
@@ -656,13 +663,6 @@ def random_trig_field(rng, geometry: TorusGeometry | None = None, *,
 # ---------------------------------------------------------------------------
 # Analytic presets (referenced by name in scenario files)
 # ---------------------------------------------------------------------------
-
-_PRESETS = {}
-
-
-def register_analytic_preset(name: str, factory):
-    """factory(params: dict, geometry) -> Field"""
-    _PRESETS[name] = factory
 
 
 def analytic_preset(name: str, params: dict | None = None,
@@ -692,8 +692,8 @@ def _affine_axis(axis: str):
     return factory
 
 
-register_analytic_preset("affine_x", _affine_axis("x"))
-register_analytic_preset("affine_y", _affine_axis("y"))
+#: factory(params: dict, geometry) -> Field, by preset name.
+_PRESETS = {"affine_x": _affine_axis("x"), "affine_y": _affine_axis("y")}
 
 
 # ---------------------------------------------------------------------------
@@ -721,10 +721,10 @@ def field_from_spec(spec, geometry: TorusGeometry | None = None, *,
         {"type": "random_trig", "seed": 1, "modes": 5, "max_mode": 3,
          "amplitude": 0.3, "offset": 0.0}
 
-    A bare number is shorthand for a constant field.
+    A bare number (not a boolean) is shorthand for a constant field.
     """
     geometry = geometry if geometry is not None else TorusGeometry()
-    if isinstance(spec, (int, float)):
+    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         return constant_field(float(spec), geometry)
     if not isinstance(spec, dict):
         raise FieldError(f"field spec must be a number or an object, got {type(spec).__name__}")

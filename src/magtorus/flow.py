@@ -32,7 +32,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field as _dc_field
+from pathlib import Path
 
 import numpy as np
 
@@ -200,9 +202,6 @@ class Trajectory:
     def wrapped_xy(self) -> tuple:
         return (np.mod(self.x, self.geometry.period_x),
                 np.mod(self.y, self.geometry.period_y))
-
-    def final_state(self) -> PhaseState:
-        return PhaseState(float(self.x[-1]), float(self.y[-1]), float(self.phi[-1]))
 
     def __len__(self):
         return len(self.t)
@@ -410,16 +409,11 @@ class DriftStats:
     relative_drift: float
 
 
-def monitor(trajectory: Trajectory, observables: dict | None = None) -> dict:
-    """Drift statistics per observable: max |obs(t) - obs(0)| and the drift
-    relative to the observable's magnitude along the trajectory."""
-    series = dict(trajectory.monitored)
-    if observables:
-        phi_w = trajectory.phi
-        for name, fn in observables.items():
-            series[name] = np.asarray(fn(trajectory.x, trajectory.y, phi_w), dtype=float)
+def monitor(trajectory: Trajectory) -> dict:
+    """Drift statistics per monitored observable: max |obs(t) - obs(0)| and
+    the drift relative to the observable's magnitude along the trajectory."""
     stats = {}
-    for name, vals in series.items():
+    for name, vals in trajectory.monitored.items():
         drift = float(np.max(np.abs(vals - vals[0])))
         scale = float(np.max(np.abs(vals)))
         stats[name] = DriftStats(name, float(vals[0]), drift,
@@ -437,18 +431,17 @@ class CrosscheckReport:
     off_level: bool
 
 
-def crosscheck_formulations(system: MagneticSystem, state0: PhaseState, t_end: float,
-                            control: StepControl | None = None,
-                            energy_tol: float = 1e-6) -> CrosscheckReport:
-    """Integrate both formulations from matched initial data and report the
-    maximum state discrepancy after mapping (p1, p2) -> phi."""
-    control = control if control is not None else StepControl.fixed()
-    traj = integrate(system, state0, t_end, control)
+def crosscheck_formulations(system: MagneticSystem, state0: PhaseState,
+                            t_end: float) -> CrosscheckReport:
+    """Integrate both formulations at the default fixed step from matched
+    initial data and report the maximum state discrepancy after mapping
+    (p1, p2) -> phi; `off_level` flags a cotangent energy drift above 1e-6."""
+    traj = integrate(system, state0, t_end)
     lam0 = system.lam.eval(state0.x, state0.y)
     p1 = math.sqrt(lam0) * math.cos(state0.phi)
     p2 = math.sqrt(lam0) * math.sin(state0.phi)
     times_c, states_c, aborted, _ = integrate_cotangent(
-        system, CotangentState(state0.x, state0.y, p1, p2), t_end, control)
+        system, CotangentState(state0.x, state0.y, p1, p2), t_end)
     if aborted or len(times_c) != len(traj.t):
         raise DomainError("cotangent integration aborted; formulations cannot be compared")
     xc, yc = states_c[:, 0], states_c[:, 1]
@@ -464,7 +457,7 @@ def crosscheck_formulations(system: MagneticSystem, state0: PhaseState, t_end: f
         max_discrepancy=float(max(dx.max(), dy.max(), dphi.max())),
         max_dx=float(dx.max()), max_dy=float(dy.max()), max_dphi=float(dphi.max()),
         energy_drift=energy_drift,
-        off_level=energy_drift > energy_tol)
+        off_level=energy_drift > 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -472,23 +465,34 @@ def crosscheck_formulations(system: MagneticSystem, state0: PhaseState, t_end: f
 # ---------------------------------------------------------------------------
 
 
-def export_csv(trajectory: Trajectory, path, observable_order: list | None = None):
+def atomic_write(path, text: str):
+    """Write `text` to `path` through a temporary file beside it, replaced
+    onto `path` in one step, so no reader sees a partial file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
+def write_table(path, rows, header: str | None = None, sep: str = " "):
+    """Write `rows` of floats at 17 significant digits, one line per row (an
+    empty row is a blank line), after an optional header line, through
+    `atomic_write`."""
+    lines = [] if header is None else [header]
+    lines += [sep.join(f"{val:.17g}" for val in row) for row in rows]
+    atomic_write(path, "\n".join(lines) + "\n")
+
+
+def export_csv(trajectory: Trajectory, path):
     """Write `t,x,y,phi,H,F,...` rows with 17 significant digits.
 
     x and y are reported on the universal cover; phi is wrapped to [0, 2*pi).
-    Extra monitored observables append columns by name after H (and F, when
-    present).
+    Extra monitored observables append columns, sorted by name, after H (and
+    F, when present).
     """
-    names = ["H"]
-    if "F" in trajectory.monitored:
-        names.append("F")
-    for name in (observable_order or sorted(trajectory.monitored)):
-        if name not in names and name in trajectory.monitored:
-            names.append(name)
-    phi_w = trajectory.phi
-    with open(path, "w") as fh:
-        fh.write("t,x,y,phi" + "".join("," + n for n in names) + "\n")
-        for i in range(len(trajectory)):
-            row = [trajectory.t[i], trajectory.x[i], trajectory.y[i], phi_w[i]]
-            row += [trajectory.monitored[n][i] for n in names]
-            fh.write(",".join(f"{val:.17g}" for val in row) + "\n")
+    names = ["H"] + (["F"] if "F" in trajectory.monitored else [])
+    names += [name for name in sorted(trajectory.monitored) if name not in names]
+    columns = [trajectory.t, trajectory.x, trajectory.y, trajectory.phi]
+    columns += [trajectory.monitored[name] for name in names]
+    write_table(path, zip(*(column.tolist() for column in columns)),
+                header="t,x,y,phi" + "".join("," + name for name in names), sep=",")

@@ -178,6 +178,12 @@ HYPERBOLIC = "hyperbolic"
 DEGENERATE = "degenerate"
 ELLIPTIC_MIXED = "elliptic/mixed"
 
+#: Imaginary parts below, and real gaps above, DISTINCT_TOL * max(1, radius)
+#: make a spectrum real and distinct.
+DISTINCT_TOL = 1e-9
+#: The A^{-1} B fallback is taken only where cond(A) < COND_THRESHOLD.
+COND_THRESHOLD = 1e12
+
 
 @dataclass
 class SpectrumReport:
@@ -256,14 +262,13 @@ def _pencil(matrices):
     return np.broadcast_to(np.eye(b_mat.shape[-1]), b_mat.shape), b_mat
 
 
-def spectrum(matrices, distinct_tol: float = 1e-9,
-             cond_threshold: float = 1e12) -> SpectrumReport:
+def spectrum(matrices) -> SpectrumReport:
     """Spectrum report of one pencil: `spectra` of a stack of one."""
     a_mat, b_mat = _pencil(matrices)
-    return spectra((a_mat[None], b_mat[None]), distinct_tol, cond_threshold)[0]
+    return spectra((a_mat[None], b_mat[None]))[0]
 
 
-def _homogeneous_eigenvalues(a_stack, b_stack, diagnostics, cond_threshold):
+def _homogeneous_eigenvalues(a_stack, b_stack, diagnostics):
     """Eigenvalue pairs (alpha, beta) of each pencil by LAPACK xGGEV, with
     alpha / beta, and the mask of the pencils solved.  A pencil that QZ
     refuses (non-finite) or fails on (info != 0) gets a `qz_error`
@@ -285,7 +290,7 @@ def _homogeneous_eigenvalues(a_stack, b_stack, diagnostics, cond_threshold):
             diagnostics[i]["qz_error"] = _qz_error(info)
         else:
             diagnostics[i]["qz_error"] = "array must not contain infs or NaNs"
-        if finite_input[i] and diagnostics[i]["cond_a"] < cond_threshold:
+        if finite_input[i] and diagnostics[i]["cond_a"] < COND_THRESHOLD:
             w = np.linalg.eigvals(np.linalg.solve(a_stack[i], b_stack[i]))
             fallback[i] = np.asarray(w / np.ones_like(w), dtype=complex)   # w's own dtype
             alpha[i], beta[i] = w, 1.0
@@ -298,8 +303,7 @@ def _homogeneous_eigenvalues(a_stack, b_stack, diagnostics, cond_threshold):
     return alpha, beta, values, solved
 
 
-def spectra(matrices, distinct_tol: float = 1e-9,
-            cond_threshold: float = 1e12) -> list:
+def spectra(matrices) -> list:
     """Eigenvalues of the pencils det(B - lambda A) = 0 of a stack of M
     pencils (A and B of shape (M, d, d)) via a generalized (QZ) eigenvalue
     computation, one SpectrumReport per pencil; the A^{-1} B route is used
@@ -309,8 +313,7 @@ def spectra(matrices, distinct_tol: float = 1e-9,
     a_stack, b_stack = _pencil(matrices)
     diagnostics = [{"cond_a": ca, "cond_b": cb}
                    for ca, cb in zip(_conds(a_stack), _conds(b_stack))]
-    alpha, beta, values, solved = _homogeneous_eigenvalues(a_stack, b_stack, diagnostics,
-                                                           cond_threshold)
+    alpha, beta, values, solved = _homogeneous_eigenvalues(a_stack, b_stack, diagnostics)
 
     pair_scale = np.abs(alpha) + np.abs(beta)
     tiny = np.finfo(float).eps * np.maximum(1.0, np.max(pair_scale, axis=1, initial=0.0)) * 100.0
@@ -331,7 +334,7 @@ def spectra(matrices, distinct_tol: float = 1e-9,
         finite = values[rows][finite_mask[rows]].reshape(len(rows), c)
         order = np.argsort(finite.real + 1e-300 * finite.imag, axis=1)
         finite = np.take_along_axis(finite, order, axis=1)
-        classes = _classify(finite, distinct_tol, indeterminate[rows].any(axis=1))
+        classes = _classify(finite, indeterminate[rows].any(axis=1))
         for i, eigs, (cls, gap) in zip(rows.tolist(), finite, classes):
             diagnostics[i].update(n_infinite=n_infinite[i], n_indeterminate=n_indeterminate[i])
             if gap is not None:
@@ -340,7 +343,7 @@ def spectra(matrices, distinct_tol: float = 1e-9,
     return reports
 
 
-def _classify(finite, distinct_tol, indeterminate) -> list:
+def _classify(finite, indeterminate) -> list:
     """(classification, smallest real gap) of each row of a (pencils, c)
     array of sorted finite eigenvalues; the gap is None where it is not
     computed (a degenerate pencil or a complex eigenvalue)."""
@@ -348,7 +351,7 @@ def _classify(finite, distinct_tol, indeterminate) -> list:
     if c == 0:
         return [(DEGENERATE, None)] * n_rows
     radius = np.maximum(np.max(np.abs(finite), axis=1), 1e-300)
-    tol = distinct_tol * np.maximum(radius, 1.0)
+    tol = DISTINCT_TOL * np.maximum(radius, 1.0)
     complex_pair = np.any(np.abs(finite.imag) > tol[:, None], axis=1)
     if c > 1:
         gaps = np.min(np.diff(np.sort(finite.real, axis=1), axis=1), axis=1)

@@ -20,10 +20,13 @@ def _require(cond, msg):
 
 
 def _number(value, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{what} must be a number, got {value!r}") from None
+    """`value` as a float: a number, not a boolean or a numeric string."""
+    if not isinstance(value, (bool, str)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ScenarioError(f"{what} must be a number, got {value!r}")
 
 
 def _integer(value, what: str, lo: int | None = None) -> int:
@@ -45,4 +48,14 @@ def _positive(value, what: str) -> float:
     """`value` as a float, refused unless finite and strictly positive."""
     value = _number(value, what)
     _require(0.0 < value < math.inf, f"{what} must be finite and positive, got {value!r}")
+    return value
+
+
+def _name(value, what: str) -> str:
+    """`value` as a name that becomes part of an output file name: a
+    nonempty string, not `.` or `..`, holding no `/`, `\\` or NUL."""
+    _require(isinstance(value, str) and value not in ("", ".", "..")
+             and not any(c in value for c in "/\\\0"),
+             f"{what} must be a nonempty string without '/', '\\', NUL, "
+             f"'.' or '..' (it names output files), got {value!r}")
     return value

@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass, field as _dc_field
 from pathlib import Path
 
-from .fields import Field, SamplingGrid, TorusGeometry, field_from_spec
+from .fields import Field, FieldError, SamplingGrid, TorusGeometry, field_from_spec, zero_field
 from .flow import MagneticSystem, PhaseState, StepControl, check_step_budget
 from .ansatz import Ansatz, omega_rescaled, rescale
-from .readers import ScenarioError, _integer, _list, _number, _positive, _require
+from .readers import ScenarioError, _integer, _list, _name, _number, _positive, _require
 
 SCHEMA_VERSION = 1
 
@@ -56,7 +56,6 @@ class Scenario:
     tolerance: float
     checks: tuple
     trajectories: tuple
-    raw: dict
 
 
 def build_scenario(data: dict, *, seed: int | None = None,
@@ -73,7 +72,7 @@ def build_scenario(data: dict, *, seed: int | None = None,
     version = data.get("schema_version", SCHEMA_VERSION)
     _require(version == SCHEMA_VERSION,
              f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
-    name = str(data.get("name", "scenario"))
+    name = _name(data.get("name", "scenario"), "name")
 
     geo_spec = data.get("geometry", {})
     _require(isinstance(geo_spec, dict), "geometry must be an object")
@@ -84,10 +83,15 @@ def build_scenario(data: dict, *, seed: int | None = None,
     n = _integer(data["N"], "N")
     _require(n >= 1, "N must be >= 1")
 
-    _require("lambda" in data, "scenario needs a 'lambda' field spec")
-    lam = field_from_spec(data["lambda"], geometry, seed_override=seed)
+    def field(spec, what):
+        try:
+            return field_from_spec(spec, geometry, seed_override=seed)
+        except (FieldError, ScenarioError) as exc:
+            raise ScenarioError(f"{what}: {exc}") from None
 
-    from .fields import zero_field
+    _require("lambda" in data, "scenario needs a 'lambda' field spec")
+    lam = field(data["lambda"], "lambda")
+
     u_lower = [zero_field(geometry) for _ in range(n)]
     v_lower = [zero_field(geometry) for _ in range(max(n - 1, 0))]
     seen = set()
@@ -99,10 +103,10 @@ def build_scenario(data: dict, *, seed: int | None = None,
         _require(k not in seen, f"duplicate coefficient entry k={k}")
         seen.add(k)
         if "u" in rec:
-            u_lower[k] = field_from_spec(rec["u"], geometry, seed_override=seed)
+            u_lower[k] = field(rec["u"], f"coefficient k={k} u")
         if "v" in rec:
             _require(k >= 1, "v_0 is identically zero; drop the v entry for k=0")
-            v_lower[k - 1] = field_from_spec(rec["v"], geometry, seed_override=seed)
+            v_lower[k - 1] = field(rec["v"], f"coefficient k={k} v")
 
     ansatz = Ansatz(n, lam, u_lower, v_lower, geometry)
 
@@ -111,7 +115,7 @@ def build_scenario(data: dict, *, seed: int | None = None,
         omega = omega_rescaled(rescale(ansatz))
         omega_source = "derived"
     else:
-        omega = field_from_spec(omega_spec, geometry, seed_override=seed)
+        omega = field(omega_spec, "omega")
         omega_source = "provided"
 
     system = MagneticSystem(lam, omega, geometry)
@@ -146,7 +150,7 @@ def build_scenario(data: dict, *, seed: int | None = None,
     trajectories = []
     for i, rec in enumerate(_list(data.get("trajectories", []), "trajectories")):
         _require(isinstance(rec, dict), "trajectory request must be an object")
-        traj_name = str(rec.get("name", f"traj{i}"))
+        traj_name = _name(rec.get("name", f"traj{i}"), f"trajectory {i} name")
         label = f"trajectory {traj_name!r}"
         initial = rec.get("initial")
         _require(isinstance(initial, (list, tuple)) and len(initial) == 3,
@@ -179,7 +183,7 @@ def build_scenario(data: dict, *, seed: int | None = None,
                                               observables, drift_tol))
 
     return Scenario(name, geometry, n, ansatz, omega, omega_source, system,
-                    grid, tolerance, checks, tuple(trajectories), data)
+                    grid, tolerance, checks, tuple(trajectories))
 
 
 def load_scenario(path_or_name: str, **kwargs) -> Scenario:

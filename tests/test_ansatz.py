@@ -31,9 +31,9 @@ def test_eval_f_constant_cases():
     anz = mt.Ansatz(1, one, [mt.constant_field(3.0)], [])
     assert mt.eval_F(anz, 0.2, 0.4, 0.0) == pytest.approx(5.0, abs=1e-15)
 
-    # injected v_1 = 1 with the normalization check disabled: sine term only
-    anz = mt.Ansatz(1, one, [mt.zero_field()], [], normalize=False,
-                    v_top=mt.constant_field(1.0))
+    # v_1 = 1 injected in place of the pinned top coefficient: sine term only
+    anz = mt.Ansatz(1, one, [mt.zero_field()], [])
+    anz.v = anz.v[:1] + (mt.constant_field(1.0),)
     assert mt.eval_F(anz, 0.0, 0.0, math.pi / 2) == pytest.approx(-2.0, abs=1e-14)
 
 
@@ -72,8 +72,8 @@ def test_stationarity_constant_integral():
     # all a_k = 0 except a_0 constant: F is constant, residual is zero
     rng = np.random.default_rng(33)
     one = mt.constant_field(1.0)
-    anz = mt.Ansatz(1, one, [mt.constant_field(7.0)], [], normalize=False,
-                    u_top=mt.zero_field(), v_top=mt.zero_field())
+    anz = mt.Ansatz(1, one, [mt.constant_field(7.0)], [])
+    anz.u = anz.u[:1] + (mt.zero_field(),)   # v_1 is pinned to zero already
     omega = mt.random_trig_field(rng, n_modes=3, max_mode=2)
     rep = mt.residual_stationarity(anz, omega, mt.SamplingGrid(16, 16))
     assert rep.max_sup == 0.0

@@ -1,6 +1,7 @@
 """Field backends: construction, exact evaluation and spectral derivatives."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -57,6 +58,39 @@ def test_random_table_matches_direct_sum():
     for _ in range(100):
         x, y = rng.uniform(0, 2 * math.pi, 2)
         assert abs(f.eval(x, y) - direct_trig_sum(table, x, y)) < 1e-13
+
+
+def pool_table(rng, n_modes, max_mode, amplitude, offset):
+    """Reference for `random_trig_field`: draw from the listed pool of
+    canonical modes in (m, n) order."""
+    pool = [(m, n) for m in range(-max_mode, max_mode + 1)
+            for n in range(-max_mode, max_mode + 1) if m > 0 or (m == 0 and n > 0)]
+    idx = rng.choice(len(pool), size=min(n_modes, len(pool)), replace=False)
+    table = {(0, 0): offset}
+    for i in np.sort(idx):
+        table[pool[int(i)]] = amplitude * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return table
+
+
+@pytest.mark.parametrize("max_mode", [0, 1, 2, 3, 4, 7, 11])
+def test_random_trig_field_draws_what_the_listed_pool_draws(max_mode):
+    # 300 modes exceed every pool here: all modes are drawn, in pool order.
+    for seed in (0, 1, 42, 101):
+        for n_modes in (0, 1, 3, 5, 300):
+            got = mt.random_trig_field(np.random.default_rng(seed), n_modes=n_modes,
+                                       max_mode=max_mode, amplitude=0.3, offset=2.0)
+            want = TrigField(pool_table(np.random.default_rng(seed), n_modes, max_mode,
+                                        0.3, 2.0))
+            assert list(got.coefficients().items()) == list(want.coefficients().items())
+
+
+def test_random_trig_field_with_a_huge_max_mode_returns_promptly():
+    # The pool of canonical modes would hold 2 * 10^12 entries.
+    start = time.perf_counter()
+    f = mt.random_trig_field(np.random.default_rng(5), n_modes=4, max_mode=10 ** 6)
+    assert time.perf_counter() - start < 2.0
+    modes = [mn for mn in f.coefficients() if mn != (0, 0)]
+    assert len(modes) == 8 and max(max(map(abs, mn)) for mn in modes) <= 10 ** 6
 
 
 def test_conjugate_completion_and_real_output():
@@ -248,15 +282,3 @@ def test_field_spec_errors():
             {"m": 1, "n": 0, "re": 1.0, "im": 0.0},
             {"m": 1, "n": 0, "re": 2.0, "im": 0.0}]})
 
-
-def test_register_custom_preset():
-    mt.register_analytic_preset(
-        "test_quadratic_x",
-        lambda params, geometry: mt.AnalyticField(
-            lambda x, y: x * x + 0.0 * y,
-            lambda x, y: 2.0 * x + 0.0 * y,
-            lambda x, y: 0.0 * (x + y),
-            geometry=geometry, periodic=False, label="test_quadratic_x"))
-    f = mt.analytic_preset("test_quadratic_x")
-    assert f.eval(3.0, 0.0) == 9.0
-    assert f.d_dx(3.0, 0.0) == 6.0

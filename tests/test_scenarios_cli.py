@@ -1,9 +1,11 @@
 """Scenario schema validation, the bundled library, CLI exit codes and
 machine-readable report contracts."""
 
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ import pytest
 
 import magtorus as mt
 import magtorus.cli
-from magtorus.cli import canonical_json, main, run_verify_checks
+from magtorus.cli import build_parser, canonical_json, main, run_verify_checks
 from magtorus.scenarios import BUNDLED, ScenarioError
 from helpers import circular_closed_form
 
@@ -683,9 +685,17 @@ def test_adaptive_run_beyond_the_budget_aborts(tmp_path, capsys, monkeypatch):
      "drift_tol must be an object"),
     ({"trajectories": [{"initial": [0, 0, 0], "t_end": 1.0, "observables": None}]},
      "observables must be a list"),
+    # A boolean or a numeric string is not a number, nor a field spec.
+    ({"tolerance": "1e-3"}, "tolerance must be a number, got '1e-3'"),
+    ({"tolerance": True}, "tolerance must be a number, got True"),
+    ({"geometry": {"period_x": True}}, "geometry period_x must be a number, got True"),
+    ({"trajectories": [{"initial": [0, "0", 0], "t_end": 1.0}]},
+     "trajectory 'traj0' initial state must be a number, got '0'"),
+    ({"lambda": True}, "lambda: field spec must be a number or an object, got bool"),
 ], ids=["N-null", "N-fraction", "N-bool", "grid-null", "k-fraction", "coefficients-null",
         "checks-null", "trajectories-null", "period-null", "drift_tol-null",
-        "drift_tol-list", "observables-null"])
+        "drift_tol-list", "observables-null", "tolerance-string", "tolerance-bool",
+        "period-bool", "initial-string", "lambda-bool"])
 def test_scenario_values_of_the_wrong_type_name_their_key(tmp_path, capsys, change, message):
     data = dict(json.loads(json.dumps(BUNDLED["flat-zero-field"])), **change)
     path = tmp_path / "typed.json"
@@ -740,10 +750,20 @@ def test_geodesic_matrix_overflow_names_the_flag():
     ("u", {"type": "analytic", "name": "affine_y", "params": [1.0]},
      "analytic params must be an object"),
     ("u", {"type": "analytic", "name": ["affine_y"]}, "unknown analytic preset ['affine_y']"),
+    ("u", {"type": "trig", "coeffs": [{"m": 1, "n": 0, "re": True}]},
+     "trig coefficient re must be a number, got True"),
+    ("lambda", {"type": "constant", "value": "2"},
+     "constant field value must be a number, got '2'"),
+    ("u", {"type": "random_trig", "seed": 1, "amplitude": False},
+     "random_trig amplitude must be a number, got False"),
+    ("u", {"type": "analytic", "name": "affine_y", "params": {"slope": "1"}},
+     "affine_y slope must be a number, got '1'"),
+    ("u", True, "coefficient k=0 u: field spec must be a number or an object, got bool"),
 ], ids=["re-null", "im-string", "m-fraction", "n-missing", "coeffs-null", "coeff-list",
         "value-null", "value-missing", "seed-fraction", "seed-negative", "modes-null",
         "max_mode-string", "amplitude-null", "offset-list", "slope-null", "params-list",
-        "name-list"])
+        "name-list", "re-bool", "value-string", "amplitude-bool", "slope-string",
+        "bare-bool"])
 def test_field_spec_values_of_the_wrong_type_name_their_key(tmp_path, where, spec, message):
     data = json.loads(json.dumps(BUNDLED["flat-constant-field"]))
     if where == "lambda":
@@ -823,3 +843,57 @@ def test_grid_cap_is_checked_before_the_grid_is_built(monkeypatch):
     assert built == [(2048, 2048)]
     assert all(nx * ny <= mt.scenarios.MAX_GRID_POINTS
                for nx, ny in (d.get("grid", [64, 64]) for d in BUNDLED.values()))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"name": "a/b"}, "name must be a nonempty string"),
+    ({"name": "a\\b"}, "name must be a nonempty string"),
+    ({"name": "a\0b"}, "name must be a nonempty string"),
+    ({"name": ".."}, "name must be a nonempty string"),
+    ({"name": "."}, "name must be a nonempty string"),
+    ({"name": ""}, "name must be a nonempty string"),
+    ({"name": 5}, "name must be a nonempty string"),
+    ({"trajectories": [{"name": "../line", "initial": [0, 0, 0], "t_end": 1.0}]},
+     "trajectory 0 name must be a nonempty string"),
+], ids=["slash", "backslash", "nul", "dotdot", "dot", "empty", "number", "trajectory"])
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_names_that_cannot_name_files_are_refused_at_load(tmp_path, capsys, change,
+                                                          message, command):
+    data = dict(json.loads(json.dumps(BUNDLED["flat-zero-field"])), **change)
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, command, str(path), "--out", str(out))
+    assert code == 2
+    assert f"error: {message}" in err
+    assert stdout == "" and not out.exists()   # refused before any check ran
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "flat-zero-field", "--tol", "1e-3"],
+    ["simulate", "flat-zero-field", "--grid", "8,8"],
+    ["assemble", "random-nonsolution", "--at", "2,0.1,0.2,0.3", "--seed", "1"],
+    ["assemble", "random-nonsolution", "--at", "2,0.1,0.2,0.3", "--tol", "1e-3"],
+    ["assemble", "random-nonsolution", "--at", "2,0.1,0.2,0.3", "--grid", "8,8"],
+])
+def test_flags_a_command_does_not_use_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+def test_readme_usage_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    usage = readme.split("## Command line", 1)[1].split("```")[1]
+    documented = {}
+    for line in usage.strip().splitlines():
+        _, command, *rest = line.split()
+        documented.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*",
+                                                                " ".join(rest)))
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    parsed = {name: {flag for action in sub._actions for flag in action.option_strings
+                     if flag.startswith("--") and flag != "--help"}
+              for name, sub in commands.items()}
+    assert documented == parsed
