@@ -64,7 +64,7 @@ print(f"                residual sups = " +
 
 generic_resc = mt.RescaledAnsatz(2, (rand(0.4), rand(0.4)),
                                  (rand(0.4), rand(0.4)),
-                                 2.0 + rand(0.1), mt.TorusGeometry())
+                                 2.0 + rand(0.1))
 cert_bad = mt.egorov_certificate(generic_resc, grid, tol=1e-10)
 print(f"generic fields: certified = {cert_bad.certified}, "
       f"worst residual = {max(cert_bad.residual_sups.values()):.3e}")

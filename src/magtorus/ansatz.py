@@ -31,8 +31,8 @@ from dataclasses import dataclass, field as _dc_field
 import numpy as np
 
 from .fields import (DomainError, Field, Jet, LAMBDA_FLOOR, SamplingGrid,
-                     TorusGeometry, TrigField, check_conformal_factor,
-                     value_field, zero_field)
+                     TrigField, check_conformal_factor, same_torus, value_field,
+                     zero_field)
 from .flow import MagneticSystem
 
 
@@ -117,16 +117,14 @@ class Ansatz:
 
     The constructor takes the free lower coefficients u_0 .. u_{N-1} and
     v_1 .. v_{N-1}; v_0 is identically zero (a_0 is real) and the top pair is
-    pinned to u_N = Lambda^(N/2), v_N = 0.
+    pinned to u_N = Lambda^(N/2), v_N = 0.  Every coefficient lies on
+    Lambda's torus, which is the ansatz's `geometry`.
     """
 
-    def __init__(self, n: int, lam: Field, u_lower, v_lower=(),
-                 geometry: TorusGeometry | None = None, *,
-                 check_grid: SamplingGrid | None = None):
+    def __init__(self, n: int, lam: Field, u_lower, v_lower=()):
         if n < 1:
             raise ValueError("ansatz degree must be >= 1")
         self.n = int(n)
-        self.geometry = geometry if geometry is not None else lam.geometry
         self.lam = lam
         u_lower = list(u_lower)
         v_lower = list(v_lower)
@@ -134,8 +132,8 @@ class Ansatz:
             raise ValueError(f"expected {n} fields u_0..u_{n - 1}, got {len(u_lower)}")
         if len(v_lower) != max(n - 1, 0):
             raise ValueError(f"expected {n - 1} fields v_1..v_{n - 1}, got {len(v_lower)}")
-        check_conformal_factor(lam, check_grid if check_grid is not None
-                               else SamplingGrid(64, 64, self.geometry))
+        self.geometry = same_torus(lam, *u_lower, *v_lower)
+        check_conformal_factor(lam)
         zero = zero_field(self.geometry)
         self.u = tuple(u_lower) + (lam ** (n / 2.0),)
         self.v = (zero,) + tuple(v_lower) + (zero,)
@@ -146,18 +144,19 @@ class Ansatz:
 
 @dataclass
 class RescaledAnsatz:
-    """Rescaled coefficient fields f_k = u_k Lambda^(-k/2), g_k = v_k Lambda^(-k/2)."""
+    """Rescaled coefficient fields f_k = u_k Lambda^(-k/2), g_k = v_k Lambda^(-k/2),
+    all on Lambda's torus."""
 
     n: int
     f: tuple
     g: tuple
     lam: Field
-    geometry: TorusGeometry
 
     def __post_init__(self):
         if len(self.f) != self.n or len(self.g) != self.n:
             raise ValueError(f"need {self.n} rescaled fields f_0..f_{self.n - 1} "
                              f"and g_0..g_{self.n - 1}")
+        same_torus(self.lam, *self.f, *self.g)
 
 
 def rescale(ansatz: Ansatz) -> RescaledAnsatz:
@@ -172,7 +171,7 @@ def rescale(ansatz: Ansatz) -> RescaledAnsatz:
             scale = ansatz.lam ** (-k / 2.0)
             f.append(ansatz.u[k] * scale)
             g.append(ansatz.v[k] * scale)
-    return RescaledAnsatz(ansatz.n, tuple(f), tuple(g), ansatz.lam, ansatz.geometry)
+    return RescaledAnsatz(ansatz.n, tuple(f), tuple(g), ansatz.lam)
 
 
 def unrescale(rescaled: RescaledAnsatz) -> tuple:
@@ -403,7 +402,7 @@ def constraint_residual(obj, grid: SamplingGrid | None = None) -> ResidualReport
         raise TypeError("expected an Ansatz or RescaledAnsatz")
     n, lam = rescaled.n, rescaled.lam
     u_top, v_top = u[n - 1], v[n - 1]
-    grid = grid if grid is not None else SamplingGrid(64, 64, rescaled.geometry)
+    grid = grid if grid is not None else SamplingGrid(64, 64, rescaled.lam.geometry)
     t_lhs, t_rhs = constraint_sides(n, lam.jet(grid), u_top.jet(grid), v_top.jet(grid))
 
     f_top = rescaled.f[n - 1]
@@ -429,7 +428,7 @@ def _second_block(rescaled: RescaledAnsatz):
     n = rescaled.n
     if n >= 2:
         return rescaled.f[n - 2], rescaled.g[n - 2], False
-    return rescaled.lam, zero_field(rescaled.geometry), True
+    return rescaled.lam, zero_field(rescaled.lam.geometry), True
 
 
 def conservation_flux_fields(rescaled: RescaledAnsatz):
@@ -456,7 +455,7 @@ def conservation_residuals(rescaled: RescaledAnsatz,
     """Residual norms of the two conservation laws on the grid.  All outer
     derivatives are expanded by the product/chain rule onto first derivatives
     of the inputs."""
-    grid = grid if grid is not None else SamplingGrid(64, 64, rescaled.geometry)
+    grid = grid if grid is not None else SamplingGrid(64, 64, rescaled.lam.geometry)
     r_field, flux1, flux2, degenerate = conservation_flux_fields(rescaled)
     r, f1, f2 = r_field.jet(grid), flux1.jet(grid), flux2.jet(grid)
     entries = [
@@ -473,31 +472,28 @@ def conservation_residuals(rescaled: RescaledAnsatz,
 # ---------------------------------------------------------------------------
 
 
-def _assert_y_only(field: Field, name: str, geometry: TorusGeometry):
-    grid = SamplingGrid(16, 16, geometry)
-    vals = np.abs(np.asarray(field.d_dx(grid.mesh_x, grid.mesh_y)))
-    scale = 1.0 + np.max(np.abs(np.asarray(field.on_grid(grid))))
-    if np.max(vals) > 1e-12 * scale:
+def _assert_y_only(field: Field, name: str):
+    jet = field.jet(SamplingGrid(16, 16, field.geometry))
+    scale = 1.0 + np.max(np.abs(np.asarray(jet.v)))
+    if np.max(np.abs(np.asarray(jet.x))) > 1e-12 * scale:
         raise ValueError(f"{name} must depend on y only")
 
 
-def build_linear_family(lambda_profile: Field, a_profile: Field,
-                        geometry: TorusGeometry | None = None):
+def build_linear_family(lambda_profile: Field, a_profile: Field):
     """Exact degree-1 configuration from profiles Lambda(y) > 0 and A(y):
 
         u_0 = 2 A(y),  u_1 = Lambda^(1/2),  v_1 = 0,  Omega = -A'(y).
 
     Every harmonic relation then holds identically and
-    F = 2 sqrt(Lambda) cos(phi) + 2 A(y) is conserved by the flow.
-    Returns (Ansatz with N = 1, MagneticSystem).
+    F = 2 sqrt(Lambda) cos(phi) + 2 A(y) is conserved by the flow.  Both
+    profiles lie on one torus.  Returns (Ansatz with N = 1, MagneticSystem).
     """
-    geometry = geometry if geometry is not None else lambda_profile.geometry
-    _assert_y_only(lambda_profile, "lambda profile", geometry)
-    _assert_y_only(a_profile, "A profile", geometry)
-    ansatz = Ansatz(1, lambda_profile, [2.0 * a_profile], [], geometry)
+    _assert_y_only(lambda_profile, "lambda profile")
+    _assert_y_only(a_profile, "A profile")
+    ansatz = Ansatz(1, lambda_profile, [2.0 * a_profile], [])
     if isinstance(a_profile, TrigField):
         omega = -1.0 * a_profile.dy_field()
     else:
         omega = value_field(lambda a: -a.y, (a_profile,), label="minus_A_prime")
-    system = MagneticSystem(lambda_profile, omega, geometry)
+    system = MagneticSystem(lambda_profile, omega)
     return ansatz, system

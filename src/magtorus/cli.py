@@ -5,7 +5,8 @@ Exit codes: 0 when every requested check passes, 1 on a check failure or an
 aborted integration, 2 on input errors (malformed JSON, unknown presets or
 scenario names, nonpositive conformal factor, wrong state-vector length, an
 ``--at`` state whose A or B is not finite in float64, step, tolerance,
-trajectory or torus-period values that are not finite and positive).
+trajectory or torus-period values that are not finite and positive, an
+ansatz degree, grid or trigonometric field table above its limit).
 
 Reports are JSON with sorted keys and floats printed to 17 significant
 digits, so identical scenarios and flags produce byte-identical payloads;
@@ -148,7 +149,7 @@ def run_verify_checks(scenario: Scenario, want_grids: bool = False):
 
     Returns (payload dict, timings dict, residual grids for --plot-data)."""
     ansatz = scenario.ansatz
-    omega = scenario.omega
+    omega = scenario.system.omega
     grid = scenario.grid
     tol = scenario.tolerance
     checks = []
@@ -203,7 +204,7 @@ def run_verify_checks(scenario: Scenario, want_grids: bool = False):
 
     payload = {
         "name": scenario.name,
-        "N": scenario.n,
+        "N": ansatz.n,
         "grid": [scenario.grid.nx, scenario.grid.ny],
         "tolerance": tol,
         "omega_source": scenario.omega_source,
@@ -415,8 +416,9 @@ def cmd_assemble(args) -> int:
         if not args.at:
             print("assemble needs at least one --at U-vector", file=sys.stderr)
             return EXIT_INPUT_ERROR
-        entries, stats = _state_entries(args.at, _parse_states(args.at, scenario.n))
-        payload = {"name": scenario.name, "N": scenario.n, "entries": entries}
+        n = scenario.ansatz.n
+        entries, stats = _state_entries(args.at, _parse_states(args.at, n))
+        payload = {"name": scenario.name, "N": n, "entries": entries}
     timings["assemble_s"] = time.perf_counter() - t0
     report_doc = {"schema_version": 1, "kind": "assemble", "payload": payload,
                   "stats": stats, "timings": timings}

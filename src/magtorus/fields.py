@@ -21,6 +21,13 @@ per field on first use, with each trigonometric term inlined and each node's
 jet rule traced into plain arithmetic (or called, where the rule cannot be
 traced).  It performs the operations of the recursive evaluation in the same
 order, so it returns the same bits.  Fields are immutable; evaluation is pure.
+
+Each field carries its torus, and it is the one place that torus is stated:
+`same_torus` refuses, with FieldError, to combine fields of different tori,
+to evaluate a field on a grid of another torus, or to build an ansatz or a
+magnetic system from them.  A field has both exact first-derivative rules
+or neither (`exact`).  A trigonometric field whose grid table would exceed
+MAX_TABLE_CELLS is refused when it is built.
 """
 
 from __future__ import annotations
@@ -41,6 +48,11 @@ TWO_PI = 2.0 * math.pi
 
 #: Positivity floor for conformal factors; evaluation below it is a domain error.
 LAMBDA_FLOOR = 1e-8
+
+#: Most cells, distinct x wavenumbers times distinct y wavenumbers, of the
+#: dense complex table a TrigField keeps for grid evaluation: 3 x 2048^2
+#: complex cells take about 200 MB.  A field that needs more is refused.
+MAX_TABLE_CELLS = 2048 * 2048
 
 
 class FieldError(ValueError):
@@ -75,7 +87,9 @@ class TorusGeometry:
 
 class SamplingGrid:
     """Uniform nodes over one fundamental domain (endpoints excluded), with a
-    memo of trigonometric leaf jets on them, weakly keyed by field."""
+    memo of trigonometric leaf jets on them, weakly keyed by field.  The
+    full (nx, ny) coordinate meshes are built on first use only: separable
+    trigonometric evaluation needs just the axes `xs` and `ys`."""
 
     def __init__(self, nx: int = 64, ny: int = 64, geometry: TorusGeometry | None = None):
         if nx < 4 or ny < 4:
@@ -85,11 +99,29 @@ class SamplingGrid:
         self.geometry = geometry if geometry is not None else TorusGeometry()
         self.xs = self.geometry.period_x * np.arange(self.nx) / self.nx
         self.ys = self.geometry.period_y * np.arange(self.ny) / self.ny
-        self.mesh_x, self.mesh_y = np.meshgrid(self.xs, self.ys, indexing="ij")
         self.leaf_jets = weakref.WeakKeyDictionary()
+
+    @functools.cached_property
+    def _mesh(self):
+        return np.meshgrid(self.xs, self.ys, indexing="ij")
+
+    mesh_x = property(lambda self: self._mesh[0])
+    mesh_y = property(lambda self: self._mesh[1])
 
     def __repr__(self):
         return f"SamplingGrid({self.nx}x{self.ny})"
+
+
+def same_torus(*items) -> TorusGeometry:
+    """The torus that all `items` (fields or sampling grids) lie on: the one
+    rule by which fields are combined, evaluated on a grid, or put together
+    into an ansatz or a magnetic system.  Raises FieldError if two differ."""
+    geometry = items[0].geometry
+    for other in items[1:]:
+        if other.geometry != geometry:
+            raise FieldError(f"{items[0]!r} and {other!r} lie on different tori: "
+                             f"{geometry} and {other.geometry}")
+    return geometry
 
 
 #: Value and first partials of a field over a point set: ``v, v_x, v_y``.
@@ -106,16 +138,17 @@ class Field:
 
     geometry: TorusGeometry
     periodic: bool = True
-    exact = (True, True)   # exact d/dx and d/dy rules exist
+    exact = True   # exact first-derivative rules exist (both or neither)
 
     def jet(self, x, y=None) -> Jet:
         """Value and exact first partials at points (x, y), or on a grid `x`."""
-        if not all(self.exact):
+        if not self.exact:
             raise DerivativeUnavailable(f"no first-derivative rules for {self!r}")
         return self._evaluate(x, y)
 
     def _evaluate(self, x, y) -> Jet:
         if isinstance(x, SamplingGrid):
+            same_torus(self, x)
             return self._jet(x, None, x.leaf_jets)
         if isinstance(x, (int, float)) and isinstance(y, (int, float)):
             return Jet(*self._point_kernel(x, y))
@@ -129,14 +162,10 @@ class Field:
         return self._evaluate(x, y).v
 
     def d_dx(self, x, y):
-        if not self.exact[0]:
-            raise DerivativeUnavailable(f"no d/dx rule for {self!r}")
-        return self._evaluate(x, y).x
+        return self.jet(x, y).x
 
     def d_dy(self, x, y):
-        if not self.exact[1]:
-            raise DerivativeUnavailable(f"no d/dy rule for {self!r}")
-        return self._evaluate(x, y).y
+        return self.jet(x, y).y
 
     def on_grid(self, grid: SamplingGrid):
         return self._evaluate(grid, None).v
@@ -145,11 +174,6 @@ class Field:
         return float(np.min(self.on_grid(grid)))
 
     # -- algebra: results carry exact first derivatives --------------------
-
-    def _check_geometry(self, other: "Field"):
-        if (other.geometry.period_x != self.geometry.period_x
-                or other.geometry.period_y != self.geometry.period_y):
-            raise FieldError("cannot combine fields on different tori")
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
@@ -214,6 +238,11 @@ class TrigField(Field):
         kx, ky, a, b = np.array([(0.0, 0.0, self._c0, 0.0)] + self._terms).T
         self._grid_kx, mi = np.unique(kx, return_inverse=True)
         self._grid_ky, ni = np.unique(ky, return_inverse=True)
+        if self._grid_kx.size * self._grid_ky.size > MAX_TABLE_CELLS:
+            raise FieldError(f"trigonometric field needs a grid table of "
+                             f"{self._grid_kx.size} x {self._grid_ky.size} distinct "
+                             f"wavenumbers, above the limit of {MAX_TABLE_CELLS} "
+                             f"(2048x2048) cells")
         self._grid_rows = np.zeros((3, self._grid_kx.size, self._grid_ky.size), dtype=complex)
         self._grid_rows[:, mi, ni] = (a + 1j * b) * np.stack((np.ones_like(kx), 1j * kx, 1j * ky))
 
@@ -270,7 +299,7 @@ class TrigField(Field):
         if isinstance(other, (int, float)):
             other = constant_field(other, self.geometry)
         if isinstance(other, TrigField):
-            self._check_geometry(other)
+            same_torus(self, other)
             table = self.coefficients()
             for mn, c in other.coefficients().items():
                 table[mn] = table.get(mn, 0.0) + c
@@ -283,10 +312,11 @@ class TrigField(Field):
         if isinstance(other, (int, float)):
             other = constant_field(other, self.geometry)
         if isinstance(other, TrigField):
-            self._check_geometry(other)
+            same_torus(self, other)
             table = {}
+            right = other.coefficients().items()
             for mn1, c1 in self.coefficients().items():
-                for mn2, c2 in other.coefficients().items():
+                for mn2, c2 in right:
                     mn = (mn1[0] + mn2[0], mn1[1] + mn2[1])
                     table[mn] = table.get(mn, 0.0) + c1 * c2
             return TrigField(table, self.geometry)
@@ -337,16 +367,19 @@ def _canonicalize_table(table: dict):
 
 
 class AnalyticField(Field):
-    """Closed-form field: a value rule plus optional first-derivative rules
-    (without one, that derivative raises DerivativeUnavailable)."""
+    """Closed-form field: a value rule plus both first-derivative rules, or
+    neither (then its jet and derivatives raise DerivativeUnavailable)."""
 
     def __init__(self, value_fn, dx_fn=None, dy_fn=None, *,
                  geometry: TorusGeometry | None = None, periodic: bool = True,
                  label: str = ""):
+        if (dx_fn is None) != (dy_fn is None):
+            raise FieldError("an analytic field takes both first-derivative rules "
+                             "or neither")
         self.geometry = geometry if geometry is not None else TorusGeometry()
         self.periodic = periodic
         self.label = label
-        self.exact = (dx_fn is not None, dy_fn is not None)
+        self.exact = dx_fn is not None
         self._rules = (value_fn, dx_fn, dy_fn)
 
     def _jet(self, x, y, memo):
@@ -363,13 +396,11 @@ class AnalyticField(Field):
 class _Node(AnalyticField):
     """Expression node whose jet is `rule` applied to its children's jets."""
 
-    def __init__(self, rule, children, *, label: str = "", exact=None):
-        for other in children[1:]:
-            children[0]._check_geometry(other)
-        self.geometry = children[0].geometry
+    def __init__(self, rule, children, *, label: str = "", exact: bool = True):
+        self.geometry = same_torus(*children)
         self.periodic = all(c.periodic for c in children)
         self.label = label
-        self.exact = exact or tuple(all(c.exact[i] for c in children) for i in (0, 1))
+        self.exact = exact and all(c.exact for c in children)
         self._rule, self._children = rule, children
 
     def _jet(self, x, y, memo):
@@ -380,10 +411,10 @@ def value_field(rule, fields, *, label: str) -> AnalyticField:
     """Evaluation-only field with value ``rule(*jets of fields)``: its own
     derivatives would need second derivatives, which fields do not carry."""
     for f in fields:
-        if not all(f.exact):
+        if not f.exact:
             raise DerivativeUnavailable(f"no first-derivative rules for {f!r}")
     return _Node(lambda *jets: Jet(rule(*jets), math.nan, math.nan), tuple(fields),
-                 label=label, exact=(False, False))
+                 label=label, exact=False)
 
 
 # ---------------------------------------------------------------------------
@@ -591,15 +622,16 @@ def point_kernel(field: Field, *values: Field, floor: bool = False):
     return writer.compile(outputs)
 
 
-def check_conformal_factor(lam: Field, grid: SamplingGrid):
-    """Raise DomainError unless Lambda stays above LAMBDA_FLOOR.
+def check_conformal_factor(lam: Field):
+    """Raise DomainError unless Lambda stays above LAMBDA_FLOOR on its torus.
 
-    For a TrigField the claim holds everywhere: it is accepted when
-    c0 - 2 sum|c| clears the floor, or when the minimum on `grid` minus the
-    Lipschitz bound 2 sum |c| |k| times half the cell diagonal does (every
-    point lies within half a diagonal of a node).  Other fields are checked
-    at the nodes of `grid` only.
+    The check grid is 64 x 64 on Lambda's own torus.  For a TrigField the
+    claim holds everywhere: it is accepted when c0 - 2 sum|c| clears the
+    floor, or when the minimum on the grid minus the Lipschitz bound
+    2 sum |c| |k| times half the cell diagonal does (every point lies within
+    half a diagonal of a node).  Other fields are checked at the nodes only.
     """
+    grid = SamplingGrid(64, 64, lam.geometry)
     lam_min = lam.min_on_grid(grid)
     if isinstance(lam, TrigField):
         spread = sum(math.hypot(a, b) for _, _, a, b in lam._terms)

@@ -23,7 +23,7 @@ one straight-line function of (x, y) that checks the positivity floor right
 after Lambda's subgraph and evaluates a leaf shared by Lambda and Omega once.
 Its `counts` (trigonometric terms inlined, node rules traced, rules called)
 are reported beside each trajectory's step counts.  The RK4 step is unrolled
-per state length from one template.  A trajectory may take at most
+by hand for the two state lengths.  A trajectory may take at most
 STEP_BUDGET steps: a fixed step that needs more is refused before the run,
 and step doubling that reaches it aborts the run.
 """
@@ -38,8 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import (DerivativeUnavailable, DomainError, Field, SamplingGrid,
-                     TorusGeometry, check_conformal_factor, point_kernel)
+from .fields import (DerivativeUnavailable, DomainError, Field, TorusGeometry,
+                     check_conformal_factor, point_kernel, same_torus)
 
 TWO_PI = 2.0 * math.pi
 
@@ -70,16 +70,17 @@ class CotangentState:
 
 @dataclass(frozen=True)
 class MagneticSystem:
-    """Conformal factor and magnetic field defining the flow."""
+    """Conformal factor and magnetic field defining the flow, on the torus
+    of Lambda, which Omega must share."""
 
     lam: Field
     omega: Field
-    geometry: TorusGeometry = _dc_field(default_factory=TorusGeometry)
 
     def __post_init__(self):
-        if not all(self.lam.exact):
+        same_torus(self.lam, self.omega)
+        if not self.lam.exact:
             raise DerivativeUnavailable(f"no first-derivative rules for {self.lam!r}")
-        check_conformal_factor(self.lam, SamplingGrid(64, 64, self.geometry))
+        check_conformal_factor(self.lam)
 
     @functools.cached_property
     def kernel(self):
@@ -207,34 +208,36 @@ class Trajectory:
         return len(self.t)
 
 
-def _rk4_source(lengths) -> str:
-    """Source of `_rk4_step(rhs, state, dt, k1)`, one classical RK4 step from
-    `state` given its first stage k1 = rhs(state), unrolled for states of
-    each length in `lengths`.  Each component is computed as s + h * k per
-    stage and s + dt / 6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4) at the end."""
-    lines = ["def _rk4_step(rhs, state, dt, k1):",
-             '    """One classical RK4 step from `state`, given k1 = rhs(state)."""',
-             "    half = 0.5 * dt"]
-    for n in lengths:
-        names = lambda p: ", ".join(f"{p}{i}" for i in range(n))
-        stage = lambda h, k: "rhs((" + ", ".join(f"s{i} + {h} * {k}{i}"
-                                                  for i in range(n)) + ",))"
-        lines += [f"    if len(state) == {n}:",
-                  f"        {names('s')} = state",
-                  f"        {names('a')} = k1",
-                  f"        {names('b')} = {stage('half', 'a')}",
-                  f"        {names('c')} = {stage('half', 'b')}",
-                  f"        {names('d')} = {stage('dt', 'c')}",
-                  "        sixth = dt / 6.0",
-                  "        return (" + ", ".join(
-                      f"s{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})"
-                      for i in range(n)) + ",)"]
-    lines.append('    raise ValueError(f"no RK4 step for a state of length {len(state)}")')
-    return "\n".join(lines) + "\n"
-
-
-# The flow's (x, y, phi) and the bracket form's (x, y, p1, p2).
-exec(compile(_rk4_source((3, 4)), "<rk4 step>", "exec"))
+def _rk4_step(rhs, state, dt, k1):
+    """One classical RK4 step from `state`, given its first stage
+    k1 = rhs(state), unrolled for the flow's (x, y, phi) and the bracket
+    form's (x, y, p1, p2).  Each component is s + h * k per stage and
+    s + dt / 6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4) at the end."""
+    half = 0.5 * dt
+    if len(state) == 3:
+        s0, s1, s2 = state
+        a0, a1, a2 = k1
+        b0, b1, b2 = rhs((s0 + half * a0, s1 + half * a1, s2 + half * a2))
+        c0, c1, c2 = rhs((s0 + half * b0, s1 + half * b1, s2 + half * b2))
+        d0, d1, d2 = rhs((s0 + dt * c0, s1 + dt * c1, s2 + dt * c2))
+        sixth = dt / 6.0
+        return (s0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+                s1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+                s2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2))
+    if len(state) == 4:
+        s0, s1, s2, s3 = state
+        a0, a1, a2, a3 = k1
+        b0, b1, b2, b3 = rhs((s0 + half * a0, s1 + half * a1, s2 + half * a2,
+                              s3 + half * a3))
+        c0, c1, c2, c3 = rhs((s0 + half * b0, s1 + half * b1, s2 + half * b2,
+                              s3 + half * b3))
+        d0, d1, d2, d3 = rhs((s0 + dt * c0, s1 + dt * c1, s2 + dt * c2, s3 + dt * c3))
+        sixth = dt / 6.0
+        return (s0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+                s1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+                s2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+                s3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3))
+    raise ValueError(f"no RK4 step for a state of length {len(state)}")
 
 
 def _sample_times(t_end: float, sample_dt):
@@ -376,7 +379,7 @@ def integrate(system: MagneticSystem, state0: PhaseState, t_end: float,
         phi_w = wrap_angle(phi_un)
         for name, fn in observables.items():
             monitored[name] = np.asarray(fn(x, y, phi_w), dtype=float)
-    return Trajectory(kept_times, x, y, phi_un, monitored, system.geometry,
+    return Trajectory(kept_times, x, y, phi_un, monitored, system.lam.geometry,
                       aborted=aborted, diagnostic=diagnostic, stats=stats)
 
 

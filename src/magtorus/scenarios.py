@@ -5,7 +5,8 @@ fields and the magnetic field (either an explicit field spec or ``"derive"``,
 which eliminates it through its closed form in the rescaled leading
 coefficients), together with grid sizes, tolerances, the requested checks and
 any trajectory requests.  Bundled scenarios are referenced by name and double
-as the acceptance fixtures.
+as the acceptance fixtures.  A degree above MAX_N and a grid above
+MAX_GRID_POINTS are refused at load, before anything of that size is built.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass, field as _dc_field
 from pathlib import Path
 
-from .fields import Field, FieldError, SamplingGrid, TorusGeometry, field_from_spec, zero_field
+from .fields import FieldError, SamplingGrid, TorusGeometry, field_from_spec, zero_field
 from .flow import MagneticSystem, PhaseState, StepControl, check_step_budget
 from .ansatz import Ansatz, omega_rescaled, rescale
 from .readers import ScenarioError, _integer, _list, _name, _number, _positive, _require
@@ -28,6 +29,11 @@ KNOWN_CHECKS = ("stationarity", "harmonics", "constraint", "conservation",
 #: Largest sampling grid, nx * ny, a scenario or ``--grid`` may ask for: a
 #: grid kernel holds about 400 bytes per point, so 2048^2 needs about 1.7 GB.
 MAX_GRID_POINTS = 2048 * 2048
+
+#: Largest ansatz degree N a scenario may ask for.  A 64x64 verify of a
+#: constant-Lambda scenario takes about 7 s at N = 200 and passes 10 s near
+#: N = 220 (2-CPU x86-64 host); the work grows with about the square of N.
+MAX_N = 200
 
 
 @dataclass
@@ -45,11 +51,12 @@ class TrajectoryRequest:
 
 @dataclass
 class Scenario:
+    """A validated scenario.  The degree and the torus are the ansatz's
+    (`ansatz.n`, `ansatz.geometry`), the magnetic field the system's
+    (`system.omega`)."""
+
     name: str
-    geometry: TorusGeometry
-    n: int
     ansatz: Ansatz
-    omega: Field
     omega_source: str                     # "derived" | "provided"
     system: MagneticSystem
     grid: SamplingGrid
@@ -82,6 +89,7 @@ def build_scenario(data: dict, *, seed: int | None = None,
     _require("N" in data, "scenario needs the ansatz degree N")
     n = _integer(data["N"], "N")
     _require(n >= 1, "N must be >= 1")
+    _require(n <= MAX_N, f"N = {n} exceeds the limit of {MAX_N}")
 
     def field(spec, what):
         try:
@@ -108,7 +116,7 @@ def build_scenario(data: dict, *, seed: int | None = None,
             _require(k >= 1, "v_0 is identically zero; drop the v entry for k=0")
             v_lower[k - 1] = field(rec["v"], f"coefficient k={k} v")
 
-    ansatz = Ansatz(n, lam, u_lower, v_lower, geometry)
+    ansatz = Ansatz(n, lam, u_lower, v_lower)
 
     omega_spec = data.get("omega", "derive")
     if omega_spec == "derive":
@@ -118,7 +126,7 @@ def build_scenario(data: dict, *, seed: int | None = None,
         omega = field(omega_spec, "omega")
         omega_source = "provided"
 
-    system = MagneticSystem(lam, omega, geometry)
+    system = MagneticSystem(lam, omega)
 
     if grid_override is not None:
         nx, ny = grid_override
@@ -182,8 +190,8 @@ def build_scenario(data: dict, *, seed: int | None = None,
         trajectories.append(TrajectoryRequest(traj_name, initial, t_end, control,
                                               observables, drift_tol))
 
-    return Scenario(name, geometry, n, ansatz, omega, omega_source, system,
-                    grid, tolerance, checks, tuple(trajectories))
+    return Scenario(name, ansatz, omega_source, system, grid, tolerance, checks,
+                    tuple(trajectories))
 
 
 def load_scenario(path_or_name: str, **kwargs) -> Scenario:

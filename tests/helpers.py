@@ -90,7 +90,7 @@ def manufactured_rescaled(n, psi: TrigField, lam: TrigField) -> mt.RescaledAnsat
     zero = mt.zero_field(geometry)
     f_list = [zero] * (n - 2) + [fm2, f]
     g_list = [zero] * (n - 2) + [gm2, g]
-    return mt.RescaledAnsatz(n, tuple(f_list), tuple(g_list), lam, geometry)
+    return mt.RescaledAnsatz(n, tuple(f_list), tuple(g_list), lam)
 
 
 # ---------------------------------------------------------------------------

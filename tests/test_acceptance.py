@@ -50,7 +50,7 @@ def test_criterion_2_omega_formula_equivalence():
              for _ in range(n)]
         v = [mt.random_trig_field(rng, n_modes=5, max_mode=2, amplitude=0.4)
              for _ in range(n - 1)]
-        anz = mt.Ansatz(n, lam, u, v, check_grid=grid)
+        anz = mt.Ansatz(n, lam, u, v)
         raw = mt.omega_raw(anz).on_grid(grid)
         res = mt.omega_rescaled(mt.rescale(anz)).on_grid(grid)
         worst = max(worst, float(np.max(np.abs(raw - res))))
@@ -77,7 +77,7 @@ def test_criterion_3_conservation_law_identity():
             zero = mt.zero_field()
             resc = mt.RescaledAnsatz(n, tuple([zero] * (n - 2) + [fm2, f]),
                                      tuple([zero] * (n - 2) + [gm2, g]),
-                                     lam, lam.geometry)
+                                     lam)
             r_field, flux1, flux2, _ = mt.conservation_flux_fields(resc)
             res1 = r_field.d_dx(X, Y) + flux1.d_dy(X, Y)
             res2 = r_field.d_dy(X, Y) + flux2.d_dx(X, Y)

@@ -68,6 +68,27 @@ def test_ansatz_validation():
 # ---------------------------------------------------------------------------
 
 
+def test_constructors_refuse_fields_on_different_tori():
+    unit = mt.TorusGeometry(1.0, 1.0)
+    lam = mt.make_trig_field({(0, 0): 2.0, (1, 0): 0.1}, unit)
+    zero_unit, zero = mt.zero_field(unit), mt.zero_field()
+    with pytest.raises(mt.FieldError, match="different tori"):
+        mt.Ansatz(1, lam, [mt.make_trig_field({(0, 1): 0.1})])
+    with pytest.raises(mt.FieldError, match="different tori"):
+        mt.Ansatz(2, lam, [zero_unit, zero_unit], [zero])
+    with pytest.raises(mt.FieldError, match="different tori"):
+        mt.RescaledAnsatz(1, (zero,), (zero_unit,), lam)
+    with pytest.raises(mt.FieldError, match="different tori"):
+        mt.MagneticSystem(lam, zero)
+    with pytest.raises(mt.FieldError, match="different tori"):
+        mt.build_linear_family(mt.constant_field(2.0, unit), mt.make_trig_field({(0, 1): 0.1}))
+    ansatz = mt.Ansatz(2, lam, [zero_unit, zero_unit], [zero_unit])
+    assert ansatz.geometry == unit
+    assert all(f.geometry == unit for f in ansatz.fields())
+    with pytest.raises(mt.FieldError, match="different tori"):
+        mt.residual_harmonic(ansatz, zero_unit, 1, mt.SamplingGrid(8, 8))
+
+
 def test_stationarity_constant_integral():
     # all a_k = 0 except a_0 constant: F is constant, residual is zero
     rng = np.random.default_rng(33)
@@ -187,17 +208,17 @@ def test_omega_rescaled_cases():
     zero = mt.zero_field()
     # constants
     resc = mt.RescaledAnsatz(2, (zero, mt.constant_field(0.3)),
-                             (zero, mt.constant_field(0.1)), one, one.geometry)
+                             (zero, mt.constant_field(0.1)), one)
     assert mt.omega_rescaled(resc).eval(0.2, 0.5) == 0.0
     # N = 1, f_0 = -2 B y
     b = 0.25
     resc = mt.RescaledAnsatz(1, (mt.analytic_preset("affine_y", {"slope": -2 * b}),),
-                             (zero,), one, one.geometry)
+                             (zero,), one)
     assert mt.omega_rescaled(resc).eval(0.0, 2.0) == pytest.approx(b, abs=1e-15)
     # N = 2, f_1 = sin y, g_1 = sin x -> Omega = (cos x - cos y) / 4
     f1 = mt.make_trig_field({(0, 1): -0.5j})
     g1 = mt.make_trig_field({(1, 0): -0.5j})
-    resc = mt.RescaledAnsatz(2, (zero, f1), (zero, g1), one, one.geometry)
+    resc = mt.RescaledAnsatz(2, (zero, f1), (zero, g1), one)
     om = mt.omega_rescaled(resc)
     grid = mt.SamplingGrid(16, 16)
     expect = (np.cos(grid.mesh_x) - np.cos(grid.mesh_y)) / 4.0
@@ -256,7 +277,7 @@ def test_constraint_stream_function():
     f, g = stream_pair(psi)
     lam = mt.random_trig_field(rng, n_modes=3, max_mode=2, amplitude=0.1, offset=2.0)
     zero = mt.zero_field()
-    resc = mt.RescaledAnsatz(2, (zero, f), (zero, g), lam, lam.geometry)
+    resc = mt.RescaledAnsatz(2, (zero, f), (zero, g), lam)
     rep = mt.constraint_residual(resc, mt.SamplingGrid(24, 24))
     assert rep.entry("divergence_rescaled").sup < 1e-12
 
@@ -266,7 +287,7 @@ def test_constraint_known_magnitude():
     one = mt.constant_field(1.0)
     f = mt.make_trig_field({(0, 2): 0.35})
     g = mt.make_trig_field({(0, 1): -0.5j})
-    resc = mt.RescaledAnsatz(1, (f,), (g,), one, one.geometry)
+    resc = mt.RescaledAnsatz(1, (f,), (g,), one)
     rep = mt.constraint_residual(resc, mt.SamplingGrid(64, 64))
     assert rep.entry("divergence_rescaled").sup == pytest.approx(1.0, abs=1e-12)
 
@@ -297,7 +318,7 @@ def test_conservation_constant_fields():
     one = mt.constant_field(1.0)
     consts = lambda c: mt.constant_field(c)
     resc = mt.RescaledAnsatz(2, (consts(0.2), consts(0.4)),
-                             (consts(0.1), consts(0.3)), one, one.geometry)
+                             (consts(0.1), consts(0.3)), one)
     rep = mt.conservation_residuals(resc, mt.SamplingGrid(8, 8))
     assert rep.entry("conservation_1").sup == 0.0
     assert rep.entry("conservation_2").sup == 0.0
@@ -331,7 +352,7 @@ def test_conservation_identity_with_top_harmonics():
         zero = mt.zero_field()
         resc = mt.RescaledAnsatz(n, tuple([zero] * (n - 2) + [fm2, f]),
                                  tuple([zero] * (n - 2) + [gm2, g]),
-                                 lam, lam.geometry)
+                                 lam)
         r_field, flux1, flux2, _ = mt.conservation_flux_fields(resc)
         res1 = r_field.d_dx(X, Y) + flux1.d_dy(X, Y)
         res2 = r_field.d_dy(X, Y) + flux2.d_dx(X, Y)

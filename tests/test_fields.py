@@ -231,12 +231,17 @@ def test_conformal_factor_check_is_sound_for_trig_fields():
     with pytest.raises(mt.DomainError, match="conformal factor"):
         mt.MagneticSystem(aliased, mt.zero_field())
     # 1 + 0.6 cos x + 0.6 cos 2x has minimum 0.325 although c0 - 2 sum|c|
-    # = -0.2: the grid minimum minus the Lipschitz bound certifies it on a
-    # fine grid, and a coarse grid is refused rather than trusted.
+    # = -0.2: the grid minimum minus the Lipschitz bound certifies it on the
+    # 64x64 check grid.  The same profile 16 times faster, which the check
+    # grid samples as coarsely as a 4x4 grid samples the slow one, is
+    # refused rather than trusted.
     dipping = mt.make_trig_field({(0, 0): 1.0, (1, 0): 0.3, (2, 0): 0.3})
-    check_conformal_factor(dipping, mt.SamplingGrid(64, 64))
+    check_conformal_factor(dipping)
+    fast = mt.make_trig_field({(0, 0): 1.0, (16, 0): 0.3, (32, 0): 0.3})
+    assert fast.min_on_grid(mt.SamplingGrid(64, 64)) == pytest.approx(
+        dipping.min_on_grid(mt.SamplingGrid(4, 4)), abs=1e-14)
     with pytest.raises(mt.DomainError, match="conformal factor"):
-        check_conformal_factor(dipping, mt.SamplingGrid(4, 4))
+        check_conformal_factor(fast)
 
 
 def test_mixed_geometry_rejected():
@@ -244,6 +249,53 @@ def test_mixed_geometry_rejected():
     b = mt.constant_field(1.0, mt.TorusGeometry(2.0, 2.0))
     with pytest.raises(FieldError):
         _ = a + b
+
+
+def test_evaluation_on_a_grid_of_another_torus_is_refused():
+    unit = mt.TorusGeometry(1.0, 1.0)
+    trig = mt.make_trig_field({(1, 0): 0.5}, unit)
+    analytic = mt.analytic_preset("affine_y", {"slope": 1.0}, unit)
+    other = mt.SamplingGrid(8, 8)
+    copy = mt.fields.value_field(lambda a: a.v, (trig,), label="copy")
+    for field in (trig, analytic, trig * analytic, copy):
+        with pytest.raises(FieldError, match="different tori"):
+            field.on_grid(other)
+        with pytest.raises(FieldError, match="different tori"):
+            field.min_on_grid(other)
+        if field.exact:
+            with pytest.raises(FieldError, match="different tori"):
+                field.jet(other)
+        field.on_grid(mt.SamplingGrid(8, 8, unit))
+    assert not other.leaf_jets
+
+
+def test_analytic_field_takes_both_derivative_rules_or_neither():
+    value = lambda x, y: x + y
+    rule = lambda x, y: 1.0 + 0.0 * (x + y)
+    for rules in ((rule, None), (None, rule)):
+        with pytest.raises(FieldError, match="both first-derivative rules or neither"):
+            mt.AnalyticField(value, *rules)
+    assert mt.AnalyticField(value, rule, rule).exact is True
+    assert mt.AnalyticField(value).exact is False
+
+
+def test_trig_field_table_above_the_cap_is_refused():
+    # 2049 diagonal modes need 2050 distinct wavenumbers on each axis.
+    table = {(m, m): 0.1 for m in range(1, 2050)}
+    with pytest.raises(FieldError, match=r"2050 x 2050 distinct wavenumbers, above the "
+                                         r"limit of 4194304 \(2048x2048\) cells"):
+        mt.make_trig_field(table)
+    assert mt.make_trig_field(dict(list(table.items())[:2047])) is not None
+
+
+def test_sampling_grid_builds_its_meshes_on_first_use():
+    grid = mt.SamplingGrid(4, 6)
+    assert "_mesh" not in vars(grid)
+    mt.make_trig_field({(1, 2): 0.5}).on_grid(grid)
+    assert "_mesh" not in vars(grid)
+    expect_x, expect_y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
+    assert np.array_equal(grid.mesh_x, expect_x) and np.array_equal(grid.mesh_y, expect_y)
+    assert grid.mesh_x is grid.mesh_x
 
 
 def test_field_spec_roundtrip():

@@ -181,8 +181,7 @@ def test_speed_is_unit_on_flat_metric():
 def test_reversibility():
     # The time-reversed flow is the (Lambda, -Omega) flow with phi -> phi + pi.
     ansatz, system = exact_family()
-    reversed_system = mt.MagneticSystem(system.lam, -1.0 * system.omega,
-                                        system.geometry)
+    reversed_system = mt.MagneticSystem(system.lam, -1.0 * system.omega)
     start = mt.PhaseState(0.5, 0.3, 0.7)
     control = mt.StepControl.fixed(1e-2, sample_dt=None)
     fwd = mt.integrate(system, start, 5.0, control)
@@ -344,3 +343,47 @@ def test_step_stats_count_the_rhs_calls(monkeypatch, b, control, calls_per_step,
 def test_step_control_refuses_values_that_never_finish(kwargs):
     with pytest.raises(ValueError, match="step control"):
         mt.StepControl(**kwargs)
+
+
+def test_conformal_factor_is_certified_on_its_own_torus():
+    # 0.5 + 0.5 cos(2 pi x / 100) vanishes at x = 50 on the 100 x 100 torus.
+    big = mt.TorusGeometry(100.0, 100.0)
+    lam = mt.make_trig_field({(0, 0): 0.5, (1, 0): 0.25}, big)
+    with pytest.raises(mt.DomainError, match="conformal factor"):
+        mt.MagneticSystem(lam, mt.zero_field(big))
+    with pytest.raises(mt.DomainError, match="conformal factor"):
+        mt.Ansatz(1, lam, [mt.zero_field(big)])
+
+
+def test_wrapped_positions_lie_on_the_systems_torus():
+    unit = mt.TorusGeometry(1.0, 1.0)
+    system = mt.MagneticSystem(mt.constant_field(1.0, unit), mt.zero_field(unit))
+    traj = mt.integrate(system, mt.PhaseState(0.25, 0.5, 0.4), 5.0,
+                        mt.StepControl.fixed(1e-2))
+    assert traj.geometry == unit
+    assert traj.x.max() > 4.0 and traj.y.max() > 2.0
+    for coords in traj.wrapped_xy():
+        assert coords.min() >= 0.0 and coords.max() < 1.0
+
+
+def test_rk4_step_is_the_classical_step_bit_for_bit():
+    from magtorus.flow import _rk4_step
+
+    def reference(rhs, state, dt, k1):
+        stage = lambda h, k: rhs(tuple(s + h * ki for s, ki in zip(state, k)))
+        k2 = stage(0.5 * dt, k1)
+        k3 = stage(0.5 * dt, k2)
+        k4 = stage(dt, k3)
+        return tuple(s + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+                     for s, a, b, c, d in zip(state, k1, k2, k3, k4))
+
+    rng = np.random.default_rng(41)
+    rhs = lambda s: tuple(math.sin(v) * (i + 1.5) + s[0] * s[-1] for i, v in enumerate(s))
+    for length in (3, 4):
+        for _ in range(20):
+            state = tuple(rng.uniform(-2.0, 2.0, length).tolist())
+            dt = float(rng.uniform(1e-4, 0.5))
+            assert _rk4_step(rhs, state, dt, rhs(state)) == reference(rhs, state, dt,
+                                                                      rhs(state))
+    with pytest.raises(ValueError, match="no RK4 step for a state of length 2"):
+        _rk4_step(rhs, (0.0, 1.0), 0.1, (1.0, 1.0))

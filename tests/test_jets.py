@@ -88,7 +88,7 @@ def test_value_only_fields():
     no_rules = mt.AnalyticField(lambda x, y: 0.0 * (x + y))
     zero = mt.zero_field()
     with pytest.raises(DerivativeUnavailable):
-        mt.omega_rescaled(mt.RescaledAnsatz(1, (no_rules,), (zero,), lam, lam.geometry))
+        mt.omega_rescaled(mt.RescaledAnsatz(1, (no_rules,), (zero,), lam))
 
 
 class CountingMemo(weakref.WeakKeyDictionary):

@@ -41,7 +41,7 @@ POSITIVE = trig_leaf(offset=st.just(3.0), coef=st.floats(-0.3, 0.3))
 
 
 def exact(field):
-    return all(field.exact)
+    return field.exact
 
 
 def binary(args):
@@ -59,7 +59,7 @@ def rescaled_omega(args):
     f, g = args
     if not (exact(f) and exact(g)):
         return f * g
-    return mt.omega_rescaled(mt.RescaledAnsatz(1, (f,), (g,), f, f.geometry))
+    return mt.omega_rescaled(mt.RescaledAnsatz(1, (f,), (g,), f))
 
 
 def raw_omega(args):

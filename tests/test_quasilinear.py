@@ -535,7 +535,7 @@ def test_certificate_refused_for_generic_fields():
          for _ in range(2)]
     g = [mt.random_trig_field(rng, n_modes=3, max_mode=2, amplitude=0.4)
          for _ in range(2)]
-    resc = mt.RescaledAnsatz(2, tuple(f), tuple(g), lam, lam.geometry)
+    resc = mt.RescaledAnsatz(2, tuple(f), tuple(g), lam)
     cert = mt.egorov_certificate(resc, tol=1e-10)
     assert not cert.certified
     assert max(cert.residual_sups.values()) > 1e-3

@@ -845,6 +845,53 @@ def test_grid_cap_is_checked_before_the_grid_is_built(monkeypatch):
                for nx, ny in (d.get("grid", [64, 64]) for d in BUNDLED.values()))
 
 
+def test_degree_above_the_cap_is_refused_promptly(tmp_path):
+    path = tmp_path / "huge-n.json"
+    path.write_text(json.dumps(dict(BUNDLED["flat-zero-field"], N=1000000)))
+    for command in ("verify", "simulate"):
+        proc = run_python("-m", "magtorus", command, str(path), timeout=30.0)
+        assert proc.returncode == 2
+        assert "error: N = 1000000 exceeds the limit of 200" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_degree_cap_is_checked_before_the_zero_fields_are_built(monkeypatch):
+    built = []
+    zero_field = mt.scenarios.zero_field
+    monkeypatch.setattr(mt.scenarios, "zero_field",
+                        lambda geometry: built.append(1) or zero_field(geometry))
+    mt.build_scenario(dict(BUNDLED["flat-zero-field"], N=mt.scenarios.MAX_N))
+    assert len(built) == 2 * mt.scenarios.MAX_N - 1
+    built.clear()
+    with pytest.raises(ScenarioError, match="N = 201 exceeds the limit of 200"):
+        mt.build_scenario(dict(BUNDLED["flat-zero-field"], N=mt.scenarios.MAX_N + 1))
+    assert built == []
+    assert all(d["N"] <= mt.scenarios.MAX_N for d in BUNDLED.values())
+
+
+def test_trig_table_above_the_cap_is_refused_at_load(tmp_path):
+    # About 2.9k x 4.9k distinct wavenumbers: 7.3 GB of grid table.
+    data = dict(BUNDLED["flat-zero-field"], coefficients=[
+        {"k": 0, "u": {"type": "random_trig", "seed": 1, "modes": 10000,
+                       "max_mode": 3000, "amplitude": 0.1}}])
+    path = tmp_path / "huge-table.json"
+    path.write_text(json.dumps(data))
+    proc = run_python("-m", "magtorus", "verify", str(path), timeout=30.0)
+    assert proc.returncode == 2
+    assert re.search(r"error: coefficient k=0 u: trigonometric field needs a grid table "
+                     r"of \d+ x \d+ distinct wavenumbers, above the limit of 4194304 "
+                     r"\(2048x2048\) cells", proc.stderr), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["linear-family-periodic", "random-nonsolution",
+                                  "flat-zero-field"])
+def test_verify_of_trigonometric_fields_builds_no_mesh(name):
+    scenario = mt.load_scenario(name)
+    run_verify_checks(scenario, want_grids=True)
+    assert "_mesh" not in vars(scenario.grid)
+
+
 @pytest.mark.parametrize("change, message", [
     ({"name": "a/b"}, "name must be a nonempty string"),
     ({"name": "a\\b"}, "name must be a nonempty string"),
