@@ -159,34 +159,27 @@ class RescaledAnsatz:
         same_torus(self.lam, *self.f, *self.g)
 
 
+def _scaled_pairs(n: int, lam: Field, first, second, sign: int) -> tuple:
+    """(first_k Lambda^(sign k/2), second_k Lambda^(sign k/2)) for
+    k = 0 .. n-1: the one loop of `rescale` (sign -1) and `unrescale`
+    (sign +1)."""
+    f, g = [first[0]], [second[0]]
+    for k in range(1, n):
+        scale = lam ** (sign * k / 2.0)
+        f.append(first[k] * scale)
+        g.append(second[k] * scale)
+    return tuple(f), tuple(g)
+
+
 def rescale(ansatz: Ansatz) -> RescaledAnsatz:
     """Exact pointwise transformation; derivatives propagate by the chain rule."""
-    f = []
-    g = []
-    for k in range(ansatz.n):
-        if k == 0:
-            f.append(ansatz.u[0])
-            g.append(ansatz.v[0])
-        else:
-            scale = ansatz.lam ** (-k / 2.0)
-            f.append(ansatz.u[k] * scale)
-            g.append(ansatz.v[k] * scale)
-    return RescaledAnsatz(ansatz.n, tuple(f), tuple(g), ansatz.lam)
+    f, g = _scaled_pairs(ansatz.n, ansatz.lam, ansatz.u, ansatz.v, -1)
+    return RescaledAnsatz(ansatz.n, f, g, ansatz.lam)
 
 
 def unrescale(rescaled: RescaledAnsatz) -> tuple:
     """Recover (u_0.., v_0..) coefficient fields from the rescaled variables."""
-    u = []
-    v = []
-    for k in range(rescaled.n):
-        if k == 0:
-            u.append(rescaled.f[0])
-            v.append(rescaled.g[0])
-        else:
-            scale = rescaled.lam ** (k / 2.0)
-            u.append(rescaled.f[k] * scale)
-            v.append(rescaled.g[k] * scale)
-    return tuple(u), tuple(v)
+    return _scaled_pairs(rescaled.n, rescaled.lam, rescaled.f, rescaled.g, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ aborted integration, 2 on input errors (malformed JSON, unknown presets or
 scenario names, nonpositive conformal factor, wrong state-vector length, an
 ``--at`` state whose A or B is not finite in float64, step, tolerance,
 trajectory or torus-period values that are not finite and positive, an
-ansatz degree, grid or trigonometric field table above its limit).
+ansatz degree, ``--geodesic`` degree, grid or trigonometric field table
+above its limit).
 
 Reports are JSON with sorted keys and floats printed to 17 significant
 digits, so identical scenarios and flags produce byte-identical payloads;
@@ -38,7 +39,8 @@ from .ansatz import (conservation_residuals, constraint_residual,
                      residual_stationarity)
 from .quasilinear import (StateVector, assemble, certificate_from_reports,
                           geodesic_matrix, spectra, spectrum)
-from .scenarios import Scenario, ScenarioError, bundled_scenario_names, load_scenario
+from .scenarios import (MAX_N, Scenario, ScenarioError, bundled_scenario_names,
+                        load_scenario)
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -321,8 +323,9 @@ def _write_drift_dat(path: Path, traj):
 
 
 def _parse_geodesic(text: str):
-    """(n, a values, geodesic matrix) of a --geodesic spec; a spec whose
-    matrix overflows float64 is refused here, naming the flag."""
+    """(n, a values, geodesic matrix) of a --geodesic spec; a degree above
+    MAX_N or a matrix that overflows float64 is refused here, naming the
+    flag."""
     values = {}
     for part in text.split():
         key, _, val = part.partition("=")
@@ -335,6 +338,8 @@ def _parse_geodesic(text: str):
         n, avals = int(values["n"]), [float(tok) for tok in values["a"].split(",")]
     except ValueError:
         raise ScenarioError(f"--geodesic needs an integer n and numbers a, got {text!r}") from None
+    if n > MAX_N:
+        raise ScenarioError(f"--geodesic degree n = {n} exceeds the limit of {MAX_N}")
     if not all(map(math.isfinite, avals)):
         raise ScenarioError(f"--geodesic a values must be finite, got {avals}")
     with np.errstate(over="ignore", invalid="ignore"):

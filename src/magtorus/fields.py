@@ -12,9 +12,13 @@ Two backends:
 
 Evaluation is forward mode: ``field.jet(x, y)`` returns ``(v, v_x, v_y)``;
 sums, products and powers of fields are nodes combining their children's
-jets once.  On a `SamplingGrid`, trigonometric leaves evaluate separably and
-at most once per grid (the grid memoizes leaf jets only); same-shaped arrays
-go through the same expression tree with numpy.  At a single point (plain
+jets once.  Trigonometric tables are closed only under the linear
+operations, whose table sizes add: a sum of trigonometric fields, a scalar
+multiple and a spectral derivative (`dx_field`, `dy_field`) are tables
+again, while every product of two fields is a node.  On a `SamplingGrid`,
+trigonometric leaves evaluate separably and at most once per grid (the grid
+memoizes leaf jets only); same-shaped arrays go through the same expression
+tree with numpy.  At a single point (plain
 int or float coordinates) a field runs its compiled point kernel
 (`point_kernel`): one straight-line Python function of (x, y), written once
 per field on first use, with each trigonometric term inlined and each node's
@@ -128,6 +132,13 @@ def same_torus(*items) -> TorusGeometry:
 Jet = namedtuple("Jet", "v x y")
 
 
+def power_jet(a: Jet, p: float) -> Jet:
+    """Jet of a ** p by the chain rule, slope p a^(p-1): the one power rule,
+    for field nodes and for the quasi-linear normalization u_N = Lambda^(N/2)."""
+    slope = p * a.v ** (p - 1.0)
+    return Jet(a.v ** p, slope * a.x, slope * a.y)
+
+
 # ---------------------------------------------------------------------------
 # Field base class and algebra
 # ---------------------------------------------------------------------------
@@ -209,12 +220,7 @@ class Field:
         p = float(p)
         if p == 1.0:
             return self
-
-        def power(a):
-            slope = p * a.v ** (p - 1.0)
-            return Jet(a.v ** p, slope * a.x, slope * a.y)
-
-        return _Node(power, (self,))
+        return _Node(functools.partial(power_jet, p=p), (self,))
 
 
 class TrigField(Field):
@@ -293,7 +299,7 @@ class TrigField(Field):
             table[(-m, -n)] = c.conjugate()
         return table
 
-    # -- trig-exact algebra ---------------------------------------------------
+    # -- linear algebra on tables --------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
@@ -309,17 +315,12 @@ class TrigField(Field):
     __radd__ = __add__
 
     def __mul__(self, other):
+        """A scalar multiple is a table; a product of two fields is a node."""
         if isinstance(other, (int, float)):
-            other = constant_field(other, self.geometry)
-        if isinstance(other, TrigField):
-            same_torus(self, other)
-            table = {}
-            right = other.coefficients().items()
-            for mn1, c1 in self.coefficients().items():
-                for mn2, c2 in right:
-                    mn = (mn1[0] + mn2[0], mn1[1] + mn2[1])
-                    table[mn] = table.get(mn, 0.0) + c1 * c2
-            return TrigField(table, self.geometry)
+            scale = complex(float(other))
+            # 0.0 + ...: a zero part stays +0.0 (-1.0 times a zero field has c0 = +0.0)
+            return TrigField({mn: 0.0 + c * scale for mn, c in self.coefficients().items()},
+                             self.geometry)
         return super().__mul__(other)
 
     __rmul__ = __mul__

@@ -91,14 +91,9 @@ class MagneticSystem:
 
 
 def flow_rhs(system: MagneticSystem, state) -> tuple:
-    """Right-hand side of the parameterized flow at a phase point.
-
-    `state` may be a PhaseState or an (x, y, phi) triple.
-    """
-    if isinstance(state, PhaseState):
-        x, y, phi = state.x, state.y, state.phi
-    else:
-        x, y, phi = state
+    """Right-hand side of the parameterized flow at a phase point, an
+    (x, y, phi) triple."""
+    x, y, phi = state
     lam, lam_x, lam_y, om = system.kernel(x, y)
     sqrt_lam = math.sqrt(lam)
     c, s = math.cos(phi), math.sin(phi)
@@ -107,11 +102,8 @@ def flow_rhs(system: MagneticSystem, state) -> tuple:
 
 
 def cotangent_rhs(system: MagneticSystem, state) -> tuple:
-    """Right-hand side of the bracket form on (x, y, p1, p2)."""
-    if isinstance(state, CotangentState):
-        x, y, p1, p2 = state.x, state.y, state.p1, state.p2
-    else:
-        x, y, p1, p2 = state
+    """Right-hand side of the bracket form at an (x, y, p1, p2) tuple."""
+    x, y, p1, p2 = state
     lam, lam_x, lam_y, om = system.kernel(x, y)
     p_sq = p1 * p1 + p2 * p2
     # dH/dx = -p^2 Lambda_x / (2 Lambda^2), dH/dp_i = p_i / Lambda

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 
-from .fields import DomainError, Jet, SamplingGrid
+from .fields import DomainError, Jet, SamplingGrid, power_jet
 from .ansatz import (RescaledAnsatz, ResidualReport, coefficient_jet,
                      conservation_residuals, constraint_residual,
                      constraint_sides, harmonic_relation, omega_closed_form)
@@ -108,8 +108,7 @@ def stacked_residual(state, ux, uy) -> np.ndarray:
     values = stack.T.reshape(stack.shape[::-1] + (1,) * (ux.ndim - 1))
     lam, *free = map(Jet, values, ux, uy)
     lam = lam._replace(v=lam.v.view(_PerStatePowers))
-    slope = (n / 2.0) * lam.v ** (n / 2.0 - 1.0)
-    u = free[:n] + [Jet(lam.v ** (n / 2.0), slope * lam.x, slope * lam.y)]
+    u = free[:n] + [power_jet(lam, n / 2.0)]
     v = [Jet(0.0, 0.0, 0.0)] + free[n:] + [Jet(0.0, 0.0, 0.0)]
     a = {j: coefficient_jet(n, j, lambda m: (u[m], v[m])) for j in range(-1, n + 1)}
     omega = omega_closed_form(n, lam, u[n - 1], v[n - 1])

@@ -107,9 +107,9 @@ def reports(out: Path) -> dict:
 
 def record(code: int, out: Path) -> dict:
     """What a run leaves: exit code, file digests and kernel counts."""
-    entry = {"exit": code, "files": digest_outputs(out) if out.is_dir() else {}}
+    entry = {"exit": code, "files": digest_outputs(out)}
     kernels = {}
-    for report in reports(out).values() if out.is_dir() else ():
+    for report in reports(out).values():
         if report.get("kind") == "simulate":
             for name, stats in sorted(report["stats"].items()):
                 kernels[name] = stats["rhs_kernel"]
@@ -126,8 +126,7 @@ def run_all(root: Path):
     for ident, argv in bundled_runs().items():
         out = root / "bundled-out" / ident
         records[ident] = record(run_cli(argv + ["--out", str(out)]), out)
-        payloads[ident] = {name: report["payload"] for name, report in reports(out).items()} \
-            if out.is_dir() else {}
+        payloads[ident] = {name: report["payload"] for name, report in reports(out).items()}
     bench = benchmark_runs(root / "benchmark")
     for ident, (_, inv) in bench.items():
         records[ident] = record(run_cli(inv["argv"]), Path(inv["out"]))

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 import magtorus as mt
-from magtorus.fields import LAMBDA_FLOOR, DomainError, Jet, TrigField, _Node
+from magtorus.fields import LAMBDA_FLOOR, DomainError, Jet, TrigField, _Node, same_torus
 
 
 def exact_family():
@@ -55,6 +55,17 @@ def top_harmonic_displays(n, f, g, fm2, gm2, lam, X, Y):
     return disp1, disp2
 
 
+def trig_product(left: TrigField, right: TrigField) -> TrigField:
+    """The product of two trig polynomials as a table: the convolution of
+    their full coefficient tables (fields multiply to expression nodes)."""
+    same_torus(left, right)
+    table = {}
+    for (m1, n1), c1 in left.coefficients().items():
+        for (m2, n2), c2 in right.coefficients().items():
+            table[(m1 + m2, n1 + n2)] = table.get((m1 + m2, n1 + n2), 0.0) + c1 * c2
+    return TrigField(table, left.geometry)
+
+
 def solve_div_curl(div_rhs: TrigField, curl_rhs: TrigField, geometry):
     """Periodic fields (p, q) with p_x + q_y = div_rhs and p_y - q_x = curl_rhs,
     solved exactly per Fourier mode (the zero-mean modes must vanish)."""
@@ -84,8 +95,8 @@ def manufactured_rescaled(n, psi: TrigField, lam: TrigField) -> mt.RescaledAnsat
     geometry = psi.geometry
     f, g = stream_pair(psi)
     d_field = g.dx_field() + (-1.0) * f.dy_field()
-    div_rhs = (-float(n)) * lam.dx_field() + (-(n - 1) / n) * (g * d_field)
-    curl_rhs = float(n) * lam.dy_field() + (-(n - 1) / n) * (f * d_field)
+    div_rhs = (-float(n)) * lam.dx_field() + (-(n - 1) / n) * trig_product(g, d_field)
+    curl_rhs = float(n) * lam.dy_field() + (-(n - 1) / n) * trig_product(f, d_field)
     fm2, gm2 = solve_div_curl(div_rhs, curl_rhs, geometry)
     zero = mt.zero_field(geometry)
     f_list = [zero] * (n - 2) + [fm2, f]

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import magtorus as mt
-from magtorus.fields import (FieldError, DerivativeUnavailable, TrigField,
+from magtorus.fields import (FieldError, DerivativeUnavailable, TrigField, _Node,
                              check_conformal_factor)
-from helpers import eval_complex
+from helpers import eval_complex, trig_product
 
 
 def direct_trig_sum(table, x, y, geometry=None):
@@ -189,12 +189,34 @@ def test_trig_product_is_exact_convolution():
     a = mt.random_trig_field(rng, n_modes=3, max_mode=2, amplitude=0.5)
     b = mt.random_trig_field(rng, n_modes=3, max_mode=2, amplitude=0.5)
     prod = a * b
-    assert isinstance(prod, TrigField)
+    table = trig_product(a, b)
     for _ in range(20):
         x, y = rng.uniform(0, 2 * math.pi, 2)
         assert abs(prod.eval(x, y) - a.eval(x, y) * b.eval(x, y)) < 1e-13
+        assert abs(prod.eval(x, y) - table.eval(x, y)) < 1e-13
         expect = a.d_dx(x, y) * b.eval(x, y) + a.eval(x, y) * b.d_dx(x, y)
         assert abs(prod.d_dx(x, y) - expect) < 1e-13
+        assert abs(prod.d_dx(x, y) - table.d_dx(x, y)) < 1e-13
+        assert abs(prod.d_dy(x, y) - table.d_dy(x, y)) < 1e-13
+
+
+def test_product_beyond_the_table_cap_is_a_node():
+    # 100 modes each on two skewed lattices: the convolution has about
+    # 4e4 x 4e4 distinct wavenumbers, far above MAX_TABLE_CELLS.
+    a = TrigField({(i, 200 * i): 0.01 * (1 + 1j) for i in range(1, 101)})
+    b = TrigField({(200 * j, j): 0.01 * (2 - 1j) for j in range(1, 101)})
+    with pytest.raises(FieldError, match="above the limit"):
+        trig_product(a, b)
+    prod = a * b
+    assert isinstance(prod, _Node)
+    grid = mt.SamplingGrid(16, 16)
+    pa, pb, got = a.jet(grid), b.jet(grid), prod.jet(grid)
+    want = (pa.v * pb.v, pa.x * pb.v + pa.v * pb.x, pa.y * pb.v + pa.v * pb.y)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    x, y = 0.7, 0.3
+    pa, pb = a.jet(x, y), b.jet(x, y)
+    assert prod.jet(x, y) == (pa.v * pb.v, pa.x * pb.v + pa.v * pb.x,
+                              pa.y * pb.v + pa.v * pb.y)
 
 
 def test_field_algebra_chain_rules():

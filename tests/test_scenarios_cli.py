@@ -721,6 +721,16 @@ def test_geodesic_matrix_overflow_names_the_flag():
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("n, values", [(201, 202), (10 ** 9, 3)], ids=["cap+1", "huge"])
+def test_geodesic_degree_above_the_cap_is_refused(n, values):
+    # QZ work grows about as n^3: a degree of a few thousand would run for minutes.
+    spec = f"n={n} a={','.join(['1'] * values)}"
+    proc = run_python("-m", "magtorus", "assemble", "--geodesic", spec, timeout=60.0)
+    assert proc.returncode == 2
+    assert f"error: --geodesic degree n = {n} exceeds the limit of 200" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("where, spec, message", [
     ("u", {"type": "trig", "coeffs": [{"m": 1, "n": 0, "re": None}]},
      "trig coefficient re must be a number, got None"),
@@ -882,6 +892,21 @@ def test_trig_table_above_the_cap_is_refused_at_load(tmp_path):
                      r"of \d+ x \d+ distinct wavenumbers, above the limit of 4194304 "
                      r"\(2048x2048\) cells", proc.stderr), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_product_of_wide_trig_fields_is_not_tabulated(tmp_path):
+    # f * f of the N = 1 conservation fluxes: as a convolution table it would
+    # need far more than MAX_TABLE_CELLS; as a node it is the product rule.
+    data = dict(BUNDLED["flat-zero-field"], checks=["conservation"], coefficients=[
+        {"k": 0, "u": {"type": "random_trig", "seed": 3, "modes": 700,
+                       "max_mode": 1100}}])
+    data.pop("trajectories")
+    path = tmp_path / "wide-product.json"
+    path.write_text(json.dumps(data))
+    proc = run_python("-m", "magtorus", "verify", str(path), timeout=30.0)
+    assert proc.returncode == 0, proc.stderr
+    (check,) = stdout_json(proc.stdout)["payload"]["checks"]
+    assert check["check"] == "conservation" and check["pass"]
 
 
 @pytest.mark.parametrize("name", ["linear-family-periodic", "random-nonsolution",
