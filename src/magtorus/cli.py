@@ -7,7 +7,7 @@ scenario names, nonpositive conformal factor, wrong state-vector length, an
 ``--at`` state whose A or B is not finite in float64, step, tolerance,
 trajectory or torus-period values that are not finite and positive, an
 ansatz degree, ``--geodesic`` degree, grid or trigonometric field table
-above its limit).
+above its limit, a ``--geodesic`` degree below 2 or a grid side below 4).
 
 Reports are JSON with sorted keys and floats printed to 17 significant
 digits, so identical scenarios and flags produce byte-identical payloads;
@@ -323,9 +323,9 @@ def _write_drift_dat(path: Path, traj):
 
 
 def _parse_geodesic(text: str):
-    """(n, a values, geodesic matrix) of a --geodesic spec; a degree above
-    MAX_N or a matrix that overflows float64 is refused here, naming the
-    flag."""
+    """(n, a values, geodesic matrix) of a --geodesic spec; a degree below 2
+    or above MAX_N, a count of a values other than n + 1 or a matrix that
+    overflows float64 is refused here, naming the flag."""
     values = {}
     for part in text.split():
         key, _, val = part.partition("=")
@@ -340,6 +340,11 @@ def _parse_geodesic(text: str):
         raise ScenarioError(f"--geodesic needs an integer n and numbers a, got {text!r}") from None
     if n > MAX_N:
         raise ScenarioError(f"--geodesic degree n = {n} exceeds the limit of {MAX_N}")
+    if n < 2:
+        raise ScenarioError(f"--geodesic degree n = {n} is below 2")
+    if len(avals) != n + 1:
+        raise ScenarioError(f"--geodesic n={n} needs {n + 1} values a_0..a_{n}, "
+                            f"got {len(avals)}")
     if not all(map(math.isfinite, avals)):
         raise ScenarioError(f"--geodesic a values must be finite, got {avals}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -377,10 +382,14 @@ def _parse_states(texts, n: int) -> np.ndarray:
     with the message it gets on its own."""
     rows = []
     for text in texts:
-        values = [float(tok) for tok in text.split(",")]
+        try:
+            values = [float(tok) for tok in text.split(",")]
+        except ValueError:
+            raise ScenarioError(f"--at state {text!r} must be numbers separated "
+                                "by commas") from None
         if len(values) != 2 * n:
-            raise ScenarioError(f"state vector must have length 2N = {2 * n}, "
-                                f"got {len(values)}")
+            raise ScenarioError(f"--at state {text!r} has length {len(values)}, "
+                                f"not 2N = {2 * n}")
         if not (all(map(math.isfinite, values)) and values[0] > 0.0):
             StateVector(np.asarray(values))   # raises the state's own error
         rows.append(values)

@@ -10,12 +10,11 @@ Two backends:
 * analytic closed forms -- a value rule plus closed-form first-derivative
   rules, admitting non-periodic profiles such as a linear ramp in y.
 
-Evaluation is forward mode: ``field.jet(x, y)`` returns ``(v, v_x, v_y)``;
-sums, products and powers of fields are nodes combining their children's
-jets once.  Trigonometric tables are closed only under the linear
-operations, whose table sizes add: a sum of trigonometric fields, a scalar
-multiple and a spectral derivative (`dx_field`, `dy_field`) are tables
-again, while every product of two fields is a node.  On a `SamplingGrid`,
+Evaluation is forward mode: ``field.jet(x, y)`` returns ``(v, v_x, v_y)``.
+A trigonometric table is a leaf: the spectral derivatives (`dx_field`,
+`dy_field`) are the only operations from a table to a table, and every sum,
+difference, negation, scalar multiple, product and power of fields is a node
+combining its children's jets once.  On a `SamplingGrid`,
 trigonometric leaves evaluate separably and at most once per grid (the grid
 memoizes leaf jets only); same-shaped arrays go through the same expression
 tree with numpy.  At a single point (plain
@@ -298,32 +297,6 @@ class TrigField(Field):
             table[(m, n)] = c
             table[(-m, -n)] = c.conjugate()
         return table
-
-    # -- linear algebra on tables --------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            other = constant_field(other, self.geometry)
-        if isinstance(other, TrigField):
-            same_torus(self, other)
-            table = self.coefficients()
-            for mn, c in other.coefficients().items():
-                table[mn] = table.get(mn, 0.0) + c
-            return TrigField(table, self.geometry)
-        return super().__add__(other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        """A scalar multiple is a table; a product of two fields is a node."""
-        if isinstance(other, (int, float)):
-            scale = complex(float(other))
-            # 0.0 + ...: a zero part stays +0.0 (-1.0 times a zero field has c0 = +0.0)
-            return TrigField({mn: 0.0 + c * scale for mn, c in self.coefficients().items()},
-                             self.geometry)
-        return super().__mul__(other)
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return f"TrigField({1 + 2 * len(self._half)} modes)"

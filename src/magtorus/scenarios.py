@@ -142,6 +142,7 @@ def build_scenario(data: dict, *, seed: int | None = None,
     _require(nx * ny <= MAX_GRID_POINTS,
              f"{grid_source} {nx}x{ny} exceeds the limit of {MAX_GRID_POINTS} "
              f"(2048x2048) grid points")
+    _require(nx >= 4 and ny >= 4, f"{grid_source} {nx}x{ny} needs nx, ny >= 4")
     grid = SamplingGrid(nx, ny, geometry)
 
     if tol_override is not None:

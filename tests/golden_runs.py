@@ -118,6 +118,23 @@ def record(code: int, out: Path) -> dict:
     return entry
 
 
+def record_changes(want: dict, got: dict) -> list:
+    """What differs from the records `want` to the records `got` (run id ->
+    record): each run added or removed, each file added, removed or with
+    another digest, and each change of exit code or `rhs_kernel` counts."""
+    changes = [f"{ident}: run {'added' if ident in got else 'removed'}"
+               for ident in sorted(set(want) ^ set(got))]
+    for ident in sorted(set(want) & set(got)):
+        old, new = want[ident], got[ident]
+        changes += [f"{ident}: {name}"
+                    for name in sorted(set(old["files"]) | set(new["files"]))
+                    if old["files"].get(name) != new["files"].get(name)]
+        if {**old, "files": None} != {**new, "files": None}:
+            changes.append(f"{ident}: exit {old['exit']} -> {new['exit']}, rhs_kernel "
+                           f"{old.get('rhs_kernel')} -> {new.get('rhs_kernel')}")
+    return changes
+
+
 def run_all(root: Path):
     """Run every golden run under `root`.  Returns (records by run id,
     bundled payloads by run id, benchmark (workload, manifest entry) by run

@@ -38,7 +38,7 @@ def circular_closed_form(t, b=1.0, x0=0.0, y0=0.0, phi0=0.0):
 
 def stream_pair(psi: TrigField):
     """f = psi_y, g = -psi_x, so f_x + g_y = 0 identically (mixed partials)."""
-    return psi.dy_field(), -1.0 * psi.dx_field()
+    return psi.dy_field(), trig_combination((-1.0, psi.dx_field()))
 
 
 def top_harmonic_displays(n, f, g, fm2, gm2, lam, X, Y):
@@ -53,6 +53,17 @@ def top_harmonic_displays(n, f, g, fm2, gm2, lam, X, Y):
     disp2 = ((n - 1) * g.eval(X, Y) * d_vals
              + n * (fm2.d_dx(X, Y) + gm2.d_dy(X, Y) + n * lam.d_dx(X, Y)))
     return disp1, disp2
+
+
+def trig_combination(*terms) -> TrigField:
+    """The linear combination sum of s * field over (s, field) pairs of trig
+    polynomials as a table, summed per mode (fields add to expression nodes)."""
+    same_torus(*(field for _, field in terms))
+    table = {}
+    for scale, field in terms:
+        for mn, c in field.coefficients().items():
+            table[mn] = table.get(mn, 0.0) + scale * c
+    return TrigField(table, terms[0][1].geometry)
 
 
 def trig_product(left: TrigField, right: TrigField) -> TrigField:
@@ -94,9 +105,11 @@ def manufactured_rescaled(n, psi: TrigField, lam: TrigField) -> mt.RescaledAnsat
     and (f_{N-2}, g_{N-2}) solve the two display equations spectrally."""
     geometry = psi.geometry
     f, g = stream_pair(psi)
-    d_field = g.dx_field() + (-1.0) * f.dy_field()
-    div_rhs = (-float(n)) * lam.dx_field() + (-(n - 1) / n) * trig_product(g, d_field)
-    curl_rhs = float(n) * lam.dy_field() + (-(n - 1) / n) * trig_product(f, d_field)
+    d_field = trig_combination((1.0, g.dx_field()), (-1.0, f.dy_field()))
+    div_rhs = trig_combination((-float(n), lam.dx_field()),
+                               (-(n - 1) / n, trig_product(g, d_field)))
+    curl_rhs = trig_combination((float(n), lam.dy_field()),
+                                (-(n - 1) / n, trig_product(f, d_field)))
     fm2, gm2 = solve_div_curl(div_rhs, curl_rhs, geometry)
     zero = mt.zero_field(geometry)
     f_list = [zero] * (n - 2) + [fm2, f]

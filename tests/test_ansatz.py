@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import magtorus as mt
+import magtorus.ansatz as ansatz_module
 from magtorus.ansatz import harmonic_residual_values, stationarity_residual_values
+from magtorus.fields import TrigField
 from helpers import (exact_family, manufactured_rescaled, stream_pair,
                      top_harmonic_displays)
 
@@ -359,6 +361,30 @@ def test_conservation_identity_with_top_harmonics():
         disp1, disp2 = top_harmonic_displays(n, f, g, fm2, gm2, lam, X, Y)
         assert np.max(np.abs(res1 - disp1)) < 1e-12
         assert np.max(np.abs(res2 + disp2)) < 1e-12
+
+
+def trig_leaves(field) -> list:
+    """The trigonometric tables reachable from `field` through node children."""
+    if isinstance(field, TrigField):
+        return [field]
+    return [leaf for child in getattr(field, "_children", ()) for leaf in trig_leaves(child)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_conservation_fluxes_reach_only_the_ansatz_tables(monkeypatch, n):
+    # Sums, differences and scalar multiples of tables are nodes, so the flux
+    # fields copy no table: their leaves are the ansatz's own fields and, at
+    # N = 1, the zero field g_{-1} of the second block.
+    ansatz = random_ansatz(np.random.default_rng(71), n)
+    made = []
+    monkeypatch.setattr(ansatz_module, "zero_field",
+                        lambda geometry: made.append(mt.zero_field(geometry)) or made[-1])
+    fields = mt.conservation_flux_fields(mt.rescale(ansatz))[:3]
+    assert len(made) == (n == 1)
+    allowed = {id(f) for f in ansatz.fields() + tuple(made)}
+    leaves = [leaf for field in fields for leaf in trig_leaves(field)]
+    assert ansatz.lam in leaves
+    assert all(id(leaf) in allowed for leaf in leaves)
 
 
 def test_conservation_degenerate_n1():

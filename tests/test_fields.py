@@ -9,7 +9,7 @@ import pytest
 import magtorus as mt
 from magtorus.fields import (FieldError, DerivativeUnavailable, TrigField, _Node,
                              check_conformal_factor)
-from helpers import eval_complex, trig_product
+from helpers import eval_complex, same_bits, trig_product
 
 
 def direct_trig_sum(table, x, y, geometry=None):
@@ -207,16 +207,24 @@ def test_product_beyond_the_table_cap_is_a_node():
     b = TrigField({(200 * j, j): 0.01 * (2 - 1j) for j in range(1, 101)})
     with pytest.raises(FieldError, match="above the limit"):
         trig_product(a, b)
-    prod = a * b
-    assert isinstance(prod, _Node)
+    # A table is a leaf: every combination of tables is a node whose jet is
+    # its rule on the leaves' jets, and only the spectral derivatives are tables.
+    combinations = {
+        "a * b": (a * b, lambda p, q: (p.v * q.v, p.x * q.v + p.v * q.x,
+                                       p.y * q.v + p.v * q.y)),
+        "a + b": (a + b, lambda p, q: (p.v + q.v, p.x + q.x, p.y + q.y)),
+        "a - b": (a - b, lambda p, q: (p.v - q.v, p.x - q.x, p.y - q.y)),
+        "-a": (-a, lambda p, q: (-p.v, -p.x, -p.y)),
+        "3.0 * a": (3.0 * a, lambda p, q: (3.0 * p.v, 3.0 * p.x, 3.0 * p.y)),
+    }
     grid = mt.SamplingGrid(16, 16)
-    pa, pb, got = a.jet(grid), b.jet(grid), prod.jet(grid)
-    want = (pa.v * pb.v, pa.x * pb.v + pa.v * pb.x, pa.y * pb.v + pa.v * pb.y)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    x, y = 0.7, 0.3
-    pa, pb = a.jet(x, y), b.jet(x, y)
-    assert prod.jet(x, y) == (pa.v * pb.v, pa.x * pb.v + pa.v * pb.x,
-                              pa.y * pb.v + pa.v * pb.y)
+    for name, (field, rule) in combinations.items():
+        assert isinstance(field, _Node), name
+        got, want = field.jet(grid), rule(a.jet(grid), b.jet(grid))
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want], name
+        got, want = field.jet(0.7, 0.3), rule(a.jet(0.7, 0.3), b.jet(0.7, 0.3))
+        assert all(map(same_bits, got, want)), name
+    assert isinstance(a.dx_field(), TrigField) and isinstance(a.dy_field(), TrigField)
 
 
 def test_field_algebra_chain_rules():

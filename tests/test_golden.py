@@ -76,14 +76,7 @@ def test_outputs_match_golden(outputs):
     records, payloads, bench = outputs
     if golden_runs.fingerprint() == DIGESTS["fingerprint"]:
         print("golden: platform fingerprint matches; comparing digests")
-        changed = [f"{ident}: {name}"
-                   for ident, want in DIGESTS["runs"].items()
-                   for name in sorted(set(want["files"]) | set(records[ident]["files"]))
-                   if want["files"].get(name) != records[ident]["files"].get(name)]
-        changed += [f"{ident}: exit {records[ident]['exit']}, "
-                    f"rhs_kernel {records[ident].get('rhs_kernel')}"
-                    for ident, want in DIGESTS["runs"].items()
-                    if {**want, "files": None} != {**records[ident], "files": None}]
+        changed = golden_runs.record_changes(DIGESTS["runs"], records)
         assert changed == [], "outputs changed:\n" + "\n".join(changed)
     else:
         print("golden: another platform; comparing numbers at perfbench/checks.py "

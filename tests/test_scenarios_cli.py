@@ -721,6 +721,36 @@ def test_geodesic_matrix_overflow_names_the_flag():
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("n=3 a=1,2", "--geodesic n=3 needs 4 values a_0..a_3, got 2"),
+    ("n=1 a=1,1", "--geodesic degree n = 1 is below 2"),
+], ids=["value-count", "degree-1"])
+def test_geodesic_degree_and_value_count_name_the_flag(spec, message):
+    proc = run_python("-m", "magtorus", "assemble", "--geodesic", spec)
+    assert proc.returncode == 2
+    assert f"error: {message}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, scenario_grid, message", [
+    (["assemble", "--at", "2,abc"], None, "--at state '2,abc' must be numbers"),
+    (["assemble", "--at", "2,"], None, "--at state '2,' must be numbers"),
+    (["assemble", "--at", "2"], None, "--at state '2' has length 1, not 2N = 2"),
+    (["verify", "--grid", "3,3"], None, "--grid 3x3 needs nx, ny >= 4"),
+    (["verify"], [3, 3], "grid 3x3 needs nx, ny >= 4"),
+], ids=["at-word", "at-empty", "at-length", "grid-flag", "grid-key"])
+def test_bad_state_or_grid_names_the_flag_or_key(tmp_path, capsys, argv, scenario_grid,
+                                                 message):
+    scenario = "flat-zero-field"
+    if scenario_grid is not None:
+        scenario = str(tmp_path / "small_grid.json")
+        Path(scenario).write_text(json.dumps(dict(BUNDLED["flat-zero-field"],
+                                                  grid=scenario_grid)))
+    code, _, err = run_cli(capsys, argv[0], scenario, *argv[1:])
+    assert code == 2
+    assert f"error: {message}" in err
+
+
 @pytest.mark.parametrize("n, values", [(201, 202), (10 ** 9, 3)], ids=["cap+1", "huge"])
 def test_geodesic_degree_above_the_cap_is_refused(n, values):
     # QZ work grows about as n^3: a degree of a few thousand would run for minutes.
