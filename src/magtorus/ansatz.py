@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field as _dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,11 +60,12 @@ class EquationResidual:
 @dataclass
 class ResidualReport:
     """Residual norms per equation.  `values`, where the kernel provides it,
-    is the pointwise residual magnitude on the grid (for plotting)."""
+    is the pointwise residual magnitude on the grid (for plotting); `flags`,
+    where the kernel raises them, qualify the result."""
 
     entries: list
     periodic: bool = True
-    flags: list = _dc_field(default_factory=list)
+    flags: list | None = None
     values: np.ndarray | None = None
 
     def entry(self, label: str) -> EquationResidual:
@@ -75,7 +76,7 @@ class ResidualReport:
 
     @property
     def max_sup(self) -> float:
-        return max(e.sup for e in self.entries)
+        return float(np.max([e.sup for e in self.entries]))   # NaN if any is NaN
 
     def summary(self) -> str:
         return "; ".join(f"{e.label}: sup={e.sup:.3e} rel={e.rel_sup:.3e}"
@@ -89,18 +90,19 @@ def _largest(*terms):
 
 def _residual_entry(label, chunks) -> EquationResidual:
     """Norms of an equation whose samples come as (residual, largest term
-    magnitude) array pairs, accumulated one pair at a time."""
+    magnitude) array pairs, accumulated one pair at a time.  A NaN sample
+    makes `sup` and `rel_sup` NaN."""
     sup = rel_sup = square_sum = rel_square_sum = 0.0
     count = 0
     for residual, mags in chunks:
         rel = np.abs(residual) / (1.0 + mags)
-        sup = max(sup, float(np.max(np.abs(residual))))
-        rel_sup = max(rel_sup, float(np.max(rel)))
+        sup = np.maximum(sup, np.max(np.abs(residual)))   # NaN wins, unlike max()
+        rel_sup = np.maximum(rel_sup, np.max(rel))
         square_sum += float(np.sum(residual * residual))
         rel_square_sum += float(np.sum(rel * rel))
         count += residual.size
-    return EquationResidual(label, sup, math.sqrt(square_sum / count),
-                            rel_sup, math.sqrt(rel_square_sum / count))
+    return EquationResidual(label, float(sup), math.sqrt(square_sum / count),
+                            float(rel_sup), math.sqrt(rel_square_sum / count))
 
 
 def _all_periodic(fields) -> bool:

@@ -7,7 +7,15 @@ scenario names, nonpositive conformal factor, wrong state-vector length, an
 ``--at`` state whose A or B is not finite in float64, step, tolerance,
 trajectory or torus-period values that are not finite and positive, an
 ansatz degree, ``--geodesic`` degree, grid or trigonometric field table
-above its limit, a ``--geodesic`` degree below 2 or a grid side below 4).
+above its limit, a ``--geodesic`` degree below 2 or a grid side below 4, a
+trigonometric field whose coefficients, wavenumbers, values or first
+partials overflow float64).
+
+One pass rule: a residual check passes when every sup of its reports is
+below the tolerance, and the certificate when its three residual sups are,
+so a NaN sup fails.  A residual norm, certificate sup or trajectory drift
+that is not finite fails its check or trajectory and is named under the
+entry's ``non_finite`` key.
 
 Reports are JSON with sorted keys and floats printed to 17 significant
 digits, so identical scenarios and flags produce byte-identical payloads;
@@ -24,6 +32,7 @@ trajectory.  ``--plot-data`` additionally emits gnuplot-ready columnar files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -105,18 +114,14 @@ def canonical_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def _residual_entries(report) -> list:
-    return [{"label": e.label, "sup": e.sup, "rms": e.rms,
-             "rel_sup": e.rel_sup, "rel_rms": e.rel_rms}
-            for e in report.entries]
-
-
 def _fail_non_finite(entry: dict) -> dict:
-    """The check entry, failed if a residual norm is not finite: each such
-    norm is written as its string ("inf", "nan") and named in `non_finite`."""
+    """The check or trajectory entry, failed if a residual norm or a drift is
+    not finite: each such number is written as its string ("inf", "nan") and
+    named in `non_finite`."""
     named = []
     tables = [(res["label"], res) for res in entry.get("residuals", [])]
     tables.append(("residual_sups", entry.get("residual_sups", {})))
+    tables += [(f"drifts {name}", drift) for name, drift in entry.get("drifts", {}).items()]
     for label, norms in tables:
         for key, value in norms.items():
             if isinstance(value, float) and not math.isfinite(value):
@@ -145,62 +150,42 @@ def _write_grid_dat(path: Path, grid: SamplingGrid, values: np.ndarray):
 
 @np.errstate(all="ignore")   # a check whose norms are not finite fails
 def run_verify_checks(scenario: Scenario, want_grids: bool = False):
-    """Run the scenario's requested residual/certificate checks.  The
-    constraint and conservation reports are computed at most once each; the
-    certificate judges the same reports.
+    """Run the scenario's requested checks.  A residual check passes when
+    every sup of its reports is below the tolerance, so a NaN sup fails it;
+    the certificate judges the sups of the same constraint and conservation
+    reports, each computed at most once.
 
     Returns (payload dict, timings dict, residual grids for --plot-data)."""
-    ansatz = scenario.ansatz
-    omega = scenario.system.omega
-    grid = scenario.grid
-    tol = scenario.tolerance
-    checks = []
-    timings = {}
-    grids = {}
+    ansatz, omega, grid, tol = (scenario.ansatz, scenario.system.omega,
+                                scenario.grid, scenario.tolerance)
     constraint = functools.cache(lambda: constraint_residual(ansatz, grid))
     conservation = functools.cache(lambda: conservation_residuals(rescale(ansatz), grid))
-
+    named_reports = {   # residual check -> its (label, report) pairs, made one at a time
+        "stationarity": lambda: [("stationarity", residual_stationarity(ansatz, omega, grid))],
+        "harmonics": lambda: ((f"harmonic_{k}", residual_harmonic(ansatz, omega, k, grid))
+                              for k in range(ansatz.n + 2)),
+        "constraint": lambda: [("constraint", constraint())],
+        "conservation": lambda: [("conservation", conservation())],
+    }
+    checks, timings, grids = [], {}, {}
     for check in scenario.checks:
         t0 = time.perf_counter()
-        if check == "stationarity":
-            report = residual_stationarity(ansatz, omega, grid)
-            passed = report.max_sup < tol
-            if want_grids:
-                grids["stationarity"] = report.values
-            entry = {"check": check, "pass": passed,
-                     "residuals": _residual_entries(report),
-                     "periodic": report.periodic}
-        elif check == "harmonics":
-            residuals = []
-            periodic = True
-            worst = 0.0
-            for k in range(ansatz.n + 2):
-                rep = residual_harmonic(ansatz, omega, k, grid)
-                residuals.extend(_residual_entries(rep))
-                periodic = periodic and rep.periodic
-                worst = max(worst, rep.max_sup)
-                if want_grids:
-                    grids[f"harmonic_{k}"] = rep.values
-            entry = {"check": check, "pass": worst < tol,
-                     "residuals": residuals, "periodic": periodic}
-        elif check == "constraint":
-            report = constraint()
-            entry = {"check": check, "pass": report.max_sup < tol,
-                     "residuals": _residual_entries(report),
-                     "periodic": report.periodic}
-        elif check == "conservation":
-            report = conservation()
-            entry = {"check": check, "pass": report.max_sup < tol,
-                     "residuals": _residual_entries(report),
-                     "periodic": report.periodic, "flags": list(report.flags)}
-        elif check == "certificate":
+        if check == "certificate":
             cert = certificate_from_reports(constraint(), conservation(), tol)
             entry = {"check": check, "pass": cert.certified,
                      "certified": cert.certified, "tolerance": cert.tolerance,
                      "residual_sups": dict(cert.residual_sups),
                      "flags": list(cert.flags)}
-        else:  # unreachable: scenario validation rejects unknown checks
-            raise ScenarioError(f"unknown check {check!r}")
+        else:
+            entry = {"check": check, "residuals": [], "periodic": True}
+            for label, report in named_reports[check]():   # one report's grid alive at a time
+                entry["residuals"] += map(dataclasses.asdict, report.entries)
+                entry["periodic"] &= report.periodic
+                if report.flags is not None:
+                    entry.setdefault("flags", []).extend(report.flags)
+                if want_grids and report.values is not None:
+                    grids[label] = report.values
+            entry["pass"] = all(res["sup"] < tol for res in entry["residuals"])
         timings[check + "_s"] = time.perf_counter() - t0
         checks.append(_fail_non_finite(entry))
 
@@ -249,7 +234,6 @@ def cmd_simulate(args) -> int:
     results = []
     timings = {}
     work = {}
-    overall = True
     for req in scenario.trajectories:
         t0 = time.perf_counter()
         observables = {"F": f_obs} if "F" in req.observables else {}
@@ -258,11 +242,12 @@ def cmd_simulate(args) -> int:
         timings[req.name + "_s"] = time.perf_counter() - t0
         work[req.name] = dict(_step_stats(traj.stats), H=H_BY_CONSTRUCTION,
                               rhs_kernel=scenario.system.kernel.counts)
-        stats = monitor(traj)
         csv_path = out / f"{scenario.name}_{req.name}.csv"
         export_csv(traj, csv_path)
-        if args.plot_data:
-            _write_drift_dat(out / f"{scenario.name}_{req.name}_drift.dat", traj)
+        with np.errstate(over="ignore", invalid="ignore"):   # a non-finite drift fails
+            stats = monitor(traj)
+            if args.plot_data:
+                _write_drift_dat(out / f"{scenario.name}_{req.name}_drift.dat", traj)
         drifts = {name: {"initial": s.initial, "max_abs": s.max_abs_drift,
                          "relative": s.relative_drift}
                   for name, s in stats.items()}
@@ -270,8 +255,7 @@ def cmd_simulate(args) -> int:
         for name, tol in req.drift_tol.items():
             if name in stats:
                 passed = passed and stats[name].relative_drift <= tol
-        overall = overall and passed
-        results.append({
+        results.append(_fail_non_finite({
             "name": req.name,
             "initial": list(req.initial),
             "t_end": req.t_end,
@@ -285,7 +269,8 @@ def cmd_simulate(args) -> int:
             "drifts": drifts,
             "csv": csv_path.name,
             "pass": passed,
-        })
+        }))
+    overall = all(r["pass"] for r in results)
     payload = {"name": scenario.name, "trajectories": results,
                "overall_pass": overall}
     report = {"schema_version": 1, "kind": "simulate", "payload": payload,

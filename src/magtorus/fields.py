@@ -29,8 +29,12 @@ Each field carries its torus, and it is the one place that torus is stated:
 `same_torus` refuses, with FieldError, to combine fields of different tori,
 to evaluate a field on a grid of another torus, or to build an ansatz or a
 magnetic system from them.  A field has both exact first-derivative rules
-or neither (`exact`).  A trigonometric field whose grid table would exceed
-MAX_TABLE_CELLS is refused when it is built.
+or neither (`exact`).  A trigonometric field is refused, with FieldError,
+when it is built if its grid table would exceed MAX_TABLE_CELLS, or if its
+coefficients, wavenumbers, values or first partials may overflow float64:
+a mode index too large for a float, or a bound |c0| + sum(|a| + |b|) on
+its values or sum |k_x| (|a| + |b|), sum |k_y| (|a| + |b|) on its first
+partials that is not finite.
 """
 
 from __future__ import annotations
@@ -236,8 +240,12 @@ class TrigField(Field):
         self._c0, half = _canonicalize_table(table)
         self._half = dict(sorted(half.items()))
         # f = c0 + sum of a cos(kx x + ky y) - b sin(kx x + ky y), a + i b = 2 c
-        self._terms = [(*self.geometry.wavenumbers(m, n), 2.0 * c.real, 2.0 * c.imag)
-                       for (m, n), c in self._half.items()]
+        try:
+            self._terms = [(*self.geometry.wavenumbers(m, n), 2.0 * c.real, 2.0 * c.imag)
+                           for (m, n), c in self._half.items()]
+        except OverflowError:   # an integer mode too large for a float
+            raise FieldError("a mode index is too large for float64") from None
+        _refuse_overflow(self._c0, self._terms)
         # On grids: Re(E_x @ rows @ E_y), rows = (1, i kx, i ky) (a + i b) over
         # distinct (kx, ky), E_x = exp(i kx x) and E_y = exp(i ky y).
         kx, ky, a, b = np.array([(0.0, 0.0, self._c0, 0.0)] + self._terms).T
@@ -300,6 +308,22 @@ class TrigField(Field):
 
     def __repr__(self):
         return f"TrigField({1 + 2 * len(self._half)} modes)"
+
+
+def _refuse_overflow(c0: float, terms: list):
+    """FieldError unless the bounds |c0| + sum (|a| + |b|) on the values and
+    sum |kx| (|a| + |b|), sum |ky| (|a| + |b|) on the first partials are
+    finite in float64.  Every term has a + i b != 0, so a doubled coefficient
+    or a wavenumber that is not finite makes a bound infinite."""
+    weights = [abs(a) + abs(b) for _, _, a, b in terms]
+    bounds = {"values": abs(c0) + sum(weights),
+              "x partials": sum(abs(t[0]) * w for t, w in zip(terms, weights)),
+              "y partials": sum(abs(t[1]) * w for t, w in zip(terms, weights))}
+    for what, bound in bounds.items():
+        if not math.isfinite(bound):
+            raise FieldError(f"trigonometric field {what} may overflow float64: "
+                             f"their bound from the coefficients and wavenumbers "
+                             f"is not finite")
 
 
 def _canonical(m: int, n: int) -> bool:

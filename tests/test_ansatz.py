@@ -408,6 +408,17 @@ def test_residual_report_invariants():
         rep.entry("missing")
 
 
+def test_a_nan_chunk_makes_the_sups_nan():
+    finite = (np.array([1.0, 2.0]), np.zeros(2))
+    nan = (np.array([math.nan, 0.5]), np.zeros(2))
+    for chunks in ([finite, nan], [nan, finite]):
+        entry = ansatz_module._residual_entry("eq", chunks)
+        assert math.isnan(entry.sup) and math.isnan(entry.rel_sup)
+    report = mt.ResidualReport([ansatz_module._residual_entry("a", [finite]),
+                                ansatz_module._residual_entry("b", [finite, nan])])
+    assert math.isnan(report.max_sup)
+
+
 # ---------------------------------------------------------------------------
 # exact degree-1 family
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ import pytest
 
 import magtorus as mt
 
+#: The pytest filter of pyproject.toml, which does not reach a subprocess.
+WARNINGS_FAIL = ("-W", "error::RuntimeWarning")
+
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
@@ -20,8 +23,8 @@ def test_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ, PYTHONPATH=str(Path(mt.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                          env=env, timeout=120)
+    proc = subprocess.run([sys.executable, *WARNINGS_FAIL, str(demo)], capture_output=True,
+                          text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
@@ -31,6 +34,6 @@ def test_readme_quick_start_runs():
     code = block.split("```", 1)[0]
     assert "import magtorus" in code
     env = dict(os.environ, PYTHONPATH=str(Path(mt.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+    proc = subprocess.run([sys.executable, *WARNINGS_FAIL, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]

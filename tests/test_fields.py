@@ -318,6 +318,27 @@ def test_trig_field_table_above_the_cap_is_refused():
     assert mt.make_trig_field(dict(list(table.items())[:2047])) is not None
 
 
+@pytest.mark.parametrize("table, period_x, message", [
+    ({(0, 1): 1e308}, 1.0, "values may overflow float64"),
+    ({(0, 10**400): 1.0}, 1.0, "a mode index is too large for float64"),
+    ({(1, 0): 1.0}, 1e-310, "x partials may overflow float64"),
+    ({(0, 1): 8.5e307, (0, 2): 8.5e307}, 1.0, "values may overflow float64"),
+    ({(10, 0): 1e307}, 1.0, "x partials may overflow float64"),
+    ({(0, 10): 1e307}, 1.0, "y partials may overflow float64"),
+], ids=["coefficient", "mode-index", "wavenumber", "values", "x-partials", "y-partials"])
+def test_trig_field_that_overflows_float64_is_refused(table, period_x, message):
+    geometry = mt.TorusGeometry(period_x, 2.0 * math.pi)
+    with pytest.raises(FieldError, match=message):
+        mt.make_trig_field(table, geometry)
+
+
+def test_trig_field_at_the_overflow_bounds_is_built():
+    field = mt.make_trig_field({(0, 1): 8.5e307, (1, 0): 1e300})
+    jet = field.jet(mt.SamplingGrid(8, 8))
+    assert all(np.isfinite(part).all() for part in jet)
+    assert np.max(np.abs(jet.y)) > 1e308
+
+
 def test_sampling_grid_builds_its_meshes_on_first_use():
     grid = mt.SamplingGrid(4, 6)
     assert "_mesh" not in vars(grid)

@@ -850,6 +850,72 @@ def test_non_finite_certificate_sup_fails_the_certificate():
     assert entry["pass"] is False
 
 
+def one_mode_u0(coeffs, **extra) -> dict:
+    """An N = 1 scenario on a 16 x 16 grid with Lambda = 1 and u_0 a trig table."""
+    return dict({"N": 1, "lambda": 1.0, "grid": [16, 16],
+                 "coefficients": [{"k": 0, "u": {"type": "trig", "coeffs": coeffs}}]},
+                **extra)
+
+
+#: One orbit from y = 0 (straight when Omega = 0) that crosses y = pi, where cos(y) = -1.
+LINE_THROUGH_Y_PI = {"trajectories": [{"name": "line", "initial": [0.0, 0.0, math.pi / 2],
+                                       "t_end": 3.2, "dt": 0.01}]}
+
+
+def test_nan_conservation_residual_is_not_certified(tmp_path):
+    # With u_0 = 2e200 cos(y) the y-derivative of f^2 overflows, and the N = 1
+    # flux takes it times (N - 1)/2 = 0: NaN at every node.
+    path = tmp_path / "nan-flux.json"
+    path.write_text(json.dumps(one_mode_u0([{"m": 0, "n": 1, "re": 1e200}],
+                                           checks=["certificate"])))
+    proc = run_python("-m", "magtorus", "verify", str(path), timeout=30.0)
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stderr == ""
+    (check,) = stdout_json(proc.stdout)["payload"]["checks"]
+    assert check["certified"] is False and check["pass"] is False
+    assert "residual_sups conservation_1" in check["non_finite"]
+    assert check["residual_sups"]["conservation_1"] == "nan"
+
+
+@pytest.mark.parametrize("command, coeffs, extra, message", [
+    ("simulate", [{"m": 0, "n": 1, "re": 1e308}], {},
+     "trigonometric field values may overflow float64"),
+    ("verify", [{"m": 0, "n": 10**400, "re": 1.0}], {},
+     "a mode index is too large for float64"),
+    ("simulate", [{"m": 1, "n": 0, "re": 1.0}], {"geometry": {"period_x": 1e-310}},
+     "trigonometric field x partials may overflow float64"),
+    ("simulate", [{"m": 0, "n": 1, "re": 8.5e307}, {"m": 0, "n": 2, "re": 8.5e307}], {},
+     "trigonometric field values may overflow float64"),
+], ids=["coefficient", "mode-index", "wavenumber", "value-bound"])
+def test_trig_table_that_overflows_float64_is_refused_at_load(tmp_path, command, coeffs,
+                                                               extra, message):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(one_mode_u0(coeffs, **extra, **LINE_THROUGH_Y_PI)))
+    proc = run_python("-m", "magtorus", command, str(path), "--out", str(tmp_path / "out"),
+                      timeout=30.0)
+    assert proc.returncode == 2
+    assert f"error: coefficient k=0 u: {message}" in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
+def test_non_finite_drift_fails_its_trajectory(tmp_path):
+    # F = 1.7e308 cos(y) + 2 cos(phi) is finite, but its drift from y = 0 to
+    # y = pi is -3.4e308.
+    path = tmp_path / "drift.json"
+    path.write_text(json.dumps(one_mode_u0([{"m": 0, "n": 1, "re": 8.5e307}], omega=0.0,
+                                           **LINE_THROUGH_Y_PI)))
+    proc = run_python("-m", "magtorus", "simulate", str(path), "--out",
+                      str(tmp_path / "out"), "--plot-data", timeout=30.0)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    payload = stdout_json(proc.stdout)["payload"]
+    (traj,) = payload["trajectories"]
+    assert traj["pass"] is False and payload["overall_pass"] is False
+    assert traj["non_finite"] == ["drifts F max_abs", "drifts F relative"]
+    assert traj["drifts"]["F"]["max_abs"] == "inf"
+    assert traj["drifts"]["H"] == {"initial": 0.5, "max_abs": 0.0, "relative": 0.0}
+
+
 @pytest.mark.parametrize("argv, message", [
     ({"grid": [100000, 100000]}, "grid 100000x100000 exceeds the limit of 4194304"),
     ({"grid": [2048, 2049]}, "grid 2048x2049 exceeds the limit of 4194304"),
