@@ -88,21 +88,52 @@ def _largest(*terms):
     return functools.reduce(np.maximum, map(np.abs, terms))
 
 
-def _residual_entry(label, chunks) -> EquationResidual:
-    """Norms of an equation whose samples come as (residual, largest term
-    magnitude) array pairs, accumulated one pair at a time.  A NaN sample
-    makes `sup` and `rel_sup` NaN."""
-    sup = rel_sup = square_sum = rel_square_sum = 0.0
-    count = 0
-    for residual, mags in chunks:
+class _Norms:
+    """Norms of one equation, accumulated one sample at a time: a (residual,
+    largest term magnitude) array pair.  `sup` and `rel_sup` are exact
+    maxima, NaN if a sample holds a NaN; the sums of squares of the samples
+    are kept for `entry` to add up."""
+
+    def __init__(self, label: str):
+        self.label = label
+        self.sup = self.rel_sup = 0.0
+        self.squares, self.rel_squares, self.count = [], [], 0
+
+    def add(self, residual, mags):
         rel = np.abs(residual) / (1.0 + mags)
-        sup = np.maximum(sup, np.max(np.abs(residual)))   # NaN wins, unlike max()
-        rel_sup = np.maximum(rel_sup, np.max(rel))
-        square_sum += float(np.sum(residual * residual))
-        rel_square_sum += float(np.sum(rel * rel))
-        count += residual.size
-    return EquationResidual(label, float(sup), math.sqrt(square_sum / count),
-                            float(rel_sup), math.sqrt(rel_square_sum / count))
+        self.sup = np.maximum(self.sup, np.max(np.abs(residual)))   # NaN wins, unlike max()
+        self.rel_sup = np.maximum(self.rel_sup, np.max(rel))
+        self.squares.append(np.sum(residual * residual))
+        self.rel_squares.append(np.sum(rel * rel))
+        self.count += residual.size
+
+    def entry(self, fold) -> EquationResidual:
+        """The norms; `fold` adds up the list of the samples' sums of
+        squares."""
+        return EquationResidual(self.label, float(self.sup),
+                                math.sqrt(fold(self.squares) / self.count),
+                                float(self.rel_sup),
+                                math.sqrt(fold(self.rel_squares) / self.count))
+
+
+def _streamed_report(grid: SamplingGrid, labels, samples, **report) -> ResidualReport:
+    """Report on the equations `labels` over `grid`, evaluated one block at
+    a time: `samples(block)` gives, for each equation, its (residual,
+    magnitude) pairs on the block, one per sample (an angle of the
+    stationarity check), as many on every block.  A sample's sums of squares
+    add up over the blocks to the bits of one `np.sum` over the grid
+    (`SamplingGrid.fold`), and the samples' sums one after another."""
+    norms = [_Norms(label) for label in labels]
+    for block in grid.blocks():
+        for acc, pairs in zip(norms, samples(block)):
+            for residual, mags in pairs:
+                acc.add(residual, mags)
+    per_block = len(norms[0].squares) // len(grid.spans)
+
+    def fold(parts):
+        return sum(grid.fold(parts[s::per_block]) for s in range(per_block))
+
+    return ResidualReport([acc.entry(fold) for acc in norms], **report)
 
 
 def _all_periodic(fields) -> bool:
@@ -262,15 +293,15 @@ def default_phi_count(n: int) -> int:
     return 4 * n + 4
 
 
-def _stationarity_samples(ansatz: Ansatz, omega: Field, grid: SamplingGrid, phis):
-    """Residual of the stationarity equation on the grid and its largest
-    term magnitude, yielded one angle at a time."""
-    lam = ansatz.lam.jet(grid)
-    u = [f.jet(grid) for f in ansatz.u]
-    v = [f.jet(grid) for f in ansatz.v]
+def _stationarity_samples(ansatz: Ansatz, omega: Field, points, phis):
+    """Residual of the stationarity equation on `points` (a grid or a grid
+    block) and its largest term magnitude, yielded one angle at a time."""
+    lam = ansatz.lam.jet(points)
+    u = [f.jet(points) for f in ansatz.u]
+    v = [f.jet(points) for f in ansatz.v]
     coef = lam.y / (2.0 * lam.v)
     coef_x = lam.x / (2.0 * lam.v)
-    om_term = omega.on_grid(grid) / np.sqrt(lam.v)
+    om_term = omega.on_grid(points) / np.sqrt(lam.v)
     for phi in phis:
         c, s = math.cos(phi), math.sin(phi)
         f_x, f_y, f_phi = u[0].x, u[0].y, 0.0
@@ -295,24 +326,27 @@ def stationarity_residual_values(ansatz: Ansatz, omega: Field,
     return np.stack(res), np.stack(mags)
 
 
-def residual_stationarity(ansatz: Ansatz, omega: Field,
-                          grid: SamplingGrid | None = None) -> ResidualReport:
+def residual_stationarity(ansatz: Ansatz, omega: Field, grid: SamplingGrid | None = None,
+                          values: bool = True) -> ResidualReport:
     """Norms of the stationarity residual over grid x `default_phi_count`
-    equispaced angles, streamed one angle at a time; `values` is the largest
-    |residual| over the angles at each grid node."""
+    equispaced angles, streamed one block and angle at a time.  With
+    `values`, the report's `values` is the largest |residual| over the
+    angles at each grid node: the one array of the grid's size it holds."""
     grid = grid if grid is not None else SamplingGrid(64, 64, ansatz.geometry)
     n_phi = default_phi_count(ansatz.n)
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    peak = np.zeros((grid.nx, grid.ny))
+    peak = np.zeros((grid.nx, grid.ny)) if values else None
 
-    def samples():
-        for res, mags in _stationarity_samples(ansatz, omega, grid, phis):
-            np.maximum(peak, np.abs(res), out=peak)
+    def samples(block):
+        top = block.part(peak) if values else None
+        for res, mags in _stationarity_samples(ansatz, omega, block, phis):
+            if values:
+                np.maximum(top, np.abs(res), out=top)
             yield res, mags
 
-    entry = _residual_entry("stationarity", samples())
-    return ResidualReport([entry], values=peak,
-                          periodic=_all_periodic(ansatz.fields() + (omega,)))
+    return _streamed_report(grid, ["stationarity"], lambda block: [samples(block)],
+                            values=peak,
+                            periodic=_all_periodic(ansatz.fields() + (omega,)))
 
 
 # ---------------------------------------------------------------------------
@@ -320,32 +354,39 @@ def residual_stationarity(ansatz: Ansatz, omega: Field,
 # ---------------------------------------------------------------------------
 
 
-def harmonic_residual_values(ansatz: Ansatz, omega: Field, k: int,
-                             grid: SamplingGrid):
-    """Complex residual of harmonic k on the grid, plus per-term magnitudes."""
+def harmonic_residual_values(ansatz: Ansatz, omega: Field, k: int, points):
+    """Complex residual of harmonic k on `points` (a grid or a grid block),
+    plus per-term magnitudes."""
     n = ansatz.n
     if k < 0 or k > n + 1:
         raise ValueError(f"harmonic index k must lie in 0..{n + 1}, got {k}")
-    real_jets = lambda m: (ansatz.u[m].jet(grid), ansatz.v[m].jet(grid))
+    real_jets = lambda m: (ansatz.u[m].jet(points), ansatz.v[m].jet(points))
     akm, akp = coefficient_jet(n, k - 1, real_jets), coefficient_jet(n, k + 1, real_jets)
     if 0 < k <= n:
-        ak, om = coefficient_jet(n, k, real_jets).v, omega.on_grid(grid)
+        ak, om = coefficient_jet(n, k, real_jets).v, omega.on_grid(points)
     else:   # the magnetic term k a_k Omega vanishes
         ak, om = 0.0, 0.0
-    residual, terms = harmonic_relation(k, ansatz.lam.jet(grid), akm, akp, ak, om)
+    residual, terms = harmonic_relation(k, ansatz.lam.jet(points), akm, akp, ak, om)
     return residual, _largest(*terms)
 
 
 def residual_harmonic(ansatz: Ansatz, omega: Field, k: int,
-                      grid: SamplingGrid | None = None) -> ResidualReport:
-    """Real and imaginary norms of the harmonic-k relation; `values` is the
-    magnitude of the complex residual."""
+                      grid: SamplingGrid | None = None, values: bool = True) -> ResidualReport:
+    """Real and imaginary norms of the harmonic-k relation, streamed one
+    block at a time.  With `values`, the report's `values` is the magnitude
+    of the complex residual: the one array of the grid's size it holds."""
     grid = grid if grid is not None else SamplingGrid(64, 64, ansatz.geometry)
-    res, mags = harmonic_residual_values(ansatz, omega, k, grid)
-    entries = [_residual_entry(f"harmonic_{k}_real", [(res.real, mags)]),
-               _residual_entry(f"harmonic_{k}_imag", [(res.imag, mags)])]
-    return ResidualReport(entries, values=np.abs(res),
-                          periodic=_all_periodic(ansatz.fields() + (omega,)))
+    magnitude = np.empty((grid.nx, grid.ny)) if values else None
+
+    def samples(block):
+        res, mags = harmonic_residual_values(ansatz, omega, k, block)
+        if values:
+            np.abs(res, out=block.part(magnitude))
+        return [(res.real, mags)], [(res.imag, mags)]
+
+    return _streamed_report(grid, [f"harmonic_{k}_real", f"harmonic_{k}_imag"], samples,
+                            values=magnitude,
+                            periodic=_all_periodic(ansatz.fields() + (omega,)))
 
 
 # ---------------------------------------------------------------------------
@@ -397,20 +438,16 @@ def constraint_residual(obj, grid: SamplingGrid | None = None) -> ResidualReport
         raise TypeError("expected an Ansatz or RescaledAnsatz")
     n, lam = rescaled.n, rescaled.lam
     u_top, v_top = u[n - 1], v[n - 1]
+    f_top, g_top = rescaled.f[n - 1], rescaled.g[n - 1]
     grid = grid if grid is not None else SamplingGrid(64, 64, rescaled.lam.geometry)
-    t_lhs, t_rhs = constraint_sides(n, lam.jet(grid), u_top.jet(grid), v_top.jet(grid))
 
-    f_top = rescaled.f[n - 1]
-    g_top = rescaled.g[n - 1]
-    tf = f_top.jet(grid).x
-    tg = g_top.jet(grid).y
+    def samples(block):
+        t_lhs, t_rhs = constraint_sides(n, lam.jet(block), u_top.jet(block), v_top.jet(block))
+        tf, tg = f_top.jet(block).x, g_top.jet(block).y
+        return [(t_lhs - t_rhs, _largest(t_lhs, t_rhs))], [(tf + tg, _largest(tf, tg))]
 
-    entries = [
-        _residual_entry("divergence_unscaled", [(t_lhs - t_rhs, _largest(t_lhs, t_rhs))]),
-        _residual_entry("divergence_rescaled", [(tf + tg, _largest(tf, tg))]),
-    ]
-    return ResidualReport(entries,
-                          periodic=_all_periodic((lam, u_top, v_top, f_top, g_top)))
+    return _streamed_report(grid, ["divergence_unscaled", "divergence_rescaled"], samples,
+                            periodic=_all_periodic((lam, u_top, v_top, f_top, g_top)))
 
 
 N1_DEGENERATE_FLAG = "N=1 degenerate"
@@ -452,14 +489,15 @@ def conservation_residuals(rescaled: RescaledAnsatz,
     of the inputs."""
     grid = grid if grid is not None else SamplingGrid(64, 64, rescaled.lam.geometry)
     r_field, flux1, flux2, degenerate = conservation_flux_fields(rescaled)
-    r, f1, f2 = r_field.jet(grid), flux1.jet(grid), flux2.jet(grid)
-    entries = [
-        _residual_entry("conservation_1", [(r.x + f1.y, _largest(r.x, f1.y))]),
-        _residual_entry("conservation_2", [(r.y + f2.x, _largest(r.y, f2.x))]),
-    ]
+
+    def samples(block):
+        r, f1, f2 = r_field.jet(block), flux1.jet(block), flux2.jet(block)
+        return [(r.x + f1.y, _largest(r.x, f1.y))], [(r.y + f2.x, _largest(r.y, f2.x))]
+
     flags = [N1_DEGENERATE_FLAG] if degenerate else []
     involved = list(rescaled.f) + list(rescaled.g) + [rescaled.lam]
-    return ResidualReport(entries, periodic=_all_periodic(involved), flags=flags)
+    return _streamed_report(grid, ["conservation_1", "conservation_2"], samples,
+                            periodic=_all_periodic(involved), flags=flags)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,11 @@ entry's ``non_finite`` key.
 
 Reports are JSON with sorted keys and floats printed to 17 significant
 digits, so identical scenarios and flags produce byte-identical payloads;
-wall-clock timings and the work counters (``stats``: integration steps and
-RHS calls, or how the assembled pencils were solved) live outside the
-comparison payload.  A simulate ``stats`` entry also says that H is 1/2 by
-construction on the angle form, and gives ``rhs_kernel``: the trigonometric
+wall-clock timings and the work counters (``stats``: the grid points and
+the blocks they were evaluated in, integration steps and RHS calls, or how
+the assembled pencils were solved) live outside the comparison payload.  A
+simulate ``stats`` entry also says that H is 1/2 by construction on the
+angle form, and gives ``rhs_kernel``: the trigonometric
 terms the system's compiled point kernel inlines, the node rules it traced
 into arithmetic, and the rules it calls (a rule that could not be traced, or
 an analytic leaf's rules).  Trajectories are written as CSV, one file per
@@ -161,9 +162,10 @@ def run_verify_checks(scenario: Scenario, want_grids: bool = False):
     constraint = functools.cache(lambda: constraint_residual(ansatz, grid))
     conservation = functools.cache(lambda: conservation_residuals(rescale(ansatz), grid))
     named_reports = {   # residual check -> its (label, report) pairs, made one at a time
-        "stationarity": lambda: [("stationarity", residual_stationarity(ansatz, omega, grid))],
-        "harmonics": lambda: ((f"harmonic_{k}", residual_harmonic(ansatz, omega, k, grid))
-                              for k in range(ansatz.n + 2)),
+        "stationarity": lambda: [("stationarity", residual_stationarity(
+            ansatz, omega, grid, values=want_grids))],
+        "harmonics": lambda: ((f"harmonic_{k}", residual_harmonic(
+            ansatz, omega, k, grid, values=want_grids)) for k in range(ansatz.n + 2)),
         "constraint": lambda: [("constraint", constraint())],
         "conservation": lambda: [("conservation", conservation())],
     }
@@ -183,7 +185,7 @@ def run_verify_checks(scenario: Scenario, want_grids: bool = False):
                 entry["periodic"] &= report.periodic
                 if report.flags is not None:
                     entry.setdefault("flags", []).extend(report.flags)
-                if want_grids and report.values is not None:
+                if report.values is not None:
                     grids[label] = report.values
             entry["pass"] = all(res["sup"] < tol for res in entry["residuals"])
         timings[check + "_s"] = time.perf_counter() - t0
@@ -205,8 +207,11 @@ def cmd_verify(args) -> int:
     scenario = _load(args)
     payload, timings, grids = run_verify_checks(scenario,
                                                 want_grids=args.plot_data)
+    grid = scenario.grid
+    stats = {"grid_points": grid.nx * grid.ny, "blocks": len(grid.spans),
+             "largest_block_points": max(stop - start for start, stop in grid.spans)}
     report = {"schema_version": 1, "kind": "verify", "payload": payload,
-              "timings": timings}
+              "stats": stats, "timings": timings}
     text = canonical_json(report) + "\n"
     print(text, end="")
     if args.out:
@@ -230,7 +235,8 @@ def cmd_simulate(args) -> int:
         print("scenario contains no trajectory requests", file=sys.stderr)
         return EXIT_INPUT_ERROR
     out = _ensure_out(args.out if args.out else "magtorus_out")
-    f_obs = first_integral_observable(scenario.ansatz)
+    quiet = functools.partial(np.errstate, over="ignore", invalid="ignore")   # a non-finite drift fails
+    f_obs = quiet()(first_integral_observable(scenario.ansatz))
     results = []
     timings = {}
     work = {}
@@ -244,7 +250,7 @@ def cmd_simulate(args) -> int:
                               rhs_kernel=scenario.system.kernel.counts)
         csv_path = out / f"{scenario.name}_{req.name}.csv"
         export_csv(traj, csv_path)
-        with np.errstate(over="ignore", invalid="ignore"):   # a non-finite drift fails
+        with quiet():
             stats = monitor(traj)
             if args.plot_data:
                 _write_drift_dat(out / f"{scenario.name}_{req.name}_drift.dat", traj)

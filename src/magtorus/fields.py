@@ -14,10 +14,12 @@ Evaluation is forward mode: ``field.jet(x, y)`` returns ``(v, v_x, v_y)``.
 A trigonometric table is a leaf: the spectral derivatives (`dx_field`,
 `dy_field`) are the only operations from a table to a table, and every sum,
 difference, negation, scalar multiple, product and power of fields is a node
-combining its children's jets once.  On a `SamplingGrid`,
-trigonometric leaves evaluate separably and at most once per grid (the grid
-memoizes leaf jets only); same-shaped arrays go through the same expression
-tree with numpy.  At a single point (plain
+combining its children's jets once.  A `SamplingGrid` is evaluated in
+blocks (`GridBlock`) of at most BLOCK_POINTS points: trigonometric leaves
+evaluate separably on the rows a block covers and at most once per block
+(each block memoizes its leaf jets, and a block's memo goes with it), and
+`field.jet(grid)` is one block holding every node.  Same-shaped arrays go
+through the same expression tree with numpy.  At a single point (plain
 int or float coordinates) a field runs its compiled point kernel
 (`point_kernel`): one straight-line Python function of (x, y), written once
 per field on first use, with each trigonometric term inlined and each node's
@@ -43,7 +45,6 @@ import cmath
 import functools
 import itertools
 import math
-import weakref
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -60,6 +61,10 @@ LAMBDA_FLOOR = 1e-8
 #: dense complex table a TrigField keeps for grid evaluation: 3 x 2048^2
 #: complex cells take about 200 MB.  A field that needs more is refused.
 MAX_TABLE_CELLS = 2048 * 2048
+
+#: Most nodes of one grid block: 8192 float64 values are 64 KB, below
+#: glibc's 128 KB mmap threshold, so block temporaries come from the heap.
+BLOCK_POINTS = 8192
 
 
 class FieldError(ValueError):
@@ -93,10 +98,14 @@ class TorusGeometry:
 
 
 class SamplingGrid:
-    """Uniform nodes over one fundamental domain (endpoints excluded), with a
-    memo of trigonometric leaf jets on them, weakly keyed by field.  The
-    full (nx, ny) coordinate meshes are built on first use only: separable
-    trigonometric evaluation needs just the axes `xs` and `ys`."""
+    """Uniform nodes over one fundamental domain (endpoints excluded), node
+    (i, j) at (xs[i], ys[j]) and at flat index i * ny + j.
+
+    Kernels evaluate a grid block by block (`blocks`), so their temporaries
+    stay BLOCK_POINTS long whatever the grid size.  The blocks are the leaves
+    of numpy's pairwise summation of the nx * ny flat points, cut down to at
+    most BLOCK_POINTS points: `fold` adds up per-block `np.sum`s in that
+    tree, which gives the bits of one `np.sum` over the whole grid."""
 
     def __init__(self, nx: int = 64, ny: int = 64, geometry: TorusGeometry | None = None):
         if nx < 4 or ny < 4:
@@ -106,10 +115,26 @@ class SamplingGrid:
         self.geometry = geometry if geometry is not None else TorusGeometry()
         self.xs = self.geometry.period_x * np.arange(self.nx) / self.nx
         self.ys = self.geometry.period_y * np.arange(self.ny) / self.ny
-        self.leaf_jets = weakref.WeakKeyDictionary()
+        self.spans = []   # (start, stop) of each block, in order
+        self._tree = _pairwise_tree(0, self.nx * self.ny, self.spans)
+
+    def blocks(self):
+        """The grid's blocks in flat order, each with an empty memo."""
+        return (GridBlock(self, start, stop) for start, stop in self.spans)
+
+    def whole(self) -> "GridBlock":
+        """Every node as one block, shaped (nx, ny)."""
+        return GridBlock(self, 0, self.nx * self.ny, (self.nx, self.ny))
+
+    def fold(self, partials):
+        """Sum of per-block partial sums, one per block in order, added up
+        as numpy's pairwise summation adds them."""
+        def add(node):
+            return partials[node] if isinstance(node, int) else add(node[0]) + add(node[1])
+        return add(self._tree)
 
     @functools.cached_property
-    def _mesh(self):
+    def _mesh(self):   # for callers; kernels take each block's own mesh
         return np.meshgrid(self.xs, self.ys, indexing="ij")
 
     mesh_x = property(lambda self: self._mesh[0])
@@ -117,6 +142,52 @@ class SamplingGrid:
 
     def __repr__(self):
         return f"SamplingGrid({self.nx}x{self.ny})"
+
+
+def _pairwise_tree(start: int, stop: int, spans: list):
+    """The split of points start .. stop - 1 by numpy's pairwise summation
+    (a run longer than 128 splits after half its length, rounded down to a
+    multiple of 8), down to runs of at most BLOCK_POINTS: appends each such
+    run to `spans` and returns the tree of their indices in `spans`."""
+    if stop - start <= BLOCK_POINTS:
+        spans.append((start, stop))
+        return len(spans) - 1
+    half = (stop - start) // 2
+    half -= half % 8
+    return (_pairwise_tree(start, start + half, spans),
+            _pairwise_tree(start + half, stop, spans))
+
+
+class GridBlock:
+    """Nodes start .. stop - 1 of a grid in flat order, with a memo of the
+    trigonometric leaf jets evaluated on them.  Jets on a block are flat
+    arrays (or `shape`, for `SamplingGrid.whole`)."""
+
+    def __init__(self, grid: SamplingGrid, start: int, stop: int, shape=None):
+        self.grid, self.geometry = grid, grid.geometry
+        self.start, self.stop = start, stop
+        self.shape = shape if shape is not None else (stop - start,)
+        self.rows = slice(start // grid.ny, -(-stop // grid.ny))   # rows it touches
+        self.memo = {}
+
+    def cut(self, table: np.ndarray) -> np.ndarray:
+        """The block's nodes out of `table`, shaped (..., rows touched, ny)."""
+        lead = table.shape[:-2]
+        offset = self.start - self.rows.start * self.grid.ny
+        flat = table.reshape(*lead, -1)[..., offset:offset + self.stop - self.start]
+        return flat.reshape(*lead, *self.shape)
+
+    def part(self, array: np.ndarray) -> np.ndarray:
+        """The block's nodes of a C-contiguous (nx, ny) array, as a flat view."""
+        return array.reshape(-1)[self.start:self.stop]
+
+    def mesh(self):
+        """x and y of the block's nodes."""
+        i, j = np.divmod(np.arange(self.start, self.stop), self.grid.ny)
+        return self.grid.xs[i].reshape(self.shape), self.grid.ys[j].reshape(self.shape)
+
+    def __repr__(self):
+        return f"GridBlock({self.grid!r} [{self.start}:{self.stop}])"
 
 
 def same_torus(*items) -> TorusGeometry:
@@ -155,15 +226,18 @@ class Field:
     exact = True   # exact first-derivative rules exist (both or neither)
 
     def jet(self, x, y=None) -> Jet:
-        """Value and exact first partials at points (x, y), or on a grid `x`."""
+        """Value and exact first partials at points (x, y), or on a grid or
+        grid block `x`."""
         if not self.exact:
             raise DerivativeUnavailable(f"no first-derivative rules for {self!r}")
         return self._evaluate(x, y)
 
     def _evaluate(self, x, y) -> Jet:
         if isinstance(x, SamplingGrid):
+            x = x.whole()
+        if isinstance(x, GridBlock):
             same_torus(self, x)
-            return self._jet(x, None, x.leaf_jets)
+            return self._jet(x, None, x.memo)
         if isinstance(x, (int, float)) and isinstance(y, (int, float)):
             return Jet(*self._point_kernel(x, y))
         return self._jet(x, y, {})
@@ -263,11 +337,12 @@ class TrigField(Field):
         jet = memo.get(self)
         if jet is not None:
             return jet
-        if isinstance(x, SamplingGrid):
-            left = np.exp(1j * np.multiply.outer(x.xs, self._grid_kx)) @ self._grid_rows
-            right = np.exp(1j * np.multiply.outer(self._grid_ky, x.ys))
-            out = left.real @ right.real - left.imag @ right.imag
-            out.flags.writeable = False   # shared through the grid's memo
+        if isinstance(x, GridBlock):   # on the rows the block touches, then cut
+            grid = x.grid
+            left = np.exp(1j * np.multiply.outer(grid.xs[x.rows], self._grid_kx)) @ self._grid_rows
+            right = np.exp(1j * np.multiply.outer(self._grid_ky, grid.ys))
+            out = x.cut(left.real @ right.real - left.imag @ right.imag)
+            out.flags.writeable = False   # shared through the block's memo
             jet = Jet(*out)
         else:   # arrays; a single point runs the field's point kernel
             v_x = v_y = 0.0 * (x + y)
@@ -381,8 +456,8 @@ class AnalyticField(Field):
         self._rules = (value_fn, dx_fn, dy_fn)
 
     def _jet(self, x, y, memo):
-        if isinstance(x, SamplingGrid):
-            x, y = x.mesh_x, x.mesh_y
+        if isinstance(x, GridBlock):
+            x, y = x.mesh()
         return Jet(*(rule(x, y) if rule else math.nan for rule in self._rules))
 
     eval, d_dx, d_dy = Field.eval, Field.d_dx, Field.d_dy

@@ -411,12 +411,70 @@ def test_residual_report_invariants():
 def test_a_nan_chunk_makes_the_sups_nan():
     finite = (np.array([1.0, 2.0]), np.zeros(2))
     nan = (np.array([math.nan, 0.5]), np.zeros(2))
+
+    def entry(label, chunks):
+        norms = ansatz_module._Norms(label)
+        for residual, mags in chunks:
+            norms.add(residual, mags)
+        return norms.entry(sum)
+
     for chunks in ([finite, nan], [nan, finite]):
-        entry = ansatz_module._residual_entry("eq", chunks)
-        assert math.isnan(entry.sup) and math.isnan(entry.rel_sup)
-    report = mt.ResidualReport([ansatz_module._residual_entry("a", [finite]),
-                                ansatz_module._residual_entry("b", [finite, nan])])
+        got = entry("eq", chunks)
+        assert math.isnan(got.sup) and math.isnan(got.rel_sup)
+    report = mt.ResidualReport([entry("a", [finite]), entry("b", [finite, nan])])
     assert math.isnan(report.max_sup)
+
+
+def full_grid_entry(label, samples) -> mt.EquationResidual:
+    """Norms from full-grid (residual, magnitude) samples: one np.max and
+    one np.sum per sample over the whole grid, the sums added in order."""
+    residuals = [res for res, _ in samples]
+    rels = [np.abs(res) / (1.0 + mags) for res, mags in samples]
+    count = sum(res.size for res in residuals)
+    rms = lambda arrays: math.sqrt(sum(np.sum(a * a) for a in arrays) / count)
+    return mt.EquationResidual(label, float(max(np.max(np.abs(r)) for r in residuals)),
+                               rms(residuals), float(max(np.max(r) for r in rels)),
+                               rms(rels))
+
+
+@pytest.mark.parametrize("shape, degrees", [
+    ((16, 16), (1, 2, 3, 4)), ((96, 96), (1, 2, 3, 4)), ((130, 70), (1, 2, 3, 4)),
+    ((256, 256), (1, 3)), ((300, 301), (2, 4)),   # the large grids share out the degrees
+])
+def test_blocked_reports_are_the_full_grid_norms_bit_for_bit(shape, degrees):
+    # 96^2 and 130 x 70 make two blocks, 256^2 eight and 300 x 301 sixteen;
+    # the blocks of 130 x 70 and 300 x 301 cut rows.
+    grid = mt.SamplingGrid(*shape)
+    assert all(stop - start <= mt.fields.BLOCK_POINTS for start, stop in grid.spans)
+    rng = np.random.default_rng(shape[0] * shape[1])
+    for n in degrees:
+        anz = random_ansatz(rng, n)
+        omega = mt.omega_raw(anz)
+        resc = mt.rescale(anz)
+        n_phi = mt.ansatz.default_phi_count(n)
+        res, mags = stationarity_residual_values(anz, omega, grid,
+                                                 2.0 * np.pi * np.arange(n_phi) / n_phi)
+        want = {"stationarity": full_grid_entry("stationarity", list(zip(res, mags)))}
+        for k in range(n + 2):
+            res, mags = harmonic_residual_values(anz, omega, k, grid)
+            want[f"harmonic_{k}"] = [full_grid_entry(f"harmonic_{k}_real", [(res.real, mags)]),
+                                     full_grid_entry(f"harmonic_{k}_imag", [(res.imag, mags)])]
+        lhs, rhs = mt.ansatz.constraint_sides(n, anz.lam.jet(grid), anz.u[n - 1].jet(grid),
+                                              anz.v[n - 1].jet(grid))
+        tf, tg = resc.f[n - 1].jet(grid).x, resc.g[n - 1].jet(grid).y
+        want["constraint"] = [
+            full_grid_entry("divergence_unscaled", [(lhs - rhs, np.maximum(abs(lhs), abs(rhs)))]),
+            full_grid_entry("divergence_rescaled", [(tf + tg, np.maximum(abs(tf), abs(tg)))])]
+        r, f1, f2 = (f.jet(grid) for f in mt.conservation_flux_fields(resc)[:3])
+        want["conservation"] = [
+            full_grid_entry("conservation_1", [(r.x + f1.y, np.maximum(abs(r.x), abs(f1.y)))]),
+            full_grid_entry("conservation_2", [(r.y + f2.x, np.maximum(abs(r.y), abs(f2.x)))])]
+        got = {"stationarity": mt.residual_stationarity(anz, omega, grid).entries[0],
+               "constraint": mt.constraint_residual(anz, grid).entries,
+               "conservation": mt.conservation_residuals(resc, grid).entries}
+        got.update((f"harmonic_{k}", mt.residual_harmonic(anz, omega, k, grid).entries)
+                   for k in range(n + 2))
+        assert got == want, f"N = {n}"
 
 
 # ---------------------------------------------------------------------------

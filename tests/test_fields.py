@@ -286,17 +286,20 @@ def test_evaluation_on_a_grid_of_another_torus_is_refused():
     trig = mt.make_trig_field({(1, 0): 0.5}, unit)
     analytic = mt.analytic_preset("affine_y", {"slope": 1.0}, unit)
     other = mt.SamplingGrid(8, 8)
+    block = next(other.blocks())
     copy = mt.fields.value_field(lambda a: a.v, (trig,), label="copy")
     for field in (trig, analytic, trig * analytic, copy):
         with pytest.raises(FieldError, match="different tori"):
             field.on_grid(other)
         with pytest.raises(FieldError, match="different tori"):
             field.min_on_grid(other)
+        with pytest.raises(FieldError, match="different tori"):
+            field.on_grid(block)
         if field.exact:
             with pytest.raises(FieldError, match="different tori"):
                 field.jet(other)
         field.on_grid(mt.SamplingGrid(8, 8, unit))
-    assert not other.leaf_jets
+    assert not block.memo
 
 
 def test_analytic_field_takes_both_derivative_rules_or_neither():

@@ -1,16 +1,16 @@
 """Forward-mode jets: the grid, array and point paths of trigonometric
 fields, expression nodes against closed forms, value-only fields, and one
-evaluation per trigonometric leaf and grid across the verification checks."""
+evaluation per trigonometric leaf and grid block in each verification
+check."""
 
 import collections
-import weakref
 
 import numpy as np
 import pytest
 
 import magtorus as mt
 from magtorus.cli import run_verify_checks
-from magtorus.fields import DerivativeUnavailable, TrigField
+from magtorus.fields import DerivativeUnavailable, GridBlock, TrigField
 
 
 def assert_close(got, want, rtol=1e-13):
@@ -91,8 +91,8 @@ def test_value_only_fields():
         mt.omega_rescaled(mt.RescaledAnsatz(1, (no_rules,), (zero,), lam))
 
 
-class CountingMemo(weakref.WeakKeyDictionary):
-    """Grid memo that records every leaf it stores (one store per evaluation)."""
+class CountingMemo(dict):
+    """Block memo that records every leaf it stores (one store per evaluation)."""
 
     def __init__(self):
         super().__init__()
@@ -103,26 +103,40 @@ class CountingMemo(weakref.WeakKeyDictionary):
         super().__setitem__(key, value)
 
 
-def test_verify_checks_evaluate_each_leaf_once_per_grid():
+def test_verify_checks_evaluate_each_leaf_once_per_block(monkeypatch):
     n = 4
 
     def trig(seed, amplitude):
         return {"type": "random_trig", "seed": seed, "amplitude": amplitude}
 
     scenario = mt.build_scenario({
-        "N": n, "grid": [16, 16],
+        "N": n, "grid": [130, 70],   # two blocks; the first ends inside a row
         "lambda": dict(trig(1, 0.1), offset=2.0),
         "coefficients": [dict({"k": k, "u": trig(10 + k, 0.3)},
                               **({"v": trig(20 + k, 0.3)} if k else {}))
                          for k in range(n)],
     })
-    memo = scenario.grid.leaf_jets = CountingMemo()
+    blocks = []
+    init = GridBlock.__init__
+
+    def counted_init(block, *args, **kwargs):
+        init(block, *args, **kwargs)
+        block.memo = CountingMemo()
+        blocks.append(block)
+
+    monkeypatch.setattr(GridBlock, "__init__", counted_init)
     payload, _, _ = run_verify_checks(scenario)
     assert [c["check"] for c in payload["checks"]] == list(mt.scenarios.KNOWN_CHECKS)
-    counts = collections.Counter(id(leaf) for leaf in memo.stored)
-    assert max(counts.values()) == 1
-    leaves = [f for f in scenario.ansatz.fields() if isinstance(f, TrigField)]
+    assert len(scenario.grid.spans) == 2 and scenario.grid.spans[0][1] % 70
+    # Every evaluation is of one block of the grid's, never the whole grid.
+    assert {(b.start, b.stop) for b in blocks} == set(scenario.grid.spans)
+    leaves = {id(f) for f in scenario.ansatz.fields() if isinstance(f, TrigField)}
     # Lambda, u_0..u_3, v_1..v_3 and the zero field v_0 = v_4 (u_4 is a power node)
-    assert len({id(f) for f in leaves}) == 2 * n + 1
-    assert all(id(f) in counts for f in leaves)
-    assert all(isinstance(f, TrigField) for f in memo.keys())
+    assert len(leaves) == 2 * n + 1
+    for block in blocks:
+        counts = collections.Counter(id(leaf) for leaf in block.memo.stored)
+        assert max(counts.values()) == 1
+        assert all(isinstance(f, TrigField) for f in block.memo)
+        assert all(part.shape == (block.stop - block.start,)
+                   for jet in block.memo.values() for part in jet)
+    assert leaves <= {id(leaf) for b in blocks for leaf in b.memo.stored}

@@ -291,6 +291,17 @@ def test_verify_seed_override_changes_random_fields(capsys):
     assert sup(out2) == sup(out3)
 
 
+@pytest.mark.parametrize("grid, stats", [
+    ("16,20", {"grid_points": 320, "blocks": 1, "largest_block_points": 320}),
+    ("130,70", {"grid_points": 9100, "blocks": 2, "largest_block_points": 4556}),
+    ("256,256", {"grid_points": 65536, "blocks": 8, "largest_block_points": 8192}),
+])
+def test_verify_report_stats(capsys, grid, stats):
+    code, out, _ = run_cli(capsys, "verify", "flat-zero-field", "--grid", grid)
+    assert code == 0
+    assert stdout_json(out)["stats"] == stats
+
+
 def test_verify_writes_report_and_plot_data(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "verify", "flat-zero-field",
                          "--out", str(tmp_path), "--plot-data")
@@ -916,6 +927,44 @@ def test_non_finite_drift_fails_its_trajectory(tmp_path):
     assert traj["drifts"]["H"] == {"initial": 0.5, "max_abs": 0.0, "relative": 0.0}
 
 
+def test_overflowing_first_integral_fails_its_trajectory_quietly(tmp_path):
+    # F = 1.7e308 cos(y) (1 + 2 cos(phi)) + 2 cos(2 phi) overflows to inf at
+    # y = phi = 0, although every table passes the load bounds.
+    u = {"type": "trig", "coeffs": [{"m": 0, "n": 1, "re": 8.5e307}]}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "N": 2, "lambda": 1.0, "omega": 0.0, "coefficients": [{"k": 0, "u": u},
+                                                              {"k": 1, "u": u}],
+        "trajectories": [{"name": "line", "initial": [0.0, 0.0, 0.0], "t_end": 3.2,
+                          "dt": 0.01}]}))
+    proc = run_python("-m", "magtorus", "simulate", str(path), "--out",
+                      str(tmp_path / "out"), timeout=30.0)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    (traj,) = stdout_json(proc.stdout)["payload"]["trajectories"]
+    assert traj["pass"] is False and traj["drifts"]["F"]["initial"] == "inf"
+
+
+def test_verify_memory_does_not_grow_with_the_grid(tmp_path):
+    spec = lambda seed, **kw: {"type": "random_trig", "seed": seed, "modes": 4,
+                               "max_mode": 2, "amplitude": 0.15, **kw}
+    path = tmp_path / "random-n3.json"
+    path.write_text(json.dumps({
+        "N": 3, "lambda": spec(1, offset=2.0),
+        "coefficients": [{"k": 0, "u": spec(2)}, {"k": 1, "u": spec(3), "v": spec(4)},
+                         {"k": 2, "u": spec(5), "v": spec(6)}]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(mt.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    peaks = {}
+    for grid in ("128,128", "512,512"):
+        proc = subprocess.Popen([sys.executable, "-m", "magtorus", "verify", str(path),
+                                 "--grid", grid], stdout=subprocess.DEVNULL, env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 1   # not a solution
+        peaks[grid] = usage.ru_maxrss
+    assert peaks["512,512"] <= 1.1 * peaks["128,128"], peaks
+
+
 @pytest.mark.parametrize("argv, message", [
     ({"grid": [100000, 100000]}, "grid 100000x100000 exceeds the limit of 4194304"),
     ({"grid": [2048, 2049]}, "grid 2048x2049 exceeds the limit of 4194304"),
@@ -1007,10 +1056,12 @@ def test_product_of_wide_trig_fields_is_not_tabulated(tmp_path):
 
 @pytest.mark.parametrize("name", ["linear-family-periodic", "random-nonsolution",
                                   "flat-zero-field"])
-def test_verify_of_trigonometric_fields_builds_no_mesh(name):
+def test_verify_of_trigonometric_fields_builds_no_mesh(monkeypatch, name):
     scenario = mt.load_scenario(name)
+    meshes = []
+    monkeypatch.setattr(mt.fields.GridBlock, "mesh", lambda block: meshes.append(block))
     run_verify_checks(scenario, want_grids=True)
-    assert "_mesh" not in vars(scenario.grid)
+    assert meshes == []
 
 
 @pytest.mark.parametrize("change, message", [
