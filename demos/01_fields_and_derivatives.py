@@ -1,4 +1,4 @@
-"""Fields on the 2-torus: trig-polynomial and analytic backends, exact
+"""Fields on the 2-torus: trig-polynomial tables and affine leaves, exact
 spectral derivatives, and the field algebra that powers every residual check.
 
 Run: python demos/01_fields_and_derivatives.py
@@ -41,7 +41,7 @@ print(f"max |spectral - centered difference| over 64x64 grid: {np.max(np.abs(exa
 
 print()
 print("=" * 70)
-print("3. Analytic backend for non-periodic profiles")
+print("3. Affine leaves for non-periodic profiles")
 print("=" * 70)
 
 # A linear ramp in y is not periodic; consumers flag reports accordingly.

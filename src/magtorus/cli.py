@@ -25,9 +25,10 @@ the assembled pencils were solved) live outside the comparison payload.  A
 simulate ``stats`` entry also says that H is 1/2 by construction on the
 angle form, and gives ``rhs_kernel``: the trigonometric
 terms the system's compiled point kernel inlines, the node rules it traced
-into arithmetic, and the rules it calls (a rule that could not be traced, or
-an analytic leaf's rules).  Trajectories are written as CSV, one file per
-trajectory.  ``--plot-data`` additionally emits gnuplot-ready columnar files.
+into arithmetic, and the node rules it calls because they could not be
+traced (affine leaves are inlined and counted in none).  Trajectories are
+written as CSV, one file per trajectory.  ``--plot-data`` additionally emits
+gnuplot-ready columnar files, each written one column of the grid at a time.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ from pathlib import Path
 import numpy as np
 
 from .fields import DomainError, SamplingGrid
-from .flow import atomic_write as _atomic_write, export_csv, integrate, monitor, write_table
+from .flow import (atomic_write as _atomic_write, atomic_write_chunks, export_csv, integrate,
+                   monitor, write_table)
 from .ansatz import (conservation_residuals, constraint_residual,
                      first_integral_observable, rescale, residual_harmonic,
                      residual_stationarity)
@@ -134,14 +136,18 @@ def _fail_non_finite(entry: dict) -> dict:
 
 
 def _write_grid_dat(path: Path, grid: SamplingGrid, values: np.ndarray):
-    """`x y value` rows, one block per x node, each block followed by a
-    blank line (gnuplot's `splot` grid layout)."""
-    ys = grid.ys.tolist()
-    rows = []
-    for x, column in zip(grid.xs.tolist(), values.tolist()):
-        rows += [(x, y, value) for y, value in zip(ys, column)]
-        rows.append(())
-    write_table(path, rows)
+    """`x y value` rows at 17 significant digits, one block per x node, each
+    block followed by a blank line (gnuplot's `splot` grid layout), written
+    one block at a time with each x and y formatted once."""
+    ys = [f" {y:.17g} " for y in grid.ys.tolist()]
+
+    def columns():
+        for x, column in zip(grid.xs.tolist(), values):
+            x = f"{x:.17g}"
+            yield "".join([f"{x}{y}{value:.17g}\n" for y, value in zip(ys, column.tolist())])
+            yield "\n"
+
+    atomic_write_chunks(path, columns())
 
 
 # ---------------------------------------------------------------------------

@@ -1,28 +1,28 @@
 """Smooth scalar fields on a flat 2-torus with exact point values and exact
 first partial derivatives.
 
-Two backends:
+Two kinds of leaf, both plain data:
 
 * trigonometric polynomials -- a finite table of complex Fourier coefficients
   with conjugate symmetry c[-m,-n] = conj(c[m,n]), so evaluation is real and
   differentiation is exact (multiply mode (m, n) by i*2*pi*m/period_x, and
   analogously in y);
-* analytic closed forms -- a value rule plus closed-form first-derivative
-  rules, admitting non-periodic profiles such as a linear ramp in y.
+* affine leaves (`AffineField`) -- offset + slope * x or offset + slope * y,
+  admitting non-periodic profiles such as a linear ramp in y.
 
 Evaluation is forward mode: ``field.jet(x, y)`` returns ``(v, v_x, v_y)``.
-A trigonometric table is a leaf: the spectral derivatives (`dx_field`,
-`dy_field`) are the only operations from a table to a table, and every sum,
-difference, negation, scalar multiple, product and power of fields is a node
-combining its children's jets once.  A `SamplingGrid` is evaluated in
-blocks (`GridBlock`) of at most BLOCK_POINTS points: trigonometric leaves
-evaluate separably on the rows a block covers and at most once per block
-(each block memoizes its leaf jets, and a block's memo goes with it), and
-`field.jet(grid)` is one block holding every node.  Same-shaped arrays go
-through the same expression tree with numpy.  At a single point (plain
-int or float coordinates) a field runs its compiled point kernel
-(`point_kernel`): one straight-line Python function of (x, y), written once
-per field on first use, with each trigonometric term inlined and each node's
+The spectral derivatives (`dx_field`, `dy_field`) are the only operations
+from a table to a table, and every sum, difference, negation, scalar
+multiple, product and power of fields is a node combining its children's
+jets once.  A `SamplingGrid` is evaluated in blocks (`GridBlock`) of at most
+BLOCK_POINTS points: a leaf evaluates on the rows a block touches, then is
+cut down to the block's nodes (a trigonometric leaf separably and at most
+once per block: each block memoizes its trigonometric leaf jets, and a
+block's memo goes with it), and `field.jet(grid)` is one block holding every
+node.  Same-shaped arrays go through the same expression tree with numpy.
+At a single point (plain int or float coordinates) a field runs its compiled
+point kernel (`point_kernel`): one straight-line Python function of (x, y),
+written once per field on first use, with each leaf inlined and each node's
 jet rule traced into plain arithmetic (or called, where the rule cannot be
 traced).  It performs the operations of the recursive evaluation in the same
 order, so it returns the same bits.  Fields are immutable; evaluation is pure.
@@ -30,13 +30,13 @@ order, so it returns the same bits.  Fields are immutable; evaluation is pure.
 Each field carries its torus, and it is the one place that torus is stated:
 `same_torus` refuses, with FieldError, to combine fields of different tori,
 to evaluate a field on a grid of another torus, or to build an ansatz or a
-magnetic system from them.  A field has both exact first-derivative rules
-or neither (`exact`).  A trigonometric field is refused, with FieldError,
-when it is built if its grid table would exceed MAX_TABLE_CELLS, or if its
-coefficients, wavenumbers, values or first partials may overflow float64:
-a mode index too large for a float, or a bound |c0| + sum(|a| + |b|) on
-its values or sum |k_x| (|a| + |b|), sum |k_y| (|a| + |b|) on its first
-partials that is not finite.
+magnetic system from them.  A field has exact first-derivative rules
+(`exact`) unless it is or holds a value field (`value_field`).  A
+trigonometric field is refused, with FieldError, when built if its grid
+table would exceed MAX_TABLE_CELLS or its coefficients, wavenumbers, values
+or first partials may overflow float64: a mode index too large for a float,
+or a non-finite bound |c0| + sum(|a| + |b|) on its values or
+sum |k_x| (|a| + |b|), sum |k_y| (|a| + |b|) on its first partials.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class SamplingGrid:
         return add(self._tree)
 
     @functools.cached_property
-    def _mesh(self):   # for callers; kernels take each block's own mesh
+    def _mesh(self):   # for callers; kernels evaluate blocks
         return np.meshgrid(self.xs, self.ys, indexing="ij")
 
     mesh_x = property(lambda self: self._mesh[0])
@@ -181,11 +181,6 @@ class GridBlock:
         """The block's nodes of a C-contiguous (nx, ny) array, as a flat view."""
         return array.reshape(-1)[self.start:self.stop]
 
-    def mesh(self):
-        """x and y of the block's nodes."""
-        i, j = np.divmod(np.arange(self.start, self.stop), self.grid.ny)
-        return self.grid.xs[i].reshape(self.shape), self.grid.ys[j].reshape(self.shape)
-
     def __repr__(self):
         return f"GridBlock({self.grid!r} [{self.start}:{self.stop}])"
 
@@ -223,7 +218,7 @@ class Field:
 
     geometry: TorusGeometry
     periodic: bool = True
-    exact = True   # exact first-derivative rules exist (both or neither)
+    exact = True   # exact first-derivative rules exist (not where a value field is)
 
     def jet(self, x, y=None) -> Jet:
         """Value and exact first partials at points (x, y), or on a grid or
@@ -440,30 +435,37 @@ def _canonicalize_table(table: dict):
 
 
 class AnalyticField(Field):
-    """Closed-form field: a value rule plus both first-derivative rules, or
-    neither (then its jet and derivatives raise DerivativeUnavailable)."""
-
-    def __init__(self, value_fn, dx_fn=None, dy_fn=None, *,
-                 geometry: TorusGeometry | None = None, periodic: bool = True,
-                 label: str = ""):
-        if (dx_fn is None) != (dy_fn is None):
-            raise FieldError("an analytic field takes both first-derivative rules "
-                             "or neither")
-        self.geometry = geometry if geometry is not None else TorusGeometry()
-        self.periodic = periodic
-        self.label = label
-        self.exact = dx_fn is not None
-        self._rules = (value_fn, dx_fn, dy_fn)
-
-    def _jet(self, x, y, memo):
-        if isinstance(x, GridBlock):
-            x, y = x.mesh()
-        return Jet(*(rule(x, y) if rule else math.nan for rule in self._rules))
+    """Base of the fields that are not trigonometric tables: `AffineField`
+    and expression nodes.  It has no constructor, and exists only because
+    perfbench/tracer.py wraps the `eval`, `d_dx` and `d_dy` it finds in this
+    class's own namespace; it can go when the tracer stops wrapping them."""
 
     eval, d_dx, d_dy = Field.eval, Field.d_dx, Field.d_dy
 
+
+class AffineField(AnalyticField):
+    """offset + slope * x (axis "x") or offset + slope * y (axis "y"),
+    periodic only when its slope is 0."""
+
+    def __init__(self, offset: float, slope: float, axis: str, geometry: TorusGeometry):
+        self.offset, self.slope, self.axis, self.geometry = offset, slope, axis, geometry
+        self.periodic = slope == 0.0
+
+    def _jet_at(self, x, y) -> Jet:
+        """The one jet rule of the coordinates: applied to arrays and points,
+        to a block's rows before the cut, and traced by point kernels."""
+        zero = 0.0 * (x + y)
+        if self.axis == "x":
+            return Jet(self.offset + self.slope * x + 0.0 * y, self.slope + zero, zero)
+        return Jet(self.offset + self.slope * y + 0.0 * x, zero, self.slope + zero)
+
+    def _jet(self, x, y, memo):
+        if isinstance(x, GridBlock):   # on the rows the block touches, then cut
+            return Jet(*map(x.cut, self._jet_at(x.grid.xs[x.rows, None], x.grid.ys[None, :])))
+        return self._jet_at(x, y)
+
     def __repr__(self):
-        return f"AnalyticField({self.label or 'derived'})"
+        return f"AffineField(affine_{self.axis})"
 
 
 class _Node(AnalyticField):
@@ -479,8 +481,11 @@ class _Node(AnalyticField):
     def _jet(self, x, y, memo):
         return self._rule(*[c._jet(x, y, memo) for c in self._children])
 
+    def __repr__(self):
+        return f"AnalyticField({self.label or 'derived'})"
 
-def value_field(rule, fields, *, label: str) -> AnalyticField:
+
+def value_field(rule, fields, *, label: str) -> _Node:
     """Evaluation-only field with value ``rule(*jets of fields)``: its own
     derivatives would need second derivatives, which fields do not carry."""
     for f in fields:
@@ -498,11 +503,12 @@ def value_field(rule, fields, *, label: str) -> AnalyticField:
 # dict, a Jet per node) costs more than the arithmetic it performs.  A point
 # kernel walks the tree once and writes one straight-line function of (x, y):
 # every leaf and node becomes locals assigned once, trigonometric terms are
-# inlined with their coefficients as literals, and each node's jet rule is
-# traced once on symbolic operands, so the rules stay the one statement of
-# the algebra.  A rule that does more than arithmetic on its operands (it
+# inlined with their coefficients as literals, and the jet rule of each
+# affine leaf (on the operands x and y) and of each node (on its children's
+# operands) is traced once, so the rules stay the one statement of the
+# algebra.  A node rule that does more than arithmetic on its operands (it
 # compares them, branches on them or hands them to numpy) cannot be traced
-# and is called from the kernel instead, as are the rules of analytic leaves.
+# and is called from the kernel instead.
 # Every operation is the one the recursive evaluation performs, in the same
 # order, so a kernel returns the same bits and raises the same errors; lines
 # of + - * whose results are never used are left out (they cannot raise).
@@ -599,8 +605,8 @@ class _KernelWriter:
                 jet = self._trig(field)
             elif isinstance(field, _Node):
                 jet = self._node(field)
-            else:
-                jet = self._analytic(field)
+            else:   # an affine leaf: its rule of the coordinates, traced
+                jet = tuple(field._jet_at(_Operand(self, "x"), _Operand(self, "y")))
             self.jets[field] = jet
         return jet
 
@@ -636,22 +642,15 @@ class _KernelWriter:
         except Exception:   # any failure on symbolic operands: call the rule
             del self.lines[mark:]
             args = ", ".join(f"Jet({', '.join(map(self.ref, o))})" for o in operands)
-            return self._call(f"{self.ref(node._rule)}({args})",
-                              [part for o in operands for part in o], 3)
+            jet = tuple(_Operand(self, f"t{next(self._names)}") for _ in range(3))
+            names = tuple(t.name for t in jet)
+            reads = tuple(p.name for o in operands for p in o if isinstance(p, _Operand))
+            self.lines.append((names, f"{', '.join(names)} = {self.ref(node._rule)}({args})",
+                               reads, False))
+            self.counts["called_rules"] += 1
+            return jet
         self.counts["traced_nodes"] += 1
         return jet
-
-    def _analytic(self, leaf: AnalyticField) -> tuple:
-        return tuple(self._call(f"{self.ref(rule)}(x, y)", (), 1)[0] if rule else math.nan
-                     for rule in leaf._rules)
-
-    def _call(self, code: str, operands, parts: int) -> tuple:
-        targets = tuple(_Operand(self, f"t{next(self._names)}") for _ in range(parts))
-        names = ", ".join(t.name for t in targets)
-        reads = tuple(o.name for o in operands if isinstance(o, _Operand))
-        self.lines.append((tuple(t.name for t in targets), f"{names} = {code}", reads, False))
-        self.counts["called_rules"] += 1
-        return targets
 
     def check_floor(self, lam):
         text = self.ref(lam)
@@ -684,8 +683,8 @@ def point_kernel(field: Field, *values: Field, floor: bool = False):
     its value is not above LAMBDA_FLOOR.
 
     The function carries `source` (its text) and `counts`: the trigonometric
-    terms inlined, the node rules traced, and the rules it calls (untraceable
-    node rules and the value and derivative rules of analytic leaves).
+    terms inlined, the node rules traced, and the node rules it calls (those
+    that cannot be traced).  Affine leaves are traced and counted in none.
     """
     writer = _KernelWriter()
     outputs = list(writer.jet(field))
@@ -698,15 +697,24 @@ def point_kernel(field: Field, *values: Field, floor: bool = False):
 def check_conformal_factor(lam: Field):
     """Raise DomainError unless Lambda stays above LAMBDA_FLOOR on its torus.
 
-    The check grid is 64 x 64 on Lambda's own torus.  For a TrigField the
-    claim holds everywhere: it is accepted when c0 - 2 sum|c| clears the
-    floor, or when the minimum on the grid minus the Lipschitz bound
-    2 sum |c| |k| times half the cell diagonal does (every point lies within
-    half a diagonal of a node).  Other fields are checked at the nodes only.
+    An AffineField is bounded by its exact infimum on the closed fundamental
+    domain, min(offset, offset + slope * period), rounded down.  For a
+    TrigField the claim holds everywhere: it is accepted when c0 - 2 sum|c|
+    clears the floor, or when its minimum on a 64 x 64 grid over its torus
+    minus the Lipschitz bound 2 sum |c| |k| times half the cell diagonal does
+    (every point lies within half a diagonal of a node).  Other fields are
+    checked at the nodes of that grid only.
     """
     grid = SamplingGrid(64, 64, lam.geometry)
-    lam_min = lam.min_on_grid(grid)
-    if isinstance(lam, TrigField):
+    if isinstance(lam, AffineField):
+        bound = lam.offset
+        if lam.slope < 0.0:   # the far end, each of its two roundings taken downward
+            period = lam.geometry.period_x if lam.axis == "x" else lam.geometry.period_y
+            bound = math.nextafter(
+                lam.offset + math.nextafter(lam.slope * period, -math.inf), -math.inf)
+        claim = f"on the closed fundamental domain (lower bound = {bound:g})"
+    elif isinstance(lam, TrigField):
+        lam_min = lam.min_on_grid(grid)
         spread = sum(math.hypot(a, b) for _, _, a, b in lam._terms)
         lipschitz = sum(math.hypot(a, b) * math.hypot(kx, ky) for kx, ky, a, b in lam._terms)
         half_diagonal = 0.5 * math.hypot(grid.geometry.period_x / grid.nx,
@@ -714,8 +722,8 @@ def check_conformal_factor(lam: Field):
         bound = max(lam._c0 - spread, lam_min - lipschitz * half_diagonal)
         claim = f"everywhere (lower bound = {bound:g})"
     else:
-        bound = lam_min
-        claim = f"on the sampling grid (min = {lam_min:g})"
+        bound = lam.min_on_grid(grid)
+        claim = f"on the sampling grid (min = {bound:g})"
     if not LAMBDA_FLOOR < bound < math.inf:
         raise DomainError(f"conformal factor must stay finite and above "
                           f"{LAMBDA_FLOOR:g} {claim}")
@@ -784,16 +792,7 @@ def _affine_axis(axis: str):
         if not (math.isfinite(offset) and math.isfinite(slope)):
             raise FieldError(f"affine_{axis} needs finite offset and slope, "
                              f"got {offset!r}, {slope!r}")
-        if axis == "y":
-            value = lambda x, y: offset + slope * y + 0.0 * x
-            dx = lambda x, y: 0.0 * (x + y)
-            dy = lambda x, y: slope + 0.0 * (x + y)
-        else:
-            value = lambda x, y: offset + slope * x + 0.0 * y
-            dx = lambda x, y: slope + 0.0 * (x + y)
-            dy = lambda x, y: 0.0 * (x + y)
-        return AnalyticField(value, dx, dy, geometry=geometry,
-                             periodic=(slope == 0.0), label=f"affine_{axis}")
+        return AffineField(offset, slope, axis, geometry)
     return factory
 
 

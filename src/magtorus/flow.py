@@ -461,11 +461,19 @@ def crosscheck_formulations(system: MagneticSystem, state0: PhaseState,
 
 
 def atomic_write(path, text: str):
-    """Write `text` to `path` through a temporary file beside it, replaced
-    onto `path` in one step, so no reader sees a partial file."""
+    """Write `text` to `path` as `atomic_write_chunks` does.  Its one string
+    is what the `cli.write` span of perfbench/tracer.py measures."""
+    atomic_write_chunks(path, (text,))
+
+
+def atomic_write_chunks(path, chunks):
+    """Write the strings of `chunks`, in order, to `path` through a temporary
+    file beside it, replaced onto `path` in one step, so no reader sees a
+    partial file and no more than one chunk need be held at a time."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    with open(tmp, "w") as out:
+        out.writelines(chunks)
     os.replace(tmp, path)
 
 

@@ -32,7 +32,7 @@ KNOWN_CHECKS = ("stationarity", "harmonics", "constraint", "conservation",
 #: random scenario peaks at 35-36 MB from 256^2 to 2048^2 (2-CPU x86-64
 #: host), while its time grows with nx * ny (22 s at 2048^2).  What grows is
 #: ``--plot-data``: 8 bytes per node for each stationarity and harmonic
-#: residual grid it keeps, and more while the .dat files are written.
+#: residual grid it keeps; its .dat files are written one x column at a time.
 MAX_GRID_POINTS = 2048 * 2048
 
 #: Largest ansatz degree N a scenario may ask for, and largest degree n of

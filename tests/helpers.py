@@ -166,7 +166,7 @@ def recursive_point_jet(field, x, y, memo=None) -> Jet:
         return jet
     if isinstance(field, _Node):
         return field._rule(*[recursive_point_jet(c, x, y, memo) for c in field._children])
-    return Jet(*(rule(x, y) if rule else math.nan for rule in field._rules))
+    return field._jet_at(x, y)   # an affine leaf: its rule applied to the coordinates
 
 
 def recursive_lam_omega(lam, omega, x, y) -> tuple:

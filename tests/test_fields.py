@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 import magtorus as mt
-from magtorus.fields import (FieldError, DerivativeUnavailable, TrigField, _Node,
-                             check_conformal_factor)
+from magtorus.fields import FieldError, TrigField, _Node, check_conformal_factor
 from helpers import eval_complex, same_bits, trig_product
 
 
@@ -176,12 +175,22 @@ def test_analytic_affine_preset():
     assert f.d_dy(0.0, 0.0) == -1.0
     assert f.d_dx(0.5, 0.5) == 0.0
     assert not f.periodic
-
-
-def test_analytic_derivative_unavailable():
-    f = mt.AnalyticField(lambda x, y: 0.0 * (x + y))
-    with pytest.raises(DerivativeUnavailable):
-        f.d_dx(0.0, 0.0)
+    # Block and whole-grid jets are the closed form, bit for bit, on a grid
+    # of two blocks whose first ends inside a row.
+    grid = mt.SamplingGrid(130, 70, mt.TorusGeometry(3.0, 5.0))
+    x, y = grid.mesh_x, grid.mesh_y
+    zero = 0.0 * (x + y)
+    for slope in (-0.7, 0.0, -0.0, 2.5):
+        closed = {"x": (1.5 + slope * x + 0.0 * y, slope + zero, zero),
+                  "y": (1.5 + slope * y + 0.0 * x, zero, slope + zero)}
+        for axis, want in closed.items():
+            f = mt.analytic_preset(f"affine_{axis}", {"offset": 1.5, "slope": slope},
+                                   grid.geometry)
+            assert f.periodic == (slope == 0.0)
+            assert [p.tobytes() for p in f.jet(grid)] == [w.tobytes() for w in want]
+            for block in grid.blocks():
+                assert ([p.tobytes() for p in f.jet(block)]
+                        == [block.part(w).tobytes() for w in want])
 
 
 def test_trig_product_is_exact_convolution():
@@ -300,16 +309,6 @@ def test_evaluation_on_a_grid_of_another_torus_is_refused():
                 field.jet(other)
         field.on_grid(mt.SamplingGrid(8, 8, unit))
     assert not block.memo
-
-
-def test_analytic_field_takes_both_derivative_rules_or_neither():
-    value = lambda x, y: x + y
-    rule = lambda x, y: 1.0 + 0.0 * (x + y)
-    for rules in ((rule, None), (None, rule)):
-        with pytest.raises(FieldError, match="both first-derivative rules or neither"):
-            mt.AnalyticField(value, *rules)
-    assert mt.AnalyticField(value, rule, rule).exact is True
-    assert mt.AnalyticField(value).exact is False
 
 
 def test_trig_field_table_above_the_cap_is_refused():

@@ -10,7 +10,7 @@ import pytest
 
 import magtorus as mt
 from magtorus.cli import run_verify_checks
-from magtorus.fields import DerivativeUnavailable, GridBlock, TrigField
+from magtorus.fields import DerivativeUnavailable, GridBlock, TrigField, value_field
 
 
 def assert_close(got, want, rtol=1e-13):
@@ -85,8 +85,8 @@ def test_value_only_fields():
         for call in (omega.d_dx, omega.d_dy, omega.jet):
             with pytest.raises(DerivativeUnavailable):
                 call(0.1, 0.2)
-    no_rules = mt.AnalyticField(lambda x, y: 0.0 * (x + y))
     zero = mt.zero_field()
+    no_rules = value_field(lambda a: a.v, (zero,), label="no rules")
     with pytest.raises(DerivativeUnavailable):
         mt.omega_rescaled(mt.RescaledAnsatz(1, (no_rules,), (zero,), lam))
 

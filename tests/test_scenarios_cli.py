@@ -226,6 +226,24 @@ def test_aliased_lambda_is_refused_at_load(tmp_path):
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_affine_lambda_that_dips_below_the_floor_is_refused_at_load(tmp_path):
+    # Lambda = 1 - x / (2 pi 63.5 / 64) is positive at every node of the
+    # 64x64 check grid but negative near x = 2 pi; its exact infimum on the
+    # closed fundamental domain refuses it before any check or orbit runs.
+    lam = {"type": "analytic", "name": "affine_x",
+           "params": {"offset": 1.0, "slope": -1.0 / (2.0 * math.pi * 63.5 / 64.0)}}
+    scen = tmp_path / "affine.json"
+    scen.write_text(json.dumps({
+        "N": 1, "lambda": lam, "coefficients": [{"k": 0, "u": 0.0}], "omega": 0.0,
+        "trajectories": [{"name": "orbit", "initial": [6.2, 0.3, 0.0], "t_end": 1.0}]}))
+    for command in ("verify", "simulate"):
+        proc = run_python("-m", "magtorus", command, str(scen), timeout=30.0)
+        assert proc.returncode == 2, (command, proc.stderr)
+        assert "conformal factor" in proc.stderr
+        assert "on the closed fundamental domain" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 @pytest.mark.parametrize("spec", [
     {"type": "trig", "coeffs": [{"m": 1, "n": 0, "re": math.nan}]},
     {"type": "constant", "value": math.inf},
@@ -633,9 +651,9 @@ def test_scenario_file_equivalent_to_bundled(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name, kernel", [
-    # Lambda = 1 (no term); u_0 = -2 y is an analytic leaf whose three rules
-    # the kernel calls; the derived Omega's value rule is traced.
-    ("flat-constant-field", {"trig_terms": 0, "traced_nodes": 1, "called_rules": 3}),
+    # Lambda = 1 (no term); u_0 = -2 y is an affine leaf, inlined; the
+    # derived Omega's value rule is traced.
+    ("flat-constant-field", {"trig_terms": 0, "traced_nodes": 1, "called_rules": 0}),
     ("linear-family-periodic", {"trig_terms": 2, "traced_nodes": 1, "called_rules": 0}),
 ])
 def test_simulate_stats_describe_the_rhs_kernel(tmp_path, capsys, name, kernel):
@@ -945,24 +963,58 @@ def test_overflowing_first_integral_fails_its_trajectory_quietly(tmp_path):
     assert traj["pass"] is False and traj["drifts"]["F"]["initial"] == "inf"
 
 
-def test_verify_memory_does_not_grow_with_the_grid(tmp_path):
-    spec = lambda seed, **kw: {"type": "random_trig", "seed": seed, "modes": 4,
-                               "max_mode": 2, "amplitude": 0.15, **kw}
-    path = tmp_path / "random-n3.json"
-    path.write_text(json.dumps({
-        "N": 3, "lambda": spec(1, offset=2.0),
-        "coefficients": [{"k": 0, "u": spec(2)}, {"k": 1, "u": spec(3), "v": spec(4)},
-                         {"k": 2, "u": spec(5), "v": spec(6)}]}))
+def peak_rss_kb(*argv):
+    """Exit code and peak RSS (KB, from os.wait4) of `python -m magtorus
+    *argv`, stdout discarded.  The run is spawned from a bare interpreter:
+    a child spawned from the test process would report at least the test
+    process's own peak RSS, which the child shares until its exec."""
+    launcher = ("import os, sys\n"
+                "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]],"
+                " os.environ, file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull,"
+                " os.O_WRONLY, 0)])\n"
+                "_, status, usage = os.wait4(pid, 0)\n"
+                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(mt.__file__).resolve().parents[1]),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", launcher, "-m", "magtorus", *argv],
+                          capture_output=True, text=True, env=env, timeout=120.0)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    code, peak = map(int, proc.stdout.split())
+    return code, peak
+
+
+def random_scenario_file(tmp_path, n):
+    """A random degree-n scenario (not a solution) written to tmp_path."""
+    spec = lambda seed, **kw: {"type": "random_trig", "seed": seed, "modes": 4,
+                               "max_mode": 2, "amplitude": 0.15, **kw}
+    path = tmp_path / f"random-n{n}.json"
+    path.write_text(json.dumps({
+        "N": n, "lambda": spec(1, offset=2.0),
+        "coefficients": [{"k": 0, "u": spec(2)}] + [
+            {"k": k, "u": spec(2 * k + 1), "v": spec(2 * k + 2)} for k in range(1, n)]}))
+    return path
+
+
+def test_verify_memory_does_not_grow_with_the_grid(tmp_path):
+    path = random_scenario_file(tmp_path, 3)
     peaks = {}
     for grid in ("128,128", "512,512"):
-        proc = subprocess.Popen([sys.executable, "-m", "magtorus", "verify", str(path),
-                                 "--grid", grid], stdout=subprocess.DEVNULL, env=env)
-        _, status, usage = os.wait4(proc.pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 1   # not a solution
-        peaks[grid] = usage.ru_maxrss
+        code, peaks[grid] = peak_rss_kb("verify", str(path), "--grid", grid)
+        assert code == 1   # not a solution
     assert peaks["512,512"] <= 1.1 * peaks["128,128"], peaks
+
+
+def test_plot_data_files_are_written_a_column_at_a_time(tmp_path):
+    # Only the residual grids themselves (7 of 0.5 MB at N = 4) may add to
+    # the peak; the .dat text is never held whole.
+    path = random_scenario_file(tmp_path, 4)
+    code, plain = peak_rss_kb("verify", str(path), "--grid", "256,256")
+    assert code == 1
+    code, plotted = peak_rss_kb("verify", str(path), "--grid", "256,256", "--out",
+                                str(tmp_path / "out"), "--plot-data")
+    assert code == 1
+    assert len(list((tmp_path / "out").glob("*.dat"))) == 7
+    assert plotted <= 1.15 * plain, (plotted, plain)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1052,16 +1104,6 @@ def test_product_of_wide_trig_fields_is_not_tabulated(tmp_path):
     assert proc.returncode == 0, proc.stderr
     (check,) = stdout_json(proc.stdout)["payload"]["checks"]
     assert check["check"] == "conservation" and check["pass"]
-
-
-@pytest.mark.parametrize("name", ["linear-family-periodic", "random-nonsolution",
-                                  "flat-zero-field"])
-def test_verify_of_trigonometric_fields_builds_no_mesh(monkeypatch, name):
-    scenario = mt.load_scenario(name)
-    meshes = []
-    monkeypatch.setattr(mt.fields.GridBlock, "mesh", lambda block: meshes.append(block))
-    run_verify_checks(scenario, want_grids=True)
-    assert meshes == []
 
 
 @pytest.mark.parametrize("change, message", [
