@@ -2,14 +2,16 @@
 assembly with machine-readable reports.
 
 Exit codes: 0 when every requested check passes, 1 on a check failure or an
-aborted integration, 2 on input errors (malformed JSON, unknown presets or
-scenario names, nonpositive conformal factor, wrong state-vector length, an
-``--at`` state whose A or B is not finite in float64, step, tolerance,
-trajectory or torus-period values that are not finite and positive, an
-ansatz degree, ``--geodesic`` degree, grid or trigonometric field table
-above its limit, a ``--geodesic`` degree below 2 or a grid side below 4, a
-trigonometric field whose coefficients, wavenumbers, values or first
-partials overflow float64).
+aborted integration (at the positivity floor, at a non-finite state, or at
+the step floor or budget), 2 on input errors (malformed JSON, unknown
+presets or scenario names, nonpositive conformal factor, wrong state-vector
+length, an ``--at`` state whose A or B is not finite in float64, step,
+tolerance, trajectory or torus-period values that are not finite and
+positive, a ``drift_tol`` that is NaN or negative or names no monitored
+observable, an ansatz degree, ``--geodesic`` degree, grid or trigonometric
+field table above its limit, a ``--geodesic`` degree below 2 or a grid side
+below 4, a trigonometric field whose coefficients, wavenumbers, values or
+first partials overflow float64).
 
 One pass rule: a residual check passes when every sup of its reports is
 below the tolerance, and the certificate when its three residual sups are,
@@ -211,8 +213,8 @@ def run_verify_checks(scenario: Scenario, want_grids: bool = False):
 
 def cmd_verify(args) -> int:
     scenario = _load(args)
-    payload, timings, grids = run_verify_checks(scenario,
-                                                want_grids=args.plot_data)
+    payload, timings, grids = run_verify_checks(   # grids only for files to write
+        scenario, want_grids=bool(args.plot_data and args.out))
     grid = scenario.grid
     stats = {"grid_points": grid.nx * grid.ny, "blocks": len(grid.spans),
              "largest_block_points": max(stop - start for start, stop in grid.spans)}
@@ -223,10 +225,8 @@ def cmd_verify(args) -> int:
     if args.out:
         out = _ensure_out(args.out)
         _atomic_write(out / f"{scenario.name}_verify.json", text)
-        if args.plot_data:
-            for label, values in grids.items():
-                _write_grid_dat(out / f"{scenario.name}_{label}.dat",
-                                scenario.grid, values)
+        for label, values in grids.items():
+            _write_grid_dat(out / f"{scenario.name}_{label}.dat", scenario.grid, values)
     return EXIT_PASS if payload["overall_pass"] else EXIT_CHECK_FAILED
 
 
@@ -263,10 +263,8 @@ def cmd_simulate(args) -> int:
         drifts = {name: {"initial": s.initial, "max_abs": s.max_abs_drift,
                          "relative": s.relative_drift}
                   for name, s in stats.items()}
-        passed = not traj.aborted
-        for name, tol in req.drift_tol.items():
-            if name in stats:
-                passed = passed and stats[name].relative_drift <= tol
+        passed = not traj.aborted and all(stats[name].relative_drift <= tol
+                                          for name, tol in req.drift_tol.items())
         results.append(_fail_non_finite({
             "name": req.name,
             "initial": list(req.initial),

@@ -19,13 +19,14 @@ BLOCK_POINTS points: a leaf evaluates on the rows a block touches, then is
 cut down to the block's nodes (a trigonometric leaf separably and at most
 once per block: each block memoizes its trigonometric leaf jets, and a
 block's memo goes with it), and `field.jet(grid)` is one block holding every
-node.  Same-shaped arrays go through the same expression tree with numpy.
-At a single point (plain int or float coordinates) a field runs its compiled
-point kernel (`point_kernel`): one straight-line Python function of (x, y),
-written once per field on first use, with each leaf inlined and each node's
-jet rule traced into plain arithmetic (or called, where the rule cannot be
-traced).  It performs the operations of the recursive evaluation in the same
-order, so it returns the same bits.  Fields are immutable; evaluation is pure.
+node.  Off the grid a field runs its compiled point kernel (`point_kernel`):
+one straight-line Python function of (x, y), written once per field on first
+use, with each leaf inlined and each node's jet rule traced into plain
+arithmetic (or called, where the rule cannot be traced), run with math's cos
+and sin on int or float coordinates and with numpy's on coordinate arrays.
+It performs the operations of a recursive walk of the tree (the tests'
+`recursive_point_jet`) in the same order, so it returns the same bits.
+Fields are immutable; evaluation is pure.
 
 Each field carries its torus, and it is the one place that torus is stated:
 `same_torus` refuses, with FieldError, to combine fields of different tori,
@@ -45,6 +46,7 @@ import cmath
 import functools
 import itertools
 import math
+import types
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -221,8 +223,8 @@ class Field:
     exact = True   # exact first-derivative rules exist (not where a value field is)
 
     def jet(self, x, y=None) -> Jet:
-        """Value and exact first partials at points (x, y), or on a grid or
-        grid block `x`."""
+        """Value and exact first partials on a grid or grid block `x`, or at
+        a point or same-shaped coordinate arrays (x, y) by the point kernel."""
         if not self.exact:
             raise DerivativeUnavailable(f"no first-derivative rules for {self!r}")
         return self._evaluate(x, y)
@@ -232,14 +234,20 @@ class Field:
             x = x.whole()
         if isinstance(x, GridBlock):
             same_torus(self, x)
-            return self._jet(x, None, x.memo)
+            return self._jet(x)
         if isinstance(x, (int, float)) and isinstance(y, (int, float)):
             return Jet(*self._point_kernel(x, y))
-        return self._jet(x, y, {})
+        return Jet(*self._array_kernel(x, y))
 
     @functools.cached_property
     def _point_kernel(self):
         return point_kernel(self)
+
+    @functools.cached_property
+    def _array_kernel(self):   # the point kernel's code with numpy's cos and sin
+        kernel = self._point_kernel
+        return types.FunctionType(kernel.__code__,
+                                  dict(kernel.__globals__, cos=np.cos, sin=np.sin))
 
     def eval(self, x, y):
         return self._evaluate(x, y).v
@@ -328,27 +336,16 @@ class TrigField(Field):
         self._grid_rows = np.zeros((3, self._grid_kx.size, self._grid_ky.size), dtype=complex)
         self._grid_rows[:, mi, ni] = (a + 1j * b) * np.stack((np.ones_like(kx), 1j * kx, 1j * ky))
 
-    def _jet(self, x, y, memo):
-        jet = memo.get(self)
-        if jet is not None:
-            return jet
-        if isinstance(x, GridBlock):   # on the rows the block touches, then cut
-            grid = x.grid
-            left = np.exp(1j * np.multiply.outer(grid.xs[x.rows], self._grid_kx)) @ self._grid_rows
+    def _jet(self, block):   # on the rows the block touches, then cut
+        jet = block.memo.get(self)
+        if jet is None:
+            grid = block.grid
+            left = (np.exp(1j * np.multiply.outer(grid.xs[block.rows], self._grid_kx))
+                    @ self._grid_rows)
             right = np.exp(1j * np.multiply.outer(self._grid_ky, grid.ys))
-            out = x.cut(left.real @ right.real - left.imag @ right.imag)
+            out = block.cut(left.real @ right.real - left.imag @ right.imag)
             out.flags.writeable = False   # shared through the block's memo
-            jet = Jet(*out)
-        else:   # arrays; a single point runs the field's point kernel
-            v_x = v_y = 0.0 * (x + y)
-            v = self._c0 + v_x
-            for kx, ky, a, b in self._terms:
-                theta = kx * x + ky * y
-                c, s = np.cos(theta), np.sin(theta)
-                slope = -(a * s + b * c)
-                v, v_x, v_y = v + (a * c - b * s), v_x + kx * slope, v_y + ky * slope
-            jet = Jet(*map(np.float64, (v, v_x, v_y)))
-        memo[self] = jet
+            jet = block.memo[self] = Jet(*out)
         return jet
 
     # Bound on each concrete class so that per-class wrappers can find them.
@@ -452,17 +449,16 @@ class AffineField(AnalyticField):
         self.periodic = slope == 0.0
 
     def _jet_at(self, x, y) -> Jet:
-        """The one jet rule of the coordinates: applied to arrays and points,
-        to a block's rows before the cut, and traced by point kernels."""
+        """The one jet rule of the coordinates: applied to a block's rows
+        before the cut, and traced by point kernels (points and arrays)."""
         zero = 0.0 * (x + y)
         if self.axis == "x":
             return Jet(self.offset + self.slope * x + 0.0 * y, self.slope + zero, zero)
         return Jet(self.offset + self.slope * y + 0.0 * x, zero, self.slope + zero)
 
-    def _jet(self, x, y, memo):
-        if isinstance(x, GridBlock):   # on the rows the block touches, then cut
-            return Jet(*map(x.cut, self._jet_at(x.grid.xs[x.rows, None], x.grid.ys[None, :])))
-        return self._jet_at(x, y)
+    def _jet(self, block):   # on the rows the block touches, then cut
+        return Jet(*map(block.cut, self._jet_at(block.grid.xs[block.rows, None],
+                                                block.grid.ys[None, :])))
 
     def __repr__(self):
         return f"AffineField(affine_{self.axis})"
@@ -478,8 +474,8 @@ class _Node(AnalyticField):
         self.exact = exact and all(c.exact for c in children)
         self._rule, self._children = rule, children
 
-    def _jet(self, x, y, memo):
-        return self._rule(*[c._jet(x, y, memo) for c in self._children])
+    def _jet(self, block):
+        return self._rule(*[c._jet(block) for c in self._children])
 
     def __repr__(self):
         return f"AnalyticField({self.label or 'derived'})"
@@ -499,9 +495,9 @@ def value_field(rule, fields, *, label: str) -> _Node:
 # Compiled point kernels
 # ---------------------------------------------------------------------------
 #
-# At one point, walking the expression tree (a `_jet` call per node, a memo
-# dict, a Jet per node) costs more than the arithmetic it performs.  A point
-# kernel walks the tree once and writes one straight-line function of (x, y):
+# At one point, walking the expression tree (a call per node, a memo dict, a
+# Jet per node) costs more than the arithmetic it performs.  A point kernel
+# walks the tree once and writes one straight-line function of (x, y):
 # every leaf and node becomes locals assigned once, trigonometric terms are
 # inlined with their coefficients as literals, and the jet rule of each
 # affine leaf (on the operands x and y) and of each node (on its children's
@@ -509,9 +505,10 @@ def value_field(rule, fields, *, label: str) -> _Node:
 # algebra.  A node rule that does more than arithmetic on its operands (it
 # compares them, branches on them or hands them to numpy) cannot be traced
 # and is called from the kernel instead.
-# Every operation is the one the recursive evaluation performs, in the same
-# order, so a kernel returns the same bits and raises the same errors; lines
-# of + - * whose results are never used are left out (they cannot raise).
+# Every operation is the one the recursive walk performs, in the same order,
+# so a kernel returns the same bits and raises the same errors; lines of
+# + - * whose results are never used are left out (at a point they cannot
+# raise; on arrays such a line could at most warn).
 
 
 class _Untraceable(TypeError):
@@ -611,8 +608,8 @@ class _KernelWriter:
         return jet
 
     def _trig(self, leaf: TrigField) -> tuple:
-        """`TrigField._jet`'s term loop, unrolled; the seed and each mode's
-        cos and sin are shared by every leaf of the kernel."""
+        """The leaf's terms a cos(kx x + ky y) - b sin(kx x + ky y) unrolled;
+        the seed and each mode's cos and sin are shared by every leaf."""
         lit = self.literal
         if self.seed is None:
             self.seed = self.assign("0.0 * (x + y)")
@@ -677,10 +674,12 @@ class _KernelWriter:
 def point_kernel(field: Field, *values: Field, floor: bool = False):
     """Compile `field` and `values` into one function (x, y) -> (v, v_x, v_y)
     of `field` followed by the value of each field in `values`, for plain
-    int or float coordinates.  Subgraphs shared between them are evaluated
-    once.  With `floor`, `field` is a conformal factor: right after its
-    subgraph, before any of the others, the kernel raises DomainError where
-    its value is not above LAMBDA_FLOOR.
+    int or float coordinates.  Its code also runs on coordinate arrays with
+    numpy's cos and sin bound in place of math's, as `Field.jet` runs it.
+    Subgraphs shared between them are evaluated once.  With `floor`, `field`
+    is a conformal factor: right after its subgraph, before any of the
+    others, the kernel raises DomainError where its value is not above
+    LAMBDA_FLOOR.
 
     The function carries `source` (its text) and `counts`: the trigonometric
     terms inlined, the node rules traced, and the node rules it calls (those

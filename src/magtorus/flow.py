@@ -342,6 +342,11 @@ def _integrate_path(rhs, state0, t_end, control):
             aborted = True
             diagnostic = str(exc)
             break
+        except ValueError as exc:   # math's cos or sin of an infinite coordinate or angle
+            aborted = True
+            diagnostic = (f"non-finite state in the sample interval [{t0:.17g}, {t1:.17g}] "
+                          f"after the sample {list(state)} ({exc})")
+            break
         states.append(state)
         kept_times.append(t1)
     return np.array(kept_times), states, aborted, diagnostic, stats
@@ -354,7 +359,8 @@ def integrate(system: MagneticSystem, state0: PhaseState, t_end: float,
 
     `observables` maps names to callables obs(x, y, phi) evaluated per sample;
     the energy H = 1/2 holds identically on the parameterization and is always
-    recorded.  If the conformal factor falls below the positivity floor the
+    recorded.  If the conformal factor falls below the positivity floor, or
+    the state or an angle of the right-hand side is no longer finite, the
     partial trajectory is returned with `aborted` set and a diagnostic.
     """
     if not t_end > 0.0:

@@ -193,8 +193,14 @@ def build_scenario(data: dict, *, seed: int | None = None,
         drift_spec = rec.get("drift_tol", {})
         _require(isinstance(drift_spec, dict),
                  f"{label} drift_tol must be an object, got {drift_spec!r}")
-        drift_tol = {str(k): _number(v, f"{label} drift_tol {k!r}")
-                     for k, v in drift_spec.items()}
+        monitored = ("H", "F") if "F" in observables else ("H",)
+        drift_tol = {}
+        for key, value in drift_spec.items():   # a bound that nothing reads passes silently
+            what = f"{label} drift_tol {key!r}"
+            _require(key in monitored, f"{what} names no monitored observable "
+                                       f"(monitored: {', '.join(monitored)})")
+            drift_tol[key] = tol = _number(value, what)
+            _require(tol >= 0.0, f"{what} must be a nonnegative number, got {tol!r}")
         trajectories.append(TrajectoryRequest(traj_name, initial, t_end, control,
                                               observables, drift_tol))
 

@@ -17,6 +17,30 @@ def exact_family():
     return mt.build_linear_family(lam, a_prof)
 
 
+def power_family(n, lam, a) -> mt.Ansatz:
+    """Degree-n ansatz of F_1^n, F_1 = 2 sqrt(Lambda) cos(phi) + 2 A(y), the
+    first integral of the linear family (Omega = -A'), so an exact integral
+    of the same flow.  With (2 sqrt(Lambda) cos(phi))^j = Lambda^(j/2) sum_i
+    C(j, i) exp(i (j - 2i) phi), the coefficient of exp(i k phi) is
+
+        u_k = sum over j = k, k + 2, .. <= n of C(n, j) C(j, (j - k)/2) (2A)^(n-j) Lambda^(j/2),
+
+    real (v_k = 0), and u_n = Lambda^(n/2) is the ansatz's normalization."""
+    two_a, zero = 2.0 * a, mt.zero_field(lam.geometry)
+    u = []
+    for k in range(n):
+        total = zero
+        for j in range(k, n + 1, 2):
+            term = float(math.comb(n, j) * math.comb(j, (j - k) // 2))
+            if j < n:   # no power 0: its slope 0 * A^-1 divides by zero where A = 0
+                term = term * two_a ** (n - j)
+            if j > 0:
+                term = term * lam ** (j / 2.0)
+            total = total + term
+        u.append(total)
+    return mt.Ansatz(n, lam, u, [zero] * (n - 1))
+
+
 def eval_complex(field: TrigField, x, y):
     """Full two-sided sum of the coefficient table; for a real field the
     imaginary part vanishes to roundoff."""
@@ -144,13 +168,14 @@ def transcription_n2(state, ux, uy):
 
 
 # ---------------------------------------------------------------------------
-# The recursive point evaluator (one `_jet` call per node, a memo of
-# trigonometric leaves per call): the oracle of the compiled point kernels
+# The recursive point evaluator (one call per node, a memo of trigonometric
+# leaves per call): the oracle of the compiled point kernels
 # ---------------------------------------------------------------------------
 
 
-def recursive_point_jet(field, x, y, memo=None) -> Jet:
-    """Jet of `field` at the point (x, y) by walking its expression tree."""
+def recursive_point_jet(field, x, y, memo=None, *, cos=math.cos, sin=math.sin) -> Jet:
+    """Jet of `field` at the point (x, y) by walking its expression tree;
+    with numpy's `cos` and `sin`, at coordinate arrays (x, y)."""
     memo = {} if memo is None else memo
     if isinstance(field, TrigField):
         jet = memo.get(field)
@@ -159,13 +184,14 @@ def recursive_point_jet(field, x, y, memo=None) -> Jet:
             v = field._c0 + v_x
             for kx, ky, a, b in field._terms:
                 theta = kx * x + ky * y
-                c, s = math.cos(theta), math.sin(theta)
+                c, s = cos(theta), sin(theta)
                 slope = -(a * s + b * c)
                 v, v_x, v_y = v + (a * c - b * s), v_x + kx * slope, v_y + ky * slope
             jet = memo[field] = Jet(v, v_x, v_y)
         return jet
     if isinstance(field, _Node):
-        return field._rule(*[recursive_point_jet(c, x, y, memo) for c in field._children])
+        return field._rule(*[recursive_point_jet(c, x, y, memo, cos=cos, sin=sin)
+                             for c in field._children])
     return field._jet_at(x, y)   # an affine leaf: its rule applied to the coordinates
 
 

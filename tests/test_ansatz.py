@@ -10,7 +10,7 @@ import magtorus as mt
 import magtorus.ansatz as ansatz_module
 from magtorus.ansatz import harmonic_residual_values, stationarity_residual_values
 from magtorus.fields import TrigField
-from helpers import (exact_family, manufactured_rescaled, stream_pair,
+from helpers import (exact_family, manufactured_rescaled, power_family, stream_pair,
                      top_harmonic_displays)
 
 
@@ -141,6 +141,39 @@ def test_harmonic_exact_family_all_k():
     for k in range(0, 3):
         rep = mt.residual_harmonic(ansatz, system.omega, k)
         assert rep.max_sup < 1e-11
+
+
+#: Profiles of the linear family: Lambda = 2 + 0.3 cos y, A = 0.1 sin y.
+POWER_LAMBDA = mt.make_trig_field({(0, 0): 2.0, (0, 1): 0.15})
+POWER_A = mt.make_trig_field({(0, 1): -0.05j})
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_powers_of_the_linear_integral_are_exact_at_every_degree(n):
+    # F_1^n is conserved by the flow with Omega = -A', so every residual
+    # vanishes to roundoff, the closed form returns -A' and the Egorov
+    # certificate certifies.
+    ansatz = power_family(n, POWER_LAMBDA, POWER_A)
+    grid = mt.SamplingGrid(64, 64)
+    omega = mt.omega_rescaled(mt.rescale(ansatz))   # what a scenario's "derive" takes
+    constraint = mt.constraint_residual(ansatz, grid)
+    conservation = mt.conservation_residuals(mt.rescale(ansatz), grid)
+    reports = [mt.residual_stationarity(ansatz, omega, grid), constraint, conservation,
+               *(mt.residual_harmonic(ansatz, omega, k, grid) for k in range(n + 2))]
+    sups = [(entry.label, entry.sup) for report in reports for entry in report.entries]
+    assert all(sup <= 1e-10 for _, sup in sups), sups
+    gap = mt.omega_raw(ansatz).on_grid(grid) + POWER_A.dy_field().on_grid(grid)
+    assert np.max(np.abs(gap)) <= 1e-12
+    assert mt.certificate_from_reports(constraint, conservation, 1e-10).certified
+
+
+def test_cube_of_the_linear_integral_is_conserved_along_the_flow():
+    ansatz = power_family(3, POWER_LAMBDA, POWER_A)
+    system = mt.MagneticSystem(POWER_LAMBDA, mt.omega_rescaled(mt.rescale(ansatz)))
+    traj = mt.integrate(system, mt.PhaseState(0.5, 0.3, 0.7), 10.0,
+                        observables={"F": mt.first_integral_observable(ansatz)})
+    assert not traj.aborted
+    assert mt.monitor(traj)["F"].relative_drift <= 1e-8
 
 
 def test_harmonic_index_out_of_range():

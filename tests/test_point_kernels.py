@@ -105,6 +105,36 @@ def test_point_kernel_equals_recursive_evaluation(field, other, points):
                             outcome(lambda: recursive_lam_omega(field, other, x, y)))
 
 
+def same_array_bits(got, want) -> bool:
+    """Arrays of one dtype and shape, NaN at the same places and every other
+    element the same bytes (so -0.0 differs from 0.0)."""
+    got, want = np.asarray(got), np.asarray(want)
+    if got.dtype != want.dtype or got.shape != want.shape:
+        return False
+    nan = np.isnan(got)
+    return np.array_equal(nan, np.isnan(want)) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(field=FIELD, points=st.lists(st.tuples(COORD, COORD), min_size=1, max_size=6))
+def test_arrays_run_the_kernel_code_as_the_recursive_walk_with_numpy(field, points):
+    # Array bits are compared with the numpy walk only: np.cos and math.cos
+    # may differ by an ulp.  Unused kernel lines may skip a warning, not a value.
+    xs, ys = np.array(points).T
+    walk = lambda: recursive_point_jet(field, xs, ys, cos=np.cos, sin=np.sin)
+    with np.errstate(all="ignore"):
+        if field.exact:
+            got, want = outcome(lambda: field.jet(xs, ys)), outcome(walk)
+        else:
+            got, want = outcome(lambda: [field.eval(xs, ys)]), outcome(lambda: [walk().v])
+    assert got[0] == want[0], (got, want)
+    if got[0] == "raise":
+        assert got == want
+    else:
+        assert all(map(same_array_bits, got[1], want[1])), (got, want)
+
+
 def test_unused_lines_that_raise_are_kept():
     # The value of 0 ** 0.5 is 0, but its slope 0.5 * 0 ** -0.5 divides by
     # zero; reading only the value must still raise, as the rule does.

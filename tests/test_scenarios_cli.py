@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -963,6 +964,61 @@ def test_overflowing_first_integral_fails_its_trajectory_quietly(tmp_path):
     assert traj["pass"] is False and traj["drifts"]["F"]["initial"] == "inf"
 
 
+#: N = 1 with Lambda = 2 + 0.6 cos y, u_0 = 0.4 cos x - 0.2 sin x and a
+#: given Omega = 0.5: no first integral, F drifts by 0.33 relative to t = 3.
+DRIFTING_F = {"N": 1, "grid": [16, 16], "omega": 0.5,
+              "lambda": {"type": "trig", "coeffs": [{"m": 0, "n": 0, "re": 2.0},
+                                                    {"m": 0, "n": 1, "re": 0.3}]},
+              "coefficients": [{"k": 0, "u": {"type": "trig", "coeffs": [
+                  {"m": 1, "n": 0, "re": 0.2, "im": 0.1}]}}]}
+
+
+def test_drift_tol_that_bounds_nothing_is_refused_at_load(tmp_path):
+    # A key naming no monitored observable used to be skipped: exit 0 with
+    # F drifting by 0.33 against a bound of 1e-12.
+    request = {"name": "orbit", "initial": [0.0, 0.0, 0.0], "t_end": 3.0,
+               "drift_tol": {"f": 1e-12}}
+    path = tmp_path / "drift.json"
+    path.write_text(json.dumps(dict(DRIFTING_F, trajectories=[request])))
+    proc = run_python("-m", "magtorus", "simulate", str(path), "--out",
+                      str(tmp_path / "out"), timeout=30.0)
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stderr == ("error: trajectory 'orbit' drift_tol 'f' names no monitored "
+                           "observable (monitored: H, F)\n")
+    # A key of an observable that is not requested bounds nothing either,
+    # and a NaN or negative bound failed the trajectory whatever its drift.
+    for extra, message in (
+            ({"observables": ["H"], "drift_tol": {"F": 1e-12}},
+             "drift_tol 'F' names no monitored observable (monitored: H)"),
+            ({"drift_tol": {"F": math.nan}}, "drift_tol 'F' must be a nonnegative number"),
+            ({"drift_tol": {"H": -1.0}}, "drift_tol 'H' must be a nonnegative number")):
+        with pytest.raises(ScenarioError, match=re.escape(f"trajectory 'orbit' {message}")):
+            mt.build_scenario(dict(DRIFTING_F, trajectories=[dict(request, **extra)]))
+
+
+def test_orbit_that_leaves_float64_aborts_its_trajectory(tmp_path):
+    # u_0 = 1e308 y gives Omega = -5e307: the first RK4 step overflows phi
+    # to inf, where math.cos raised a ValueError that ended the command
+    # with exit 2 and no report.
+    data = json.loads(json.dumps(BUNDLED["flat-constant-field"]))
+    data["coefficients"][0]["u"]["params"]["slope"] = 1e308
+    data["trajectories"].append(dict(data["trajectories"][0], name="second", t_end=1.0))
+    path = tmp_path / "blow-up.json"
+    path.write_text(json.dumps(data))
+    proc = run_python("-m", "magtorus", "simulate", str(path), "--out",
+                      str(tmp_path / "out"), timeout=30.0)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    trajectories = stdout_json(proc.stdout)["payload"]["trajectories"]
+    assert [t["name"] for t in trajectories] == ["circle", "second"]
+    for traj in trajectories:
+        assert traj["aborted"] is True and traj["pass"] is False
+        assert traj["diagnostic"].startswith(
+            "non-finite state in the sample interval [0, 0.01] after the sample "
+            "[0.0, 0.0, 0.0]"), traj["diagnostic"]
+    assert (tmp_path / "out" / "flat-constant-field_simulate.json").is_file()
+
+
 def peak_rss_kb(*argv):
     """Exit code and peak RSS (KB, from os.wait4) of `python -m magtorus
     *argv`, stdout discarded.  The run is spawned from a bare interpreter:
@@ -1015,6 +1071,18 @@ def test_plot_data_files_are_written_a_column_at_a_time(tmp_path):
     assert code == 1
     assert len(list((tmp_path / "out").glob("*.dat"))) == 7
     assert plotted <= 1.15 * plain, (plotted, plain)
+
+
+def test_plot_data_without_out_keeps_no_residual_grid(tmp_path):
+    # Without --out no .dat file is written, so none of the N + 3 = 7
+    # residual grids (2 MB each at 512^2) may be built.
+    path = random_scenario_file(tmp_path, 4)
+    with ThreadPoolExecutor(2) as pool:   # two single-threaded children side by side
+        (code, plain), (flagged_code, flagged) = pool.map(
+            lambda extra: peak_rss_kb("verify", str(path), "--grid", "512,512", *extra),
+            [(), ("--plot-data",)])
+    assert code == flagged_code == 1
+    assert flagged <= 1.1 * plain, (flagged, plain)
 
 
 @pytest.mark.parametrize("argv, message", [
