@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (DomainError, Field, Jet, LAMBDA_FLOOR, SamplingGrid,
-                     TrigField, check_conformal_factor, same_torus, value_field,
-                     zero_field)
+                     TrigField, array_kernel, check_conformal_factor, point_kernel,
+                     same_torus, value_field, zero_field)
 from .flow import MagneticSystem
 
 
@@ -174,6 +174,16 @@ class Ansatz:
     def fields(self):
         return (self.lam,) + self.u + self.v
 
+    @functools.cached_property
+    def _f_kernel(self):
+        """One point kernel of the coefficients of F: (u_0, u_0x, u_0y,
+        u_1, .., u_N, v_1, .., v_N) at (x, y), compiled on first use."""
+        return point_kernel(self.u[0], *self.u[1:], *self.v[1:])
+
+    @functools.cached_property
+    def _f_array_kernel(self):
+        return array_kernel(self._f_kernel)
+
 
 @dataclass
 class RescaledAnsatz:
@@ -268,13 +278,21 @@ def constraint_sides(n: int, lam: Jet, u: Jet, v: Jet):
 
 
 def eval_F(ansatz: Ansatz, x, y, phi):
-    """Real value of the ansatz: u_0 + 2 sum_k (u_k cos(k phi) - v_k sin(k phi))."""
+    """Real value of the ansatz: u_0 + 2 sum_k (u_k cos(k phi) - v_k sin(k phi)).
+
+    The coefficients come from one compiled kernel per ansatz, run as
+    `Field.eval` runs a field's: with math's cos and sin at int or float
+    coordinates, with numpy's on coordinate arrays.  Each value has the bits
+    the field's own kernel gives."""
     phi = np.asarray(phi, dtype=float) if not isinstance(phi, (int, float)) else phi
-    total = ansatz.u[0].eval(x, y)
+    point = isinstance(x, (int, float)) and isinstance(y, (int, float))
+    kernel = ansatz._f_kernel if point else ansatz._f_array_kernel
+    total, _, _, *coefs = kernel(x, y)
+    u, v = coefs[:ansatz.n], coefs[ansatz.n:]   # u_1..u_N, v_1..v_N
     for k in range(1, ansatz.n + 1):
         ck = np.cos(k * phi)
         sk = np.sin(k * phi)
-        total = total + 2.0 * (ansatz.u[k].eval(x, y) * ck - ansatz.v[k].eval(x, y) * sk)
+        total = total + 2.0 * (u[k - 1] * ck - v[k - 1] * sk)
     return total
 
 

@@ -76,6 +76,11 @@ def _fmt_float(x: float) -> str:
 
 
 def canonical_json(obj, indent: int = 0) -> str:
+    """`obj` as report text at `indent`: dict keys sorted, one member per
+    line, floats by `_fmt_float`, NaN or infinity refused with ValueError.
+    A float64 array of one or more dimensions is written as its nested
+    lists would be, in one pass: its values are formatted inline into the
+    layout of its shape (`_array_layout`)."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
@@ -104,6 +109,13 @@ def canonical_json(obj, indent: int = 0) -> str:
         body = ",\n".join(f'{inner}"{key}": {canonical_json(obj[key], indent + 1)}'
                           for key in sorted(obj))
         return f"{{\n{body}\n{pad}}}"
+    if isinstance(obj, np.ndarray) and obj.ndim and obj.dtype == np.float64:
+        values = obj.ravel().tolist()
+        if not all(map(math.isfinite, values)):
+            raise ValueError(NON_FINITE_REPORT)
+        return _array_layout(obj.shape, indent) % tuple([   # the _fmt_float rule, inline
+            f"{x:.1f}" if -1e16 < x < 1e16 and x.is_integer() else f"{x:.17g}"
+            for x in values])
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
         if not seq:
@@ -117,6 +129,18 @@ def canonical_json(obj, indent: int = 0) -> str:
         body = (",\n" + inner).join(items)
         return f"[\n{inner}{body}\n{pad}]"
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+
+
+@functools.lru_cache(maxsize=256)
+def _array_layout(shape: tuple, indent: int) -> str:
+    """The canonical text of nested float lists of `shape` at `indent`, with
+    a `%s` slot for each value in row-major order ("[]" on an empty axis)."""
+    if not shape[0]:
+        return "[]"
+    inner = "  " * (indent + 1)
+    item = _array_layout(shape[1:], indent + 1) if len(shape) > 1 else "%s"
+    body = (",\n" + inner).join([item] * shape[0])
+    return f"[\n{inner}{body}\n{'  ' * indent}]"
 
 
 def _fail_non_finite(entry: dict) -> dict:
@@ -356,8 +380,9 @@ def _spectrum_payload(report) -> dict:
             diagnostics[key] = repr(val)
         elif isinstance(val, (int, float, str)):
             diagnostics[key] = val
+    eigenvalues = report.eigenvalues
     return {
-        "eigenvalues": [[ev.real, ev.imag] for ev in report.eigenvalues.tolist()],
+        "eigenvalues": np.stack((eigenvalues.real, eigenvalues.imag), axis=-1),
         "class": report.classification,
         "diagnostics": diagnostics,
     }
@@ -393,8 +418,8 @@ def _parse_states(texts, n: int) -> np.ndarray:
 
 def _state_entries(texts, points: np.ndarray):
     """Report entries and solve counts of the --at states, assembled and
-    solved as one stack; the stacked arrays are freed on return, before the
-    report is written."""
+    solved as one stack.  Each entry's point, A and B are rows of the
+    stacked arrays, so the stacks live until the report is written."""
     with np.errstate(all="ignore"):   # a non-finite A or B is refused below
         mats = assemble(points)
     finite = np.isfinite(mats.a).all(axis=(1, 2)) & np.isfinite(mats.b).all(axis=(1, 2))
@@ -403,8 +428,7 @@ def _state_entries(texts, points: np.ndarray):
                           "non-finite A or B (float64 overflow or underflow)")
     reports = spectra(mats)
     entries = [{"point": point, "a": a, "b": b, **_spectrum_payload(report)}
-               for point, a, b, report in zip(points.tolist(), mats.a.tolist(),
-                                              mats.b.tolist(), reports)]
+               for point, a, b, report in zip(points, mats.a, mats.b, reports)]
     return entries, _spectra_stats(reports, len(entries))
 
 
@@ -414,7 +438,7 @@ def cmd_assemble(args) -> int:
     if args.geodesic:
         n, avals, mat = _parse_geodesic(args.geodesic)
         report = spectrum(mat)
-        payload = {"geodesic": {"n": n, "a": avals, "matrix": mat.tolist(),
+        payload = {"geodesic": {"n": n, "a": avals, "matrix": mat,
                                 **_spectrum_payload(report)}}
         stats = _spectra_stats([report], 0)
     else:
@@ -439,7 +463,7 @@ def cmd_assemble(args) -> int:
         if args.plot_data:
             entries = payload.get("entries") or [payload["geodesic"]]
             write_table(out / "spectrum.dat",
-                        [ev for entry in entries for ev in entry["eigenvalues"]])
+                        np.concatenate([entry["eigenvalues"] for entry in entries]).tolist())
     return EXIT_PASS
 
 
@@ -516,9 +540,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _take_trailing_states(argv: list) -> tuple:
+    """(argv without its trailing run of --at states, those states in order)
+    for an `assemble` argv holding no "--"; otherwise (argv, []).
+
+    argparse scans every option index once per option, so 1000 --at options
+    cost it tens of milliseconds; the trailing run is taken here in one
+    backward scan.  An `--at=STATE` token counts unless STATE is "--" (which
+    argparse drops from a value), and an `--at STATE` pair only when STATE
+    does not start with "-" (argparse would read it as an option).
+    Everything before the run, abbreviations (--a) and option-like values
+    included, is left to argparse, which reads the run's states as it would
+    have."""
+    if not argv or argv[0] != "assemble" or "--" in argv:
+        return argv, []
+    states = []
+    end = len(argv)
+    while end > 1:
+        last = argv[end - 1]
+        if last.startswith("--at=") and last != "--at=--":
+            states.append(last[5:])
+            end -= 1
+        elif end > 2 and argv[end - 2] == "--at" and not last.startswith("-"):
+            states.append(last)
+            end -= 2
+        else:
+            break
+    states.reverse()
+    return argv[:end], states
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """The namespace `build_parser().parse_args(argv)` gives (argv defaults
+    to sys.argv[1:]), with the trailing --at states of an assemble argv
+    taken off in one pass and appended to `at`."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    argv, states = _take_trailing_states(argv)
+    args = build_parser().parse_args(argv)
+    if states:
+        args.at = (args.at or []) + states
+    return args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the command of `argv` (default sys.argv[1:]) and return its exit
+    code.  `argv` is read by `parse_args`, which takes an assemble argv's
+    trailing --at states off in one pass; argparse exits with 2 on a
+    malformed command line."""
+    args = parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:   # every input error is a ValueError

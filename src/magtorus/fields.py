@@ -244,10 +244,8 @@ class Field:
         return point_kernel(self)
 
     @functools.cached_property
-    def _array_kernel(self):   # the point kernel's code with numpy's cos and sin
-        kernel = self._point_kernel
-        return types.FunctionType(kernel.__code__,
-                                  dict(kernel.__globals__, cos=np.cos, sin=np.sin))
+    def _array_kernel(self):
+        return array_kernel(self._point_kernel)
 
     def eval(self, x, y):
         return self._evaluate(x, y).v
@@ -691,6 +689,13 @@ def point_kernel(field: Field, *values: Field, floor: bool = False):
         writer.check_floor(outputs[0])
     outputs += [writer.jet(f)[0] for f in values]
     return writer.compile(outputs)
+
+
+def array_kernel(kernel):
+    """The code of point kernel `kernel` with numpy's cos and sin bound in
+    place of math's, for coordinate arrays; nothing is compiled again."""
+    return types.FunctionType(kernel.__code__,
+                              dict(kernel.__globals__, cos=np.cos, sin=np.sin))
 
 
 def check_conformal_factor(lam: Field):

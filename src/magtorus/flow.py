@@ -475,12 +475,18 @@ def atomic_write(path, text: str):
 def atomic_write_chunks(path, chunks):
     """Write the strings of `chunks`, in order, to `path` through a temporary
     file beside it, replaced onto `path` in one step, so no reader sees a
-    partial file and no more than one chunk need be held at a time."""
+    partial file and no more than one chunk need be held at a time.  When a
+    chunk raises or a write fails, the temporary file is removed and the
+    error propagates; `path` is left as it was."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as out:
-        out.writelines(chunks)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as out:
+            out.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:   # an interrupt mid-write leaves no temporary file either
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_table(path, rows, header: str | None = None, sep: str = " "):

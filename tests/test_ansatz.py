@@ -9,7 +9,7 @@ import pytest
 import magtorus as mt
 import magtorus.ansatz as ansatz_module
 from magtorus.ansatz import harmonic_residual_values, stationarity_residual_values
-from magtorus.fields import TrigField
+from magtorus.fields import TrigField, _KernelWriter
 from helpers import (exact_family, manufactured_rescaled, power_family, stream_pair,
                      top_harmonic_displays)
 
@@ -53,6 +53,35 @@ def test_eval_f_matches_complex_sum_oracle():
             total += ak * np.exp(1j * k * phi)
         assert abs(total.imag) < 1e-13
         assert abs(mt.eval_F(anz, x, y, phi) - total.real) < 1e-13
+
+
+def per_field_F(anz, x, y, phi):
+    """F summed from each coefficient field's own evaluation."""
+    total = anz.u[0].eval(x, y)
+    for k in range(1, anz.n + 1):
+        total = total + 2.0 * (anz.u[k].eval(x, y) * np.cos(k * phi)
+                               - anz.v[k].eval(x, y) * np.sin(k * phi))
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_eval_f_runs_one_kernel_with_the_per_field_bits(monkeypatch, n):
+    rng = np.random.default_rng(40 + n)
+    anz = random_ansatz(rng, n)
+    if n == 1:   # an affine coefficient beside the trigonometric ones
+        anz = mt.Ansatz(1, anz.lam, [mt.analytic_preset("affine_x", {"slope": 0.2})])
+    compiled = []
+    original = _KernelWriter.compile
+    monkeypatch.setattr(_KernelWriter, "compile",
+                        lambda self, outputs: compiled.append(1) or original(self, outputs))
+    x, y, phi = rng.uniform(-10.0, 10.0, (3, 301))
+    on_arrays = mt.eval_F(anz, x, y, phi)
+    assert len(compiled) == 1
+    assert on_arrays.tobytes() == per_field_F(anz, x, y, phi).tobytes()
+    for args in zip(x[:40].tolist(), y[:40].tolist(), phi[:40].tolist()):
+        assert (np.float64(mt.eval_F(anz, *args)).tobytes()
+                == np.float64(per_field_F(anz, *args)).tobytes())
+    assert len(compiled) == 1 + (2 * n + 1)   # and the per-field reference's kernels
 
 
 def test_ansatz_validation():

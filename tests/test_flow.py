@@ -8,6 +8,7 @@ import pytest
 
 import magtorus as mt
 from magtorus.fields import _KernelWriter
+from magtorus.flow import atomic_write_chunks
 from helpers import circular_closed_form, exact_family
 
 
@@ -236,6 +237,22 @@ def test_csv_export(tmp_path):
     assert np.array_equal(data[:, 3], traj.phi)
     assert np.all((data[:, 3] >= 0.0) & (data[:, 3] < 2 * math.pi))
     assert np.all(data[:, 4] == 0.5)
+
+
+def test_atomic_write_chunks_leaves_no_file_when_a_chunk_raises(tmp_path):
+    def chunks():
+        yield "first\n"
+        raise RuntimeError("chunk failed")
+
+    path = tmp_path / "out.dat"
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        atomic_write_chunks(path, chunks())
+    assert list(tmp_path.iterdir()) == []
+    path.write_text("kept\n")
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        atomic_write_chunks(path, chunks())
+    assert [p.name for p in tmp_path.iterdir()] == ["out.dat"]
+    assert path.read_text() == "kept\n"
 
 
 def test_trajectory_wrapped_and_unwrapped():

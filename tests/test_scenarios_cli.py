@@ -2,6 +2,8 @@
 machine-readable report contracts."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,12 +13,15 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import magtorus as mt
 import magtorus.cli
-from magtorus.cli import build_parser, canonical_json, main, run_verify_checks
+from magtorus.cli import (NON_FINITE_REPORT, build_parser, canonical_json, main,
+                          parse_args, run_verify_checks)
 from magtorus.scenarios import BUNDLED, ScenarioError
 from helpers import circular_closed_form
 
@@ -122,6 +127,29 @@ def test_canonical_json_float_list_fast_path(values):
 def test_canonical_json_float_list_refuses_non_finite(bad):
     with pytest.raises(ValueError, match="NaN or infinity"):
         canonical_json([1.0, bad])
+
+
+# Float64 arrays of 1-3 dimensions, zero-length axes among them, over the
+# edges of the report float rule and ordinary finite values.
+FLOAT_ARRAYS = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+    elements=st.one_of(
+        st.sampled_from([-0.0, 0.0, 0.5, 1e15, -1e15, 1e16, -1e16, 2.0 ** 53,
+                         5e-324, 1.7976931348623157e308]),
+        st.floats(allow_nan=False, allow_infinity=False)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(arr=FLOAT_ARRAYS, indent=st.integers(0, 3),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf]), data=st.data())
+def test_canonical_json_float_array_is_written_as_its_lists(arr, indent, bad, data):
+    assert canonical_json(arr, indent) == canonical_json(arr.tolist(), indent)
+    assert canonical_json(arr.T, indent) == canonical_json(arr.T.tolist(), indent)
+    if arr.size:
+        broken = arr.copy()
+        broken.flat[data.draw(st.integers(0, arr.size - 1))] = bad
+        with pytest.raises(ValueError, match=re.escape(NON_FINITE_REPORT)):
+            canonical_json(broken, indent)
 
 
 # ---------------------------------------------------------------------------
@@ -1210,6 +1238,38 @@ def test_flags_a_command_does_not_use_are_refused(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+AT_VALUES = st.sampled_from(["2,0.1", "1.5,-0.2,0.3,0.4", "-1", "-1,2", "-x", "", "0", "--"])
+AT_STATES = st.one_of(AT_VALUES.map(lambda v: ["--at", v]),
+                      AT_VALUES.map(lambda v: ["--at=" + v]))
+TOKENS = st.one_of(
+    AT_STATES, st.just(["--at"]), AT_VALUES.map(lambda v: ["--a", v]),
+    AT_VALUES.map(lambda v: ["--a=" + v]), AT_VALUES.map(lambda v: [v]),
+    st.sampled_from([["--"], ["--out", "D"], ["--out"], ["--plot-data"],
+                     ["--geodesic", "n=2 a=0,1,1"], ["--geodesic"], ["--bogus"],
+                     ["--bogus=1"], ["circular-magnetic"]]))
+
+
+def parse_outcome(parse, argv):
+    """The namespace without `func`, or the SystemExit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            namespace = vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, err.getvalue()
+    namespace.pop("func", None)
+    return namespace
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(head=st.lists(TOKENS, max_size=5), tail=st.lists(AT_STATES, max_size=4))
+def test_trailing_at_states_parse_as_argparse_parses_them(head, tail):
+    # Any tokens, then a run of --at states of both forms for the one-pass
+    # reading to take off (the tokens may end in such a run too).
+    argv = ["assemble", *(tok for run in head + tail for tok in run)]
+    assert parse_outcome(parse_args, argv) == parse_outcome(build_parser().parse_args, argv)
 
 
 def test_readme_usage_matches_the_parser():
