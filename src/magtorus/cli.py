@@ -9,7 +9,8 @@ length, an ``--at`` state whose A or B is not finite in float64, step,
 tolerance, trajectory or torus-period values that are not finite and
 positive, a ``drift_tol`` that is NaN or negative or names no monitored
 observable, an ansatz degree, ``--geodesic`` degree, grid or trigonometric
-field table above its limit, a ``--geodesic`` degree below 2 or a grid side
+field table above its limit, a verify whose stationarity or harmonic work
+exceeds its budget, a ``--geodesic`` degree below 2 or a grid side
 below 4, a trigonometric field whose coefficients, wavenumbers, values or
 first partials overflow float64).
 
@@ -38,6 +39,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import json
 import math
 import sys
 import time
@@ -54,7 +56,7 @@ from .ansatz import (conservation_residuals, constraint_residual,
 from .quasilinear import (StateVector, assemble, certificate_from_reports,
                           geodesic_matrix, spectra, spectrum)
 from .scenarios import (MAX_N, Scenario, ScenarioError, bundled_scenario_names,
-                        load_scenario)
+                        check_verify_work, load_scenario)
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -78,9 +80,10 @@ def _fmt_float(x: float) -> str:
 def canonical_json(obj, indent: int = 0) -> str:
     """`obj` as report text at `indent`: dict keys sorted, one member per
     line, floats by `_fmt_float`, NaN or infinity refused with ValueError.
-    A float64 array of one or more dimensions is written as its nested
-    lists would be, in one pass: its values are formatted inline into the
-    layout of its shape (`_array_layout`)."""
+    Each kind of value has one path.  A list, tuple or other array is
+    written member by member; a float64 array of one or more dimensions is
+    written as its nested lists would be, in one pass: its values are
+    formatted inline into the layout of its shape (`_array_layout`)."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
@@ -90,8 +93,7 @@ def canonical_json(obj, indent: int = 0) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        import json as _json
-        return _json.dumps(obj)
+        return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
@@ -120,13 +122,7 @@ def canonical_json(obj, indent: int = 0) -> str:
         seq = list(obj)
         if not seq:
             return "[]"
-        if all(type(v) is float for v in seq):   # plain floats: one check, one join
-            if not all(map(math.isfinite, seq)):
-                raise ValueError(NON_FINITE_REPORT)
-            items = map(_fmt_float, seq)
-        else:
-            items = (canonical_json(v, indent + 1) for v in seq)
-        body = (",\n" + inner).join(items)
+        body = (",\n" + inner).join(canonical_json(v, indent + 1) for v in seq)
         return f"[\n{inner}{body}\n{pad}]"
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
@@ -141,6 +137,18 @@ def _array_layout(shape: tuple, indent: int) -> str:
     item = _array_layout(shape[1:], indent + 1) if len(shape) > 1 else "%s"
     body = (",\n" + inner).join([item] * shape[0])
     return f"[\n{inner}{body}\n{'  ' * indent}]"
+
+
+def _write_report(kind: str, payload: dict, stats: dict, timings: dict, path):
+    """Print the `kind` report of `payload`, with its work counters and
+    timings outside the payload, and write the same text to `path`, making
+    its directory, if a path is given."""
+    text = canonical_json({"schema_version": 1, "kind": kind, "payload": payload,
+                           "stats": stats, "timings": timings}) + "\n"
+    print(text, end="")
+    if path is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        _atomic_write(path, text)   # positional: perfbench/tracer.py reads the text as args[1]
 
 
 def _fail_non_finite(entry: dict) -> dict:
@@ -237,20 +245,16 @@ def run_verify_checks(scenario: Scenario, want_grids: bool = False):
 
 def cmd_verify(args) -> int:
     scenario = _load(args)
+    check_verify_work(scenario)
     payload, timings, grids = run_verify_checks(   # grids only for files to write
         scenario, want_grids=bool(args.plot_data and args.out))
     grid = scenario.grid
     stats = {"grid_points": grid.nx * grid.ny, "blocks": len(grid.spans),
              "largest_block_points": max(stop - start for start, stop in grid.spans)}
-    report = {"schema_version": 1, "kind": "verify", "payload": payload,
-              "stats": stats, "timings": timings}
-    text = canonical_json(report) + "\n"
-    print(text, end="")
-    if args.out:
-        out = _ensure_out(args.out)
-        _atomic_write(out / f"{scenario.name}_verify.json", text)
-        for label, values in grids.items():
-            _write_grid_dat(out / f"{scenario.name}_{label}.dat", scenario.grid, values)
+    out = Path(args.out) if args.out else None
+    _write_report("verify", payload, stats, timings, out and out / f"{scenario.name}_verify.json")
+    for label, values in grids.items():   # kept only with --out and --plot-data
+        _write_grid_dat(out / f"{scenario.name}_{label}.dat", scenario.grid, values)
     return EXIT_PASS if payload["overall_pass"] else EXIT_CHECK_FAILED
 
 
@@ -264,7 +268,8 @@ def cmd_simulate(args) -> int:
     if not scenario.trajectories:
         print("scenario contains no trajectory requests", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    out = _ensure_out(args.out if args.out else "magtorus_out")
+    out = Path(args.out or "magtorus_out")
+    out.mkdir(parents=True, exist_ok=True)
     quiet = functools.partial(np.errstate, over="ignore", invalid="ignore")   # a non-finite drift fails
     f_obs = quiet()(first_integral_observable(scenario.ansatz))
     results = []
@@ -307,11 +312,7 @@ def cmd_simulate(args) -> int:
     overall = all(r["pass"] for r in results)
     payload = {"name": scenario.name, "trajectories": results,
                "overall_pass": overall}
-    report = {"schema_version": 1, "kind": "simulate", "payload": payload,
-              "stats": work, "timings": timings}
-    text = canonical_json(report) + "\n"
-    print(text, end="")
-    _atomic_write(out / f"{scenario.name}_simulate.json", text)
+    _write_report("simulate", payload, work, timings, out / f"{scenario.name}_simulate.json")
     return EXIT_PASS if overall else EXIT_CHECK_FAILED
 
 
@@ -453,29 +454,18 @@ def cmd_assemble(args) -> int:
         entries, stats = _state_entries(args.at, _parse_states(args.at, n))
         payload = {"name": scenario.name, "N": n, "entries": entries}
     timings["assemble_s"] = time.perf_counter() - t0
-    report_doc = {"schema_version": 1, "kind": "assemble", "payload": payload,
-                  "stats": stats, "timings": timings}
-    text = canonical_json(report_doc) + "\n"
-    print(text, end="")
-    if args.out:
-        out = _ensure_out(args.out)
-        _atomic_write(out / "assemble.json", text)
-        if args.plot_data:
-            entries = payload.get("entries") or [payload["geodesic"]]
-            write_table(out / "spectrum.dat",
-                        np.concatenate([entry["eigenvalues"] for entry in entries]).tolist())
+    out = Path(args.out) if args.out else None
+    _write_report("assemble", payload, stats, timings, out and out / "assemble.json")
+    if out and args.plot_data:
+        entries = payload.get("entries") or [payload["geodesic"]]
+        write_table(out / "spectrum.dat",
+                    np.concatenate([entry["eigenvalues"] for entry in entries]).tolist())
     return EXIT_PASS
 
 
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
-
-
-def _ensure_out(path) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _load(args) -> Scenario:

@@ -6,7 +6,8 @@ which eliminates it through its closed form in the rescaled leading
 coefficients), together with grid sizes, tolerances, the requested checks and
 any trajectory requests.  Bundled scenarios are referenced by name and double
 as the acceptance fixtures.  A degree above MAX_N and a grid above
-MAX_GRID_POINTS are refused at load, before anything of that size is built.
+MAX_GRID_POINTS are refused at load, before anything of that size is built;
+``verify`` refuses their product above MAX_VERIFY_WORK before it evaluates.
 """
 
 from __future__ import annotations
@@ -41,6 +42,26 @@ MAX_GRID_POINTS = 2048 * 2048
 #: host); the work grows with about the square of N.  A geodesic spectrum
 #: took 0.5 s at n = 300 and 1.75 s at n = 600; its QZ work grows as n^3.
 MAX_N = 200
+
+#: Largest stationarity and harmonic work, (4N + 4) * N * nx * ny, that
+#: ``verify`` takes on.  Each factor is capped above, but not their product:
+#: a constant-Lambda verify ran 36 s at N = 200 on 128^2 (2-CPU x86-64 host)
+#: and would run about 2 h on 2048^2.  The budget admits N = 4 on 2048^2
+#: (3.4e8), N = 200 on 64^2 and N = 50 on 256^2 (both near 6.6e8), and
+#: refuses N = 200 on 128^2 and N = 50 on 512^2 (both near 2.6e9).
+MAX_VERIFY_WORK = 10 ** 9
+
+
+def check_verify_work(scenario: Scenario):
+    """Refuse a scenario whose stationarity or harmonics check would take
+    more than MAX_VERIFY_WORK, before any residual is evaluated."""
+    if not {"stationarity", "harmonics"} & set(scenario.checks):
+        return
+    n, nx, ny = scenario.ansatz.n, scenario.grid.nx, scenario.grid.ny
+    work = (4 * n + 4) * n * nx * ny
+    _require(work <= MAX_VERIFY_WORK,
+             f"verify of N = {n} on the {nx}x{ny} grid needs (4N + 4) * N * nx * ny = "
+             f"{work:.3g} work, above the verify work budget of {MAX_VERIFY_WORK:.3g}")
 
 
 @dataclass

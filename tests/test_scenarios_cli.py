@@ -23,7 +23,7 @@ import magtorus.cli
 from magtorus.cli import (NON_FINITE_REPORT, build_parser, canonical_json, main,
                           parse_args, run_verify_checks)
 from magtorus.scenarios import BUNDLED, ScenarioError
-from helpers import circular_closed_form
+from helpers import circular_closed_form, power_family
 
 
 def run_python(*args, timeout=60.0):
@@ -1170,6 +1170,74 @@ def test_degree_cap_is_checked_before_the_zero_fields_are_built(monkeypatch):
         mt.build_scenario(dict(BUNDLED["flat-zero-field"], N=mt.scenarios.MAX_N + 1))
     assert built == []
     assert all(d["N"] <= mt.scenarios.MAX_N for d in BUNDLED.values())
+
+
+def y_trig_spec(values, degree):
+    """The trig spec of a y-only trigonometric polynomial of `degree` from
+    its samples at 2 pi j / M, j < M, by FFT: exact to roundoff when
+    M > 2 degree."""
+    coeffs = np.fft.rfft(values) / len(values)
+    return {"type": "trig", "coeffs": [{"m": 0, "n": j, "re": float(c.real), "im": float(c.imag)}
+                                       for j, c in enumerate(coeffs[:degree + 1])]}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_exact_power_family_passes_every_check_through_the_cli(tmp_path, n):
+    # F_1^n, F_1 = 2 sqrt(Lambda) cos(phi) + 2 A(y), is an exact degree-n
+    # integral of the flow with Omega = -A'.  With Lambda = (c + d cos y)^2,
+    # sqrt(Lambda) and so every u_k is a trigonometric polynomial of degree
+    # at most n in y, written as a trig table from JSON.
+    ys = 2.0 * np.pi * np.arange(16) / 16
+    sqrt_lam = 1.5 + 0.3 * np.cos(ys)
+    lam = mt.make_trig_field({(0, 0): 1.5 ** 2 + 0.3 ** 2 / 2, (0, 1): 1.5 * 0.3,
+                              (0, 2): 0.3 ** 2 / 4})
+    ansatz = power_family(n, lam, mt.make_trig_field({(0, 1): -0.05j}))
+    u_specs = [y_trig_spec(u.eval(np.zeros_like(ys), ys), n) for u in ansatz.u[:n]]
+    path = tmp_path / f"power-n{n}.json"
+    path.write_text(json.dumps({
+        "name": f"power-n{n}", "N": n, "lambda": y_trig_spec(sqrt_lam ** 2, 2),
+        "coefficients": [{"k": k, "u": spec} for k, spec in enumerate(u_specs)],
+        "omega": "derive", "grid": [64, 64]}))
+    proc = run_python("-m", "magtorus", "verify", str(path), timeout=60.0)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    payload = stdout_json(proc.stdout)["payload"]
+    assert [c["check"] for c in payload["checks"]] == list(mt.scenarios.KNOWN_CHECKS)
+    assert all(c["pass"] for c in payload["checks"]) and payload["overall_pass"]
+    assert payload["checks"][-1]["certified"] is True
+
+
+def test_verify_work_above_the_budget_is_refused_promptly(tmp_path):
+    # At this size every check would run for about 2 h; the refusal comes
+    # before any residual is evaluated.
+    path = tmp_path / "huge-work.json"
+    path.write_text(json.dumps(dict(BUNDLED["flat-zero-field"], N=200, grid=[2048, 2048])))
+    proc = run_python("-m", "magtorus", "verify", str(path), timeout=30.0)
+    assert proc.returncode == 2
+    assert ("error: verify of N = 200 on the 2048x2048 grid needs (4N + 4) * N * nx * ny "
+            "= 6.74e+11 work, above the verify work budget of 1e+09") in proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("n, grid, checks, accepted", [
+    (4, 2048, None, True),
+    (200, 64, None, True),
+    (50, 256, None, True),
+    (200, 128, None, False),
+    (50, 512, None, False),
+    (200, 128, ["harmonics"], False),
+    (200, 2048, ["constraint", "conservation", "certificate"], True),
+])
+def test_verify_work_budget(n, grid, checks, accepted):
+    data = dict(BUNDLED["flat-zero-field"], N=n, grid=[grid, grid])
+    if checks is not None:
+        data["checks"] = checks
+    scenario = mt.build_scenario(data)
+    if accepted:
+        mt.scenarios.check_verify_work(scenario)
+    else:
+        with pytest.raises(ScenarioError, match=rf"verify of N = {n} on the {grid}x{grid} "
+                                                 "grid needs .* above the verify work budget"):
+            mt.scenarios.check_verify_work(scenario)
 
 
 def test_trig_table_above_the_cap_is_refused_at_load(tmp_path):
