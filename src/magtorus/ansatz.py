@@ -116,16 +116,22 @@ class _Norms:
                                 math.sqrt(fold(self.rel_squares) / self.count))
 
 
-def _streamed_report(grid: SamplingGrid, labels, samples, **report) -> ResidualReport:
-    """Report on the equations `labels` over `grid`, evaluated one block at
-    a time: `samples(block)` gives, for each equation, its (residual,
+def _streamed_report(fields, grid, labels, samples, values=False, **report) -> ResidualReport:
+    """Report on the equations `labels` of `fields` over `grid` (64 x 64 on
+    the first field's torus if None), evaluated one block at a time:
+    `samples(block, part)` gives, for each equation, its (residual,
     magnitude) pairs on the block, one per sample (an angle of the
-    stationarity check), as many on every block.  A sample's sums of squares
-    add up over the blocks to the bits of one `np.sum` over the grid
-    (`SamplingGrid.fold`), and the samples' sums one after another."""
+    stationarity check), as many on every block.  `part` is the block's
+    part of the report's zeroed `values` array to fill if `values`, else None.
+    A sample's sums of squares add up over the blocks to the bits of one
+    `np.sum` over the grid (`SamplingGrid.fold`), and the samples' sums one
+    after another; the report is periodic if every field is."""
+    grid = grid if grid is not None else SamplingGrid(64, 64, fields[0].geometry)
+    array = np.zeros((grid.nx, grid.ny)) if values else None
     norms = [_Norms(label) for label in labels]
     for block in grid.blocks():
-        for acc, pairs in zip(norms, samples(block)):
+        part = block.part(array) if values else None
+        for acc, pairs in zip(norms, samples(block, part)):
             for residual, mags in pairs:
                 acc.add(residual, mags)
     per_block = len(norms[0].squares) // len(grid.spans)
@@ -133,11 +139,8 @@ def _streamed_report(grid: SamplingGrid, labels, samples, **report) -> ResidualR
     def fold(parts):
         return sum(grid.fold(parts[s::per_block]) for s in range(per_block))
 
-    return ResidualReport([acc.entry(fold) for acc in norms], **report)
-
-
-def _all_periodic(fields) -> bool:
-    return all(f.periodic for f in fields)
+    return ResidualReport([acc.entry(fold) for acc in norms], values=array,
+                          periodic=all(f.periodic for f in fields), **report)
 
 
 # ---------------------------------------------------------------------------
@@ -349,22 +352,18 @@ def residual_stationarity(ansatz: Ansatz, omega: Field, grid: SamplingGrid | Non
     """Norms of the stationarity residual over grid x `default_phi_count`
     equispaced angles, streamed one block and angle at a time.  With
     `values`, the report's `values` is the largest |residual| over the
-    angles at each grid node: the one array of the grid's size it holds."""
-    grid = grid if grid is not None else SamplingGrid(64, 64, ansatz.geometry)
+    angles at each grid node."""
     n_phi = default_phi_count(ansatz.n)
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    peak = np.zeros((grid.nx, grid.ny)) if values else None
 
-    def samples(block):
-        top = block.part(peak) if values else None
+    def samples(block, top):
         for res, mags in _stationarity_samples(ansatz, omega, block, phis):
-            if values:
+            if top is not None:
                 np.maximum(top, np.abs(res), out=top)
             yield res, mags
 
-    return _streamed_report(grid, ["stationarity"], lambda block: [samples(block)],
-                            values=peak,
-                            periodic=_all_periodic(ansatz.fields() + (omega,)))
+    return _streamed_report(ansatz.fields() + (omega,), grid, ["stationarity"],
+                            lambda block, top: [samples(block, top)], values)
 
 
 # ---------------------------------------------------------------------------
@@ -392,19 +391,16 @@ def residual_harmonic(ansatz: Ansatz, omega: Field, k: int,
                       grid: SamplingGrid | None = None, values: bool = True) -> ResidualReport:
     """Real and imaginary norms of the harmonic-k relation, streamed one
     block at a time.  With `values`, the report's `values` is the magnitude
-    of the complex residual: the one array of the grid's size it holds."""
-    grid = grid if grid is not None else SamplingGrid(64, 64, ansatz.geometry)
-    magnitude = np.empty((grid.nx, grid.ny)) if values else None
+    of the complex residual."""
 
-    def samples(block):
+    def samples(block, magnitude):
         res, mags = harmonic_residual_values(ansatz, omega, k, block)
-        if values:
-            np.abs(res, out=block.part(magnitude))
+        if magnitude is not None:
+            np.abs(res, out=magnitude)
         return [(res.real, mags)], [(res.imag, mags)]
 
-    return _streamed_report(grid, [f"harmonic_{k}_real", f"harmonic_{k}_imag"], samples,
-                            values=magnitude,
-                            periodic=_all_periodic(ansatz.fields() + (omega,)))
+    return _streamed_report(ansatz.fields() + (omega,), grid,
+                            [f"harmonic_{k}_real", f"harmonic_{k}_imag"], samples, values)
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +453,14 @@ def constraint_residual(obj, grid: SamplingGrid | None = None) -> ResidualReport
     n, lam = rescaled.n, rescaled.lam
     u_top, v_top = u[n - 1], v[n - 1]
     f_top, g_top = rescaled.f[n - 1], rescaled.g[n - 1]
-    grid = grid if grid is not None else SamplingGrid(64, 64, rescaled.lam.geometry)
 
-    def samples(block):
+    def samples(block, _):
         t_lhs, t_rhs = constraint_sides(n, lam.jet(block), u_top.jet(block), v_top.jet(block))
         tf, tg = f_top.jet(block).x, g_top.jet(block).y
         return [(t_lhs - t_rhs, _largest(t_lhs, t_rhs))], [(tf + tg, _largest(tf, tg))]
 
-    return _streamed_report(grid, ["divergence_unscaled", "divergence_rescaled"], samples,
-                            periodic=_all_periodic((lam, u_top, v_top, f_top, g_top)))
+    return _streamed_report((lam, u_top, v_top, f_top, g_top), grid,
+                            ["divergence_unscaled", "divergence_rescaled"], samples)
 
 
 N1_DEGENERATE_FLAG = "N=1 degenerate"
@@ -505,17 +500,15 @@ def conservation_residuals(rescaled: RescaledAnsatz,
     """Residual norms of the two conservation laws on the grid.  All outer
     derivatives are expanded by the product/chain rule onto first derivatives
     of the inputs."""
-    grid = grid if grid is not None else SamplingGrid(64, 64, rescaled.lam.geometry)
     r_field, flux1, flux2, degenerate = conservation_flux_fields(rescaled)
 
-    def samples(block):
+    def samples(block, _):
         r, f1, f2 = r_field.jet(block), flux1.jet(block), flux2.jet(block)
         return [(r.x + f1.y, _largest(r.x, f1.y))], [(r.y + f2.x, _largest(r.y, f2.x))]
 
-    flags = [N1_DEGENERATE_FLAG] if degenerate else []
-    involved = list(rescaled.f) + list(rescaled.g) + [rescaled.lam]
-    return _streamed_report(grid, ["conservation_1", "conservation_2"], samples,
-                            periodic=_all_periodic(involved), flags=flags)
+    return _streamed_report((rescaled.lam, *rescaled.f, *rescaled.g), grid,
+                            ["conservation_1", "conservation_2"], samples,
+                            flags=[N1_DEGENERATE_FLAG] if degenerate else [])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ the step floor or budget), 2 on input errors (malformed JSON, unknown
 presets or scenario names, nonpositive conformal factor, wrong state-vector
 length, an ``--at`` state whose A or B is not finite in float64, step,
 tolerance, trajectory or torus-period values that are not finite and
-positive, a ``drift_tol`` that is NaN or negative or names no monitored
+positive, a fixed step or ``t_end`` above the step or sample budget of
+``flow``, a ``drift_tol`` that is NaN or negative or names no monitored
 observable, an ansatz degree, ``--geodesic`` degree, grid or trigonometric
 field table above its limit, a verify whose stationarity or harmonic work
 exceeds its budget, a ``--geodesic`` degree below 2 or a grid side
@@ -214,10 +215,7 @@ def run_verify_checks(scenario: Scenario, want_grids: bool = False):
         t0 = time.perf_counter()
         if check == "certificate":
             cert = certificate_from_reports(constraint(), conservation(), tol)
-            entry = {"check": check, "pass": cert.certified,
-                     "certified": cert.certified, "tolerance": cert.tolerance,
-                     "residual_sups": dict(cert.residual_sups),
-                     "flags": list(cert.flags)}
+            entry = {"check": check, "pass": cert.certified, **dataclasses.asdict(cert)}
         else:
             entry = {"check": check, "residuals": [], "periodic": True}
             for label, report in named_reports[check]():   # one report's grid alive at a time

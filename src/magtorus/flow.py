@@ -25,7 +25,9 @@ Its `counts` (trigonometric terms inlined, node rules traced, rules called)
 are reported beside each trajectory's step counts.  The RK4 step is unrolled
 by hand for the two state lengths.  A trajectory may take at most
 STEP_BUDGET steps: a fixed step that needs more is refused before the run,
-and step doubling that reaches it aborts the run.
+and step doubling that reaches it aborts the run.  Its samples are bounded
+too: a t_end beyond SAMPLE_BUDGET sample intervals is refused before the
+run, fixed or adaptive, since every interval takes at least one step.
 """
 
 from __future__ import annotations
@@ -260,6 +262,24 @@ def check_step_budget(t_end: float, dt: float, what: str = "dt"):
                          "steps per trajectory")
 
 
+#: Most sample intervals that one trajectory may hold.  Every interval takes
+#: at least one step and keeps one sample, so a fixed step longer than the
+#: spacing takes one step per interval, and an adaptive run has no other
+#: bound on t_end: at the default spacing of 0.01, t_end = 1e6 would run
+#: 1e8 steps, and the sample times alone of t_end = 1e12 would not fit in
+#: memory.
+SAMPLE_BUDGET = 10 ** 6
+
+
+def check_sample_budget(t_end: float, sample_dt: float, what: str = "t_end"):
+    """Refuse a `t_end` (named `what`) that holds more than SAMPLE_BUDGET
+    sample intervals of `sample_dt`."""
+    if t_end / sample_dt > SAMPLE_BUDGET:
+        raise ValueError(f"{what} = {t_end!r} holds {t_end / sample_dt:.3g} sample intervals "
+                         f"of {sample_dt!r}, above the sample budget of {SAMPLE_BUDGET} "
+                         "intervals per trajectory")
+
+
 def _advance_fixed(rhs, state, t0, t1, dt, stats):
     t = t0
     while t < t1 - 1e-14 * max(1.0, t1):
@@ -324,6 +344,8 @@ def _integrate_path(rhs, state0, t_end, control):
     """Shared sampling loop; returns times, states, abort diagnostics, stats."""
     if control.mode != "adaptive":
         check_step_budget(t_end, control.dt)
+    if control.sample_dt is not None:
+        check_sample_budget(t_end, control.sample_dt)
     times = _sample_times(t_end, control.sample_dt)
     states = [tuple(float(s) for s in state0)]
     state = states[0]

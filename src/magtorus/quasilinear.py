@@ -404,6 +404,5 @@ def certificate_from_reports(constraint: ResidualReport, conservation: ResidualR
 def egorov_certificate(rescaled: RescaledAnsatz, grid: SamplingGrid | None = None,
                        tol: float = 1e-10) -> EgorovCertificate:
     """Certificate of a rescaled configuration on the grid (default 64 x 64)."""
-    grid = grid if grid is not None else SamplingGrid(64, 64, rescaled.lam.geometry)
     return certificate_from_reports(constraint_residual(rescaled, grid),
                                     conservation_residuals(rescaled, grid), tol)

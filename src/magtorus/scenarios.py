@@ -18,8 +18,9 @@ from dataclasses import dataclass, field as _dc_field
 from pathlib import Path
 
 from .fields import FieldError, SamplingGrid, TorusGeometry, field_from_spec, zero_field
-from .flow import MagneticSystem, PhaseState, StepControl, check_step_budget
-from .ansatz import Ansatz, omega_rescaled, rescale
+from .flow import (MagneticSystem, PhaseState, StepControl, check_sample_budget,
+                   check_step_budget)
+from .ansatz import Ansatz, default_phi_count, omega_rescaled, rescale
 from .readers import ScenarioError, _integer, _list, _name, _number, _positive, _require
 
 SCHEMA_VERSION = 1
@@ -58,7 +59,7 @@ def check_verify_work(scenario: Scenario):
     if not {"stationarity", "harmonics"} & set(scenario.checks):
         return
     n, nx, ny = scenario.ansatz.n, scenario.grid.nx, scenario.grid.ny
-    work = (4 * n + 4) * n * nx * ny
+    work = default_phi_count(n) * n * nx * ny
     _require(work <= MAX_VERIFY_WORK,
              f"verify of N = {n} on the {nx}x{ny} grid needs (4N + 4) * N * nx * ny = "
              f"{work:.3g} work, above the verify work budget of {MAX_VERIFY_WORK:.3g}")
@@ -207,6 +208,7 @@ def build_scenario(data: dict, *, seed: int | None = None,
         if control.mode == "fixed":
             check_step_budget(t_end, control.dt,
                               "--dt" if dt_override is not None else f"{label} dt")
+        check_sample_budget(t_end, control.sample_dt, f"{label} t_end")
         observables = tuple(_list(rec.get("observables", ["H", "F"]),
                                   f"{label} observables"))
         for obs in observables:

@@ -104,6 +104,13 @@ def test_integrate_rejects_nonpositive_t_end():
         mt.integrate(flat_system(), mt.PhaseState(0, 0, 0), 0.0)
 
 
+def test_integrate_refuses_t_end_beyond_the_sample_budget():
+    # Adaptive control has no step count to bound t_end; the samples do.
+    with pytest.raises(ValueError, match="above the sample budget of 1000000 intervals"):
+        mt.integrate(flat_system(), mt.PhaseState(0, 0, 0), 1e12,
+                     mt.StepControl.adaptive())
+
+
 def test_integrate_cotangent_rejects_zero_energy():
     with pytest.raises(ValueError):
         mt.integrate_cotangent(flat_system(), mt.CotangentState(0, 0, 0.0, 0.0), 1.0)

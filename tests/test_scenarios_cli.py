@@ -181,15 +181,18 @@ def test_verify_random_nonsolution_fails(capsys):
 @pytest.mark.parametrize("checks", [list(mt.scenarios.KNOWN_CHECKS), ["certificate"]],
                          ids=["all", "certificate-only"])
 def test_verify_evaluates_constraint_and_conservation_once(monkeypatch, checks):
+    # Counts evaluations, not calls of a kernel: the constraint's sides once
+    # per block and the conservation fluxes once, shared by the certificate.
     random_spec = lambda seed, **kw: {"type": "random_trig", "seed": seed, "modes": 4,
                                       "max_mode": 2, "amplitude": 0.2, **kw}
     scenario = mt.build_scenario({
-        "N": 3, "lambda": random_spec(1, offset=2.0), "grid": [16, 16],
+        "N": 3, "lambda": random_spec(1, offset=2.0), "grid": [96, 96],
         "coefficients": [{"k": 0, "u": random_spec(2)},
                          {"k": 1, "u": random_spec(3), "v": random_spec(4)},
                          {"k": 2, "u": random_spec(5), "v": random_spec(6)}],
         "checks": checks})
-    calls = {"constraint_residual": 0, "conservation_flux_fields": 0}
+    assert len(scenario.grid.spans) >= 2
+    calls = {"constraint_sides": 0, "conservation_flux_fields": 0}
     for name in calls:
         original = getattr(mt.ansatz, name)
 
@@ -201,7 +204,7 @@ def test_verify_evaluates_constraint_and_conservation_once(monkeypatch, checks):
                 monkeypatch.setattr(module, name, counted)
     payload = run_verify_checks(scenario)[0]
     assert [c["check"] for c in payload["checks"]] == checks
-    assert calls == {"constraint_residual": 1, "conservation_flux_fields": 1}
+    assert calls == {"constraint_sides": len(scenario.grid.spans), "conservation_flux_fields": 1}
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED))
@@ -725,6 +728,22 @@ def test_adaptive_run_beyond_the_budget_aborts(tmp_path, capsys, monkeypatch):
     assert traj["aborted"] and "step budget of 25" in traj["diagnostic"]
     stats = doc["stats"]["circle"]
     assert stats["rk4_steps_accepted"] + stats["rk4_steps_rejected"] == 25
+
+
+@pytest.mark.parametrize("request_, holds", [
+    # Adaptive: the list of sample times alone would not fit in memory.
+    ({"adaptive": 1e-8, "t_end": 1e12}, "1e+14"),
+    # Fixed: within the step budget, but one step per sample interval, 1e8 in all.
+    ({"dt": 1.0, "t_end": 1e6}, "1e+08"),
+], ids=["adaptive", "fixed"])
+def test_t_end_beyond_the_sample_budget_is_refused_at_load(tmp_path, request_, holds):
+    path = write_orbit_scenario(tmp_path, **request_)
+    proc = run_python("-m", "magtorus", "simulate", path, "--out", str(tmp_path), timeout=30.0)
+    assert proc.returncode == 2
+    assert (f"error: trajectory 'line' t_end = {request_['t_end']!r} holds {holds} sample "
+            "intervals of 0.01, above the sample budget of 1000000 intervals per "
+            "trajectory") in proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("change, message", [
