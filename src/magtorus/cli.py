@@ -3,17 +3,19 @@ assembly with machine-readable reports.
 
 Exit codes: 0 when every requested check passes, 1 on a check failure or an
 aborted integration (at the positivity floor, at a non-finite state, or at
-the step floor or budget), 2 on input errors (malformed JSON, unknown
-presets or scenario names, nonpositive conformal factor, wrong state-vector
-length, an ``--at`` state whose A or B is not finite in float64, step,
-tolerance, trajectory or torus-period values that are not finite and
-positive, a fixed step or ``t_end`` above the step or sample budget of
-``flow``, a ``drift_tol`` that is NaN or negative or names no monitored
-observable, an ansatz degree, ``--geodesic`` degree, grid or trigonometric
-field table above its limit, a verify whose stationarity or harmonic work
-exceeds its budget, a ``--geodesic`` degree below 2 or a grid side
-below 4, a trigonometric field whose coefficients, wavenumbers, values or
-first partials overflow float64).
+the step floor or budget), 2 on input errors (malformed JSON, nested too
+deep to parse included, unknown presets or scenario names, nonpositive
+conformal factor, wrong state-vector length, an ``--at`` state whose A or B
+is not finite in float64, step, tolerance, trajectory or torus-period
+values that are not finite and positive, a torus period whose grid nodes
+overflow float64, a fixed step or ``t_end`` above the step or sample budget
+of ``flow``, a ``drift_tol`` that is NaN or negative or names no monitored
+observable, an ansatz degree, ``--geodesic`` degree, grid, trigonometric
+field table or ``random_trig`` ``modes`` or ``max_mode`` above its limit, a
+verify whose stationarity or harmonic work exceeds its budget, a
+``--geodesic`` degree below 2 or a grid side below 4, a trigonometric field
+whose coefficients, wavenumbers, values or first partials overflow
+float64).
 
 One pass rule: a residual check passes when every sup of its reports is
 below the tolerance, and the certificate when its three residual sups are,
@@ -54,8 +56,8 @@ from .flow import (atomic_write as _atomic_write, atomic_write_chunks, export_cs
 from .ansatz import (conservation_residuals, constraint_residual,
                      first_integral_observable, rescale, residual_harmonic,
                      residual_stationarity)
-from .quasilinear import (StateVector, assemble, certificate_from_reports,
-                          geodesic_matrix, spectra, spectrum)
+from .quasilinear import (assemble, certificate_from_reports, geodesic_matrix, spectra,
+                          spectrum)
 from .scenarios import (MAX_N, Scenario, ScenarioError, bundled_scenario_names,
                         check_verify_work, load_scenario)
 
@@ -373,12 +375,8 @@ def _parse_geodesic(text: str):
 
 
 def _spectrum_payload(report) -> dict:
-    diagnostics = {}
-    for key, val in report.diagnostics.items():
-        if isinstance(val, float) and not math.isfinite(val):
-            diagnostics[key] = repr(val)
-        elif isinstance(val, (int, float, str)):
-            diagnostics[key] = val
+    diagnostics = {key: repr(val) if isinstance(val, float) and not math.isfinite(val) else val
+                   for key, val in report.diagnostics.items()}
     eigenvalues = report.eigenvalues
     return {
         "eigenvalues": np.stack((eigenvalues.real, eigenvalues.imag), axis=-1),
@@ -397,8 +395,9 @@ def _spectra_stats(reports, states: int) -> dict:
 
 
 def _parse_states(texts, n: int) -> np.ndarray:
-    """The --at states as an (M, 2N) array; the first bad state is refused
-    with the message it gets on its own."""
+    """The --at states as an (M, 2N) array; the first state that is not
+    2N numbers is refused here, and the first non-finite or Lambda <= 0
+    state by `assemble`'s `StateVector`."""
     rows = []
     for text in texts:
         try:
@@ -409,8 +408,6 @@ def _parse_states(texts, n: int) -> np.ndarray:
         if len(values) != 2 * n:
             raise ScenarioError(f"--at state {text!r} has length {len(values)}, "
                                 f"not 2N = {2 * n}")
-        if not (all(map(math.isfinite, values)) and values[0] > 0.0):
-            StateVector(np.asarray(values))   # raises the state's own error
         rows.append(values)
     return np.array(rows)
 

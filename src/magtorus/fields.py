@@ -64,6 +64,15 @@ LAMBDA_FLOOR = 1e-8
 #: complex cells take about 200 MB.  A field that needs more is refused.
 MAX_TABLE_CELLS = 2048 * 2048
 
+#: Most modes, and largest mode index, of a ``random_trig`` field spec.  The
+#: point kernel inlines every mode, so the time of an orbit grows with the
+#: modes: 1000 modes on each of Lambda and u_0 took 4.2 s for 1000 fixed
+#: steps (2-CPU x86-64 host).  The modes are drawn from a pool of about
+#: 2 max_mode^2, which must fit in int64; drawing 1000 of them takes about
+#: 20 ms at any max_mode up to the limit.
+MAX_RANDOM_MODES = 1000
+MAX_RANDOM_MAX_MODE = 10 ** 6
+
 #: Most nodes of one grid block: 8192 float64 values are 64 KB, below
 #: glibc's 128 KB mmap threshold, so block temporaries come from the heap.
 BLOCK_POINTS = 8192
@@ -115,6 +124,11 @@ class SamplingGrid:
         self.nx = int(nx)
         self.ny = int(ny)
         self.geometry = geometry if geometry is not None else TorusGeometry()
+        for name, period, nodes in (("period_x", self.geometry.period_x, self.nx),
+                                    ("period_y", self.geometry.period_y, self.ny)):
+            if not math.isfinite(period * (nodes - 1)):   # the last node, as xs or ys forms it
+                raise FieldError(f"torus {name} = {period!r} puts the nodes of a "
+                                 f"{self.nx}x{self.ny} grid beyond float64")
         self.xs = self.geometry.period_x * np.arange(self.nx) / self.nx
         self.ys = self.geometry.period_y * np.arange(self.ny) / self.ny
         self.spans = []   # (start, stop) of each block, in order
@@ -391,42 +405,30 @@ def _refuse_overflow(c0: float, terms: list):
                              f"is not finite")
 
 
-def _canonical(m: int, n: int) -> bool:
-    return m > 0 or (m == 0 and n > 0)
-
-
 def _canonicalize_table(table: dict):
-    """Validate conjugate symmetry and fold onto the canonical half-spectrum."""
-    clean = {}
+    """Validate conjugate symmetry and fold the table onto the canonical
+    half-spectrum, m > 0 or (m == 0 and n > 0), in one pass: a mode keeps
+    its coefficient and its mirror (-m, -n) the conjugate, and of a mirrored
+    pair the first is kept once the second is checked against it."""
+    c0, half = 0.0, {}
     for key, val in table.items():
         m, n = int(key[0]), int(key[1])
-        clean[(m, n)] = complex(val)
-        if not cmath.isfinite(clean[(m, n)]):
+        c = complex(val)
+        if not cmath.isfinite(c):
             raise FieldError(f"mode {(m, n)} has non-finite coefficient {val!r}")
-
-    c00 = clean.pop((0, 0), 0.0)
-    if abs(c00.imag) > 1e-13 * (1.0 + abs(c00.real)):
-        raise FieldError("mode (0, 0) must be real (it is its own conjugate)")
-
-    half = {}
-    seen = set()
-    for (m, n), c in clean.items():
-        if (m, n) in seen:
+        if m == n == 0:
+            if abs(c.imag) > 1e-13 * (1.0 + abs(c.real)):
+                raise FieldError("mode (0, 0) must be real (it is its own conjugate)")
+            c0 = c.real
             continue
-        mirror = (-m, -n)
-        if mirror in clean:
-            cm = clean[mirror]
-            if abs(cm - c.conjugate()) > 1e-13 * (1.0 + abs(c)):
-                raise FieldError(f"modes {(m, n)} and {mirror} are not conjugate")
-            seen.add(mirror)
-        seen.add((m, n))
-        if _canonical(m, n):
-            half[(m, n)] = c
-        else:
-            half[mirror] = c.conjugate()
+        mode = (m, n) if m > 0 or (m == 0 and n > 0) else (-m, -n)
+        c = c if mode == (m, n) else c.conjugate()
+        if mode not in half:
+            half[mode] = c
+        elif abs(c - half[mode]) > 1e-13 * (1.0 + abs(half[mode])):
+            raise FieldError(f"modes {(-m, -n)} and {(m, n)} are not conjugate")
     # Drop exact zeros to keep tables minimal.
-    half = {mn: c for mn, c in half.items() if c != 0.0}
-    return c00.real, half
+    return c0, {mn: c for mn, c in half.items() if c != 0.0}
 
 
 class AnalyticField(Field):
@@ -763,7 +765,6 @@ def random_trig_field(rng, geometry: TorusGeometry | None = None, *,
     The modes are drawn by index from the canonical modes in (m, n) order,
     (0, 1) .. (0, M) and then (m, -M) .. (m, M) for m = 1 .. M, M = max_mode;
     each index is turned into its mode by arithmetic, without listing them."""
-    geometry = geometry if geometry is not None else TorusGeometry()
     width = 2 * max_mode + 1
     pool_size = max_mode + max_mode * width
     idx = rng.choice(pool_size, size=min(n_modes, pool_size), replace=False)
@@ -831,7 +832,6 @@ def field_from_spec(spec, geometry: TorusGeometry | None = None, *,
 
     A bare number (not a boolean) is shorthand for a constant field.
     """
-    geometry = geometry if geometry is not None else TorusGeometry()
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         return constant_field(float(spec), geometry)
     if not isinstance(spec, dict):
@@ -863,6 +863,10 @@ def field_from_spec(spec, geometry: TorusGeometry | None = None, *,
             _integer(value, f"random_trig {key}", lo=0)
             for key, value in (("seed", seed), ("modes", spec.get("modes", 5)),
                                ("max_mode", spec.get("max_mode", 3))))
+        for key, value, limit in (("modes", modes, MAX_RANDOM_MODES),
+                                  ("max_mode", max_mode, MAX_RANDOM_MAX_MODE)):
+            if value > limit:
+                raise FieldError(f"random_trig {key} = {value} exceeds the limit of {limit}")
         return random_trig_field(
             np.random.default_rng(seed), geometry, n_modes=modes, max_mode=max_mode,
             amplitude=_number(spec.get("amplitude", 1.0), "random_trig amplitude"),

@@ -23,7 +23,7 @@ one straight-line function of (x, y) that checks the positivity floor right
 after Lambda's subgraph and evaluates a leaf shared by Lambda and Omega once.
 Its `counts` (trigonometric terms inlined, node rules traced, rules called)
 are reported beside each trajectory's step counts.  The RK4 step is unrolled
-by hand for the two state lengths.  A trajectory may take at most
+by hand for the flow's three components.  A trajectory may take at most
 STEP_BUDGET steps: a fixed step that needs more is refused before the run,
 and step doubling that reaches it aborts the run.  Its samples are bounded
 too: a t_end beyond SAMPLE_BUDGET sample intervals is refused before the
@@ -204,9 +204,10 @@ class Trajectory:
 
 def _rk4_step(rhs, state, dt, k1):
     """One classical RK4 step from `state`, given its first stage
-    k1 = rhs(state), unrolled for the flow's (x, y, phi) and the bracket
-    form's (x, y, p1, p2).  Each component is s + h * k per stage and
-    s + dt / 6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4) at the end."""
+    k1 = rhs(state): each component is s + h * k per stage and
+    s + dt / 6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4) at the end.  The flow's
+    (x, y, phi) step is unrolled by hand; any other length, such as the
+    bracket form's (x, y, p1, p2), takes the same stages in a loop."""
     half = 0.5 * dt
     if len(state) == 3:
         s0, s1, s2 = state
@@ -218,20 +219,12 @@ def _rk4_step(rhs, state, dt, k1):
         return (s0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
                 s1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
                 s2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2))
-    if len(state) == 4:
-        s0, s1, s2, s3 = state
-        a0, a1, a2, a3 = k1
-        b0, b1, b2, b3 = rhs((s0 + half * a0, s1 + half * a1, s2 + half * a2,
-                              s3 + half * a3))
-        c0, c1, c2, c3 = rhs((s0 + half * b0, s1 + half * b1, s2 + half * b2,
-                              s3 + half * b3))
-        d0, d1, d2, d3 = rhs((s0 + dt * c0, s1 + dt * c1, s2 + dt * c2, s3 + dt * c3))
-        sixth = dt / 6.0
-        return (s0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
-                s1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-                s2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
-                s3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3))
-    raise ValueError(f"no RK4 step for a state of length {len(state)}")
+    stages = [k1]
+    for h in (half, half, dt):
+        stages.append(rhs(tuple(s + h * k for s, k in zip(state, stages[-1]))))
+    sixth = dt / 6.0
+    return tuple(s + sixth * (a + 2.0 * b + 2.0 * c + d)
+                 for s, a, b, c, d in zip(state, *stages))
 
 
 def _sample_times(t_end: float, sample_dt):
@@ -341,7 +334,11 @@ def _advance_adaptive(rhs, state, t0, t1, h, atol, stats):
 
 
 def _integrate_path(rhs, state0, t_end, control):
-    """Shared sampling loop; returns times, states, abort diagnostics, stats."""
+    """Shared sampling loop of both forms, at the default fixed step when
+    `control` is None; returns times, states, abort diagnostics, stats."""
+    if not t_end > 0.0:
+        raise ValueError("t_end must be positive")
+    control = control if control is not None else StepControl.fixed()
     if control.mode != "adaptive":
         check_step_budget(t_end, control.dt)
     if control.sample_dt is not None:
@@ -385,13 +382,9 @@ def integrate(system: MagneticSystem, state0: PhaseState, t_end: float,
     the state or an angle of the right-hand side is no longer finite, the
     partial trajectory is returned with `aborted` set and a diagnostic.
     """
-    if not t_end > 0.0:
-        raise ValueError("t_end must be positive")
-    control = control if control is not None else StepControl.fixed()
     rhs = lambda s: flow_rhs(system, s)
     start = (state0.x, state0.y, state0.phi)
-    kept_times, states, aborted, diagnostic, stats = _integrate_path(rhs, start, t_end,
-                                                                     control)
+    kept_times, states, aborted, diagnostic, stats = _integrate_path(rhs, start, t_end, control)
     arr = np.array(states)
     x, y, phi_un = arr[:, 0], arr[:, 1], arr[:, 2]
     monitored = {"H": np.full(len(kept_times), 0.5)}
@@ -406,13 +399,10 @@ def integrate(system: MagneticSystem, state0: PhaseState, t_end: float,
 def integrate_cotangent(system: MagneticSystem, state0: CotangentState, t_end: float,
                         control: StepControl | None = None):
     """Integrate the bracket form; returns (times, states array, aborted, diagnostic)."""
-    if not t_end > 0.0:
-        raise ValueError("t_end must be positive")
     lam0 = system.kernel(state0.x, state0.y)[0]
     energy0 = (state0.p1 ** 2 + state0.p2 ** 2) / (2.0 * lam0)
     if not (math.isfinite(energy0) and energy0 > 0.0):
         raise ValueError(f"initial energy must be finite and positive, got {energy0!r}")
-    control = control if control is not None else StepControl.fixed()
     rhs = lambda s: cotangent_rhs(system, s)
     start = (state0.x, state0.y, state0.p1, state0.p2)
     kept_times, states, aborted, diagnostic, _ = _integrate_path(rhs, start, t_end, control)

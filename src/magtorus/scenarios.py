@@ -240,7 +240,7 @@ def load_scenario(path_or_name: str, **kwargs) -> Scenario:
         raise ScenarioError(f"no bundled scenario or readable file named {path_or_name!r}")
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # nested too deep for the parser
         raise ScenarioError(f"malformed scenario JSON in {path}: {exc}") from exc
     if isinstance(data, dict):
         data.setdefault("name", path.stem)

@@ -1260,10 +1260,11 @@ def test_verify_work_budget(n, grid, checks, accepted):
 
 
 def test_trig_table_above_the_cap_is_refused_at_load(tmp_path):
-    # About 2.9k x 4.9k distinct wavenumbers: 7.3 GB of grid table.
+    # 2049 diagonal modes: 2050 x 2050 distinct wavenumbers.  A random_trig
+    # spec cannot get there: its modes and max_mode are capped below it.
     data = dict(BUNDLED["flat-zero-field"], coefficients=[
-        {"k": 0, "u": {"type": "random_trig", "seed": 1, "modes": 10000,
-                       "max_mode": 3000, "amplitude": 0.1}}])
+        {"k": 0, "u": {"type": "trig", "coeffs": [
+            {"m": m, "n": m, "re": 1e-4} for m in range(1, 2050)]}}])
     path = tmp_path / "huge-table.json"
     path.write_text(json.dumps(data))
     proc = run_python("-m", "magtorus", "verify", str(path), timeout=30.0)
@@ -1373,3 +1374,37 @@ def test_readme_usage_matches_the_parser():
                      if flag.startswith("--") and flag != "--help"}
               for name, sub in commands.items()}
     assert documented == parsed
+
+
+#: Inputs each refused at load by every command, with the text of the refusal.
+LOAD_REFUSALS = {
+    "random-trig-huge-max-mode": (
+        {"N": 1, "lambda": {"type": "random_trig", "seed": 1, "max_mode": 10**12,
+                            "offset": 2.0, "amplitude": 0.01}},
+        "lambda: random_trig max_mode = 1000000000000 exceeds the limit of 1000000"),
+    "random-trig-many-modes": (
+        {"N": 1, "lambda": {"type": "random_trig", "seed": 1, "modes": 10**6,
+                            "max_mode": 1000, "offset": 2.0, "amplitude": 1e-4}},
+        "lambda: random_trig modes = 1000000 exceeds the limit of 1000"),
+    "nested-json": ("[" * 100000, "malformed scenario JSON in"),
+    "period-overflows-the-grid": (
+        {"N": 1, "lambda": 2.0, "geometry": {"period_x": 1e308, "period_y": 1e308},
+         "trajectories": [{"initial": [0.1, 0.2, 0.3], "t_end": 1.0}]},
+        "torus period_x = 1e+308 puts the nodes of a 64x64 grid beyond float64"),
+}
+
+
+@pytest.mark.parametrize("name", LOAD_REFUSALS)
+def test_input_refused_at_load_by_every_command(tmp_path, name):
+    data, message = LOAD_REFUSALS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    with ThreadPoolExecutor(3) as pool:
+        procs = list(pool.map(
+            lambda command: run_python("-W", "error", "-m", "magtorus", command, str(path),
+                                       "--out", str(tmp_path / command), timeout=30.0),
+            ["verify", "simulate", "assemble"]))
+    for proc in procs:
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == "" and proc.stderr.startswith("error: ")
+        assert message in proc.stderr and "Traceback" not in proc.stderr
