@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (DomainError, Field, Jet, LAMBDA_FLOOR, SamplingGrid,
-                     TrigField, array_kernel, check_conformal_factor, point_kernel,
-                     same_torus, value_field, zero_field)
+                     TrigField, array_kernel, bandwidth, check_conformal_factor,
+                     point_kernel, same_torus, trig_leaves, value_field, zero_field)
 from .flow import MagneticSystem
 
 
@@ -61,12 +61,14 @@ class EquationResidual:
 class ResidualReport:
     """Residual norms per equation.  `values`, where the kernel provides it,
     is the pointwise residual magnitude on the grid (for plotting); `flags`,
-    where the kernel raises them, qualify the result."""
+    where the kernel raises them, qualify the result; `modes` is the
+    `bandwidth` of the fields it evaluates."""
 
     entries: list
     periodic: bool = True
     flags: list | None = None
     values: np.ndarray | None = None
+    modes: tuple = (0, 0)
 
     def entry(self, label: str) -> EquationResidual:
         for e in self.entries:
@@ -117,16 +119,16 @@ class _Norms:
 
 
 def _streamed_report(fields, grid, labels, samples, values=False, **report) -> ResidualReport:
-    """Report on the equations `labels` of `fields` over `grid` (64 x 64 on
-    the first field's torus if None), evaluated one block at a time:
-    `samples(block, part)` gives, for each equation, its (residual,
-    magnitude) pairs on the block, one per sample (an angle of the
-    stationarity check), as many on every block.  `part` is the block's
+    """Report on the equations `labels` of `fields` over `grid` (the default
+    `SamplingGrid` of the first field's torus if None), evaluated one block
+    at a time: `samples(block, part)` gives, for each equation, its
+    (residual, magnitude) pairs on the block, one per sample (an angle of
+    the stationarity check), as many on every block.  `part` is the block's
     part of the report's zeroed `values` array to fill if `values`, else None.
     A sample's sums of squares add up over the blocks to the bits of one
     `np.sum` over the grid (`SamplingGrid.fold`), and the samples' sums one
     after another; the report is periodic if every field is."""
-    grid = grid if grid is not None else SamplingGrid(64, 64, fields[0].geometry)
+    grid = grid if grid is not None else SamplingGrid(geometry=fields[0].geometry)
     array = np.zeros((grid.nx, grid.ny)) if values else None
     norms = [_Norms(label) for label in labels]
     for block in grid.blocks():
@@ -140,7 +142,8 @@ def _streamed_report(fields, grid, labels, samples, values=False, **report) -> R
         return sum(grid.fold(parts[s::per_block]) for s in range(per_block))
 
     return ResidualReport([acc.entry(fold) for acc in norms], values=array,
-                          periodic=all(f.periodic for f in fields), **report)
+                          periodic=all(f.periodic for f in fields),
+                          modes=bandwidth(*fields), **report)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +229,28 @@ def rescale(ansatz: Ansatz) -> RescaledAnsatz:
 def unrescale(rescaled: RescaledAnsatz) -> tuple:
     """Recover (u_0.., v_0..) coefficient fields from the rescaled variables."""
     return _scaled_pairs(rescaled.n, rescaled.lam, rescaled.f, rescaled.g, 1)
+
+
+def unresolved_inputs(obj, grid: SamplingGrid) -> list:
+    """A flag for each input of an Ansatz or RescaledAnsatz -- Lambda, u_0 ..
+    u_{N-1} and v_1 .. v_{N-1}, or the f_k and g_k that stand for u_k and
+    v_k -- with a trigonometric mode that `grid` does not resolve
+    (`SamplingGrid.resolves`), naming the input, its first such mode and
+    the grid.  A leaf under several inputs counts for the first of them, so
+    Lambda's leaves under f_k count for Lambda."""
+    first, second = (obj.u, obj.v) if isinstance(obj, Ansatz) else (obj.f, obj.g)
+    named = [("Lambda", obj.lam), *((f"u_{k}", first[k]) for k in range(obj.n)),
+             *((f"v_{k}", second[k]) for k in range(1, obj.n))]
+    flags, seen = [], set()
+    for name, field in named:
+        leaves = [leaf for leaf in trig_leaves(field) if leaf not in seen]
+        seen.update(leaves)
+        modes = [mn for leaf in leaves for mn in leaf._half if not grid.resolves(*mn)]
+        if modes:
+            flags.append(f"{name} has mode {modes[0]}, which the {grid.nx}x{grid.ny} grid "
+                         f"does not resolve (|m| < {grid.nx / 2:g} and |n| < "
+                         f"{grid.ny / 2:g}): an error can hide between its nodes")
+    return flags
 
 
 # ---------------------------------------------------------------------------

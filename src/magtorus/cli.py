@@ -1,40 +1,43 @@
 """Command-line interface: scenario-driven verification, simulation and
 assembly with machine-readable reports.
 
-Exit codes: 0 when every requested check passes, 1 on a check failure or an
-aborted integration (at the positivity floor, at a non-finite state, or at
-the step floor or budget), 2 on input errors (malformed JSON, nested too
-deep to parse included, unknown presets or scenario names, nonpositive
-conformal factor, wrong state-vector length, an ``--at`` state whose A or B
-is not finite in float64, step, tolerance, trajectory or torus-period
-values that are not finite and positive, a torus period whose grid nodes
-overflow float64, a fixed step or ``t_end`` above the step or sample budget
-of ``flow``, a ``drift_tol`` that is NaN or negative or names no monitored
-observable, an ansatz degree, ``--geodesic`` degree, grid, trigonometric
-field table or ``random_trig`` ``modes`` or ``max_mode`` above its limit, a
-verify whose stationarity or harmonic work exceeds its budget, a
-``--geodesic`` degree below 2 or a grid side below 4, a trigonometric field
-whose coefficients, wavenumbers, values or first partials overflow
-float64).
+Exit codes: 0 when every requested check passes, 1 on a check failure (a
+certificate withheld because the grid does not resolve a trigonometric mode
+of Lambda, a u_k or a v_k included) or an aborted integration (at the
+positivity floor, at a non-finite state, or at the step floor or budget), 2
+on input errors (malformed JSON, nested too deep to parse included, unknown
+presets or scenario names, nonpositive conformal factor, wrong state-vector
+length, an ``--at`` state whose A or B is not finite in float64, step,
+tolerance, trajectory or torus-period values that are not finite and
+positive, a torus period whose grid nodes overflow float64, a fixed step or
+``t_end`` above the step or sample budget of ``flow``, a ``drift_tol`` that
+is NaN or negative or names no monitored observable, an ansatz degree,
+``--geodesic`` degree, grid, trigonometric field table or ``random_trig``
+``modes`` or ``max_mode`` above its limit, a verify whose stationarity or
+harmonic work exceeds its budget, a ``--geodesic`` degree below 2 or a grid
+side below 4, a trigonometric field whose coefficients, wavenumbers, values
+or first partials overflow float64).
 
 One pass rule: a residual check passes when every sup of its reports is
-below the tolerance, and the certificate when its three residual sups are,
-so a NaN sup fails.  A residual norm, certificate sup or trajectory drift
+below the tolerance, and the certificate when its three residual sups are
+and the grid resolves every mode of its inputs (|m| < nx/2, |n| < ny/2), so
+a NaN sup fails.  A residual norm, certificate sup or trajectory drift
 that is not finite fails its check or trajectory and is named under the
 entry's ``non_finite`` key.
 
 Reports are JSON with sorted keys and floats printed to 17 significant
 digits, so identical scenarios and flags produce byte-identical payloads;
 wall-clock timings and the work counters (``stats``: the grid points and
-the blocks they were evaluated in, integration steps and RHS calls, or how
-the assembled pencils were solved) live outside the comparison payload.  A
-simulate ``stats`` entry also says that H is 1/2 by construction on the
-angle form, and gives ``rhs_kernel``: the trigonometric
-terms the system's compiled point kernel inlines, the node rules it traced
-into arithmetic, and the node rules it calls because they could not be
-traced (affine leaves are inlined and counted in none).  Trajectories are
-written as CSV, one file per trajectory.  ``--plot-data`` additionally emits
-gnuplot-ready columnar files, each written one column of the grid at a time.
+the blocks they were evaluated in, with each verify check's largest |m| and
+|n| and whether the grid resolves them; integration steps and RHS calls; or
+how the assembled pencils were solved) live outside the comparison payload.
+A simulate ``stats`` entry also says that H is 1/2 by construction on the
+angle form, and gives ``rhs_kernel``: the trigonometric terms the system's
+compiled point kernel inlines, the node rules it traced into arithmetic,
+and the node rules it calls because they could not be traced (affine leaves
+are inlined and counted in none).  Trajectories are written as CSV, one
+file per trajectory.  ``--plot-data`` additionally emits gnuplot-ready
+columnar files, each written one column of the grid at a time.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .flow import (atomic_write as _atomic_write, atomic_write_chunks, export_cs
                    monitor, write_table)
 from .ansatz import (conservation_residuals, constraint_residual,
                      first_integral_observable, rescale, residual_harmonic,
-                     residual_stationarity)
+                     residual_stationarity, unresolved_inputs)
 from .quasilinear import (assemble, certificate_from_reports, geodesic_matrix, spectra,
                           spectrum)
 from .scenarios import (MAX_N, Scenario, ScenarioError, bundled_scenario_names,
@@ -74,15 +77,16 @@ EXIT_INPUT_ERROR = 2
 NON_FINITE_REPORT = "reports must not contain NaN or infinity"
 
 
-def _fmt_float(x: float) -> str:
-    """The report form of a finite float: integral values below 1e16 as
+def _fmt_floats(values) -> list:
+    """The report form of finite floats: integral values below 1e16 as
     ``.1f``, everything else at 17 significant digits."""
-    return f"{x:.1f}" if abs(x) < 1e16 and x.is_integer() else f"{x:.17g}"
+    return [f"{x:.1f}" if -1e16 < x < 1e16 and x.is_integer() else f"{x:.17g}"
+            for x in values]
 
 
 def canonical_json(obj, indent: int = 0) -> str:
     """`obj` as report text at `indent`: dict keys sorted, one member per
-    line, floats by `_fmt_float`, NaN or infinity refused with ValueError.
+    line, floats by `_fmt_floats`, NaN or infinity refused with ValueError.
     Each kind of value has one path.  A list, tuple or other array is
     written member by member; a float64 array of one or more dimensions is
     written as its nested lists would be, in one pass: its values are
@@ -102,7 +106,7 @@ def canonical_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         if not math.isfinite(obj):
             raise ValueError(NON_FINITE_REPORT)
-        return _fmt_float(float(obj))
+        return _fmt_floats([float(obj)])[0]
     # Members are joined from a generator and bracketed in one copy, so a
     # large report is held at most twice while it is written.
     if isinstance(obj, dict):
@@ -118,9 +122,7 @@ def canonical_json(obj, indent: int = 0) -> str:
         values = obj.ravel().tolist()
         if not all(map(math.isfinite, values)):
             raise ValueError(NON_FINITE_REPORT)
-        return _array_layout(obj.shape, indent) % tuple([   # the _fmt_float rule, inline
-            f"{x:.1f}" if -1e16 < x < 1e16 and x.is_integer() else f"{x:.17g}"
-            for x in values])
+        return _array_layout(obj.shape, indent) % tuple(_fmt_floats(values))
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
         if not seq:
@@ -197,9 +199,13 @@ def run_verify_checks(scenario: Scenario, want_grids: bool = False):
     """Run the scenario's requested checks.  A residual check passes when
     every sup of its reports is below the tolerance, so a NaN sup fails it;
     the certificate judges the sups of the same constraint and conservation
-    reports, each computed at most once.
+    reports, each computed at most once, and is withheld when the grid does
+    not resolve a mode of its inputs (`unresolved_inputs`).
 
-    Returns (payload dict, timings dict, residual grids for --plot-data)."""
+    Returns (payload dict, stats dict, timings dict, residual grids for
+    --plot-data).  The stats give the grid's points and blocks, and per
+    check the `bandwidth` of the fields it evaluates and whether the grid
+    resolves it."""
     ansatz, omega, grid, tol = (scenario.ansatz, scenario.system.omega,
                                 scenario.grid, scenario.tolerance)
     constraint = functools.cache(lambda: constraint_residual(ansatz, grid))
@@ -212,17 +218,20 @@ def run_verify_checks(scenario: Scenario, want_grids: bool = False):
         "constraint": lambda: [("constraint", constraint())],
         "conservation": lambda: [("conservation", conservation())],
     }
-    checks, timings, grids = [], {}, {}
+    checks, timings, grids, modes = [], {}, {}, {}
     for check in scenario.checks:
         t0 = time.perf_counter()
         if check == "certificate":
-            cert = certificate_from_reports(constraint(), conservation(), tol)
+            cert = certificate_from_reports(constraint(), conservation(), tol,
+                                            unresolved_inputs(ansatz, grid))
             entry = {"check": check, "pass": cert.certified, **dataclasses.asdict(cert)}
+            modes[check] = conservation().modes   # its inputs are the conservation fields
         else:
             entry = {"check": check, "residuals": [], "periodic": True}
             for label, report in named_reports[check]():   # one report's grid alive at a time
                 entry["residuals"] += map(dataclasses.asdict, report.entries)
                 entry["periodic"] &= report.periodic
+                modes[check] = tuple(map(max, modes.get(check, (0, 0)), report.modes))
                 if report.flags is not None:
                     entry.setdefault("flags", []).extend(report.flags)
                 if report.values is not None:
@@ -240,17 +249,18 @@ def run_verify_checks(scenario: Scenario, want_grids: bool = False):
         "checks": checks,
         "overall_pass": all(c["pass"] for c in checks),
     }
-    return payload, timings, grids
+    stats = {"grid_points": grid.nx * grid.ny, "blocks": len(grid.spans),
+             "largest_block_points": max(stop - start for start, stop in grid.spans),
+             "bandwidth": {check: {"max_m": m, "max_n": n, "resolved": grid.resolves(m, n)}
+                           for check, (m, n) in modes.items()}}
+    return payload, stats, timings, grids
 
 
 def cmd_verify(args) -> int:
     scenario = _load(args)
     check_verify_work(scenario)
-    payload, timings, grids = run_verify_checks(   # grids only for files to write
+    payload, stats, timings, grids = run_verify_checks(   # grids only for files to write
         scenario, want_grids=bool(args.plot_data and args.out))
-    grid = scenario.grid
-    stats = {"grid_points": grid.nx * grid.ny, "blocks": len(grid.spans),
-             "largest_block_points": max(stop - start for start, stop in grid.spans)}
     out = Path(args.out) if args.out else None
     _write_report("verify", payload, stats, timings, out and out / f"{scenario.name}_verify.json")
     for label, values in grids.items():   # kept only with --out and --plot-data

@@ -134,6 +134,12 @@ class SamplingGrid:
         self.spans = []   # (start, stop) of each block, in order
         self._tree = _pairwise_tree(0, self.nx * self.ny, self.spans)
 
+    def resolves(self, m: int, n: int) -> bool:
+        """Whether mode (m, n) lies below the grid's Nyquist limits, |m| <
+        nx/2 and |n| < ny/2 (Trefethen, *Spectral Methods in MATLAB*, ch. 3).
+        A field with a mode beyond them can hide an error between the nodes."""
+        return 2 * abs(m) < self.nx and 2 * abs(n) < self.ny
+
     def blocks(self):
         """The grid's blocks in flat order, each with an empty memo."""
         return (GridBlock(self, start, stop) for start, stop in self.spans)
@@ -365,13 +371,13 @@ class TrigField(Field):
 
     # -- exact spectral differentiation --------------------------------------
 
-    def dx_field(self) -> "TrigField":
-        return TrigField({mn: c * 1j * self.geometry.wavenumbers(*mn)[0]
+    def _derivative(self, axis: int) -> "TrigField":
+        """The partial along `axis` (0: x, 1: y): each mode times i k_axis."""
+        return TrigField({mn: c * 1j * self.geometry.wavenumbers(*mn)[axis]
                           for mn, c in self._half.items()}, self.geometry)
 
-    def dy_field(self) -> "TrigField":
-        return TrigField({mn: c * 1j * self.geometry.wavenumbers(*mn)[1]
-                          for mn, c in self._half.items()}, self.geometry)
+    dx_field = functools.partialmethod(_derivative, 0)
+    dy_field = functools.partialmethod(_derivative, 1)
 
     # -- table access --------------------------------------------------------
 
@@ -387,6 +393,32 @@ class TrigField(Field):
 
     def __repr__(self):
         return f"TrigField({1 + 2 * len(self._half)} modes)"
+
+
+def trig_leaves(*fields) -> list:
+    """The distinct trigonometric leaves under `fields`, in the order a
+    depth-first walk first meets them."""
+    seen, leaves = set(), []
+
+    def walk(field):
+        if field not in seen:
+            seen.add(field)
+            if isinstance(field, TrigField):
+                leaves.append(field)
+            for child in getattr(field, "_children", ()):
+                walk(child)
+
+    for field in fields:
+        walk(field)
+    return leaves
+
+
+def bandwidth(*fields) -> tuple:
+    """The largest |m| and the largest |n| over the modes of the
+    trigonometric leaves under `fields`; (0, 0) without any."""
+    modes = [mn for leaf in trig_leaves(*fields) for mn in leaf._half]
+    return (max((abs(m) for m, _ in modes), default=0),
+            max((abs(n) for _, n in modes), default=0))
 
 
 def _refuse_overflow(c0: float, terms: list):
@@ -706,12 +738,12 @@ def check_conformal_factor(lam: Field):
     An AffineField is bounded by its exact infimum on the closed fundamental
     domain, min(offset, offset + slope * period), rounded down.  For a
     TrigField the claim holds everywhere: it is accepted when c0 - 2 sum|c|
-    clears the floor, or when its minimum on a 64 x 64 grid over its torus
-    minus the Lipschitz bound 2 sum |c| |k| times half the cell diagonal does
-    (every point lies within half a diagonal of a node).  Other fields are
-    checked at the nodes of that grid only.
+    clears the floor, or when its minimum on the default `SamplingGrid` of
+    its torus minus the Lipschitz bound 2 sum |c| |k| times half the cell
+    diagonal does (every point lies within half a diagonal of a node).
+    Other fields are checked at the nodes of that grid only.
     """
-    grid = SamplingGrid(64, 64, lam.geometry)
+    grid = SamplingGrid(geometry=lam.geometry)
     if isinstance(lam, AffineField):
         bound = lam.offset
         if lam.slope < 0.0:   # the far end, each of its two roundings taken downward
@@ -740,13 +772,10 @@ def check_conformal_factor(lam: Field):
 # ---------------------------------------------------------------------------
 
 
-def make_trig_field(coeff_table: dict, geometry: TorusGeometry | None = None) -> TrigField:
-    """Build a real trig-polynomial field from {(m, n): complex coefficient}.
-
-    Missing conjugate partners are completed automatically; an inconsistent
-    pair (both present but not conjugate) raises FieldError.
-    """
-    return TrigField(coeff_table, geometry)
+#: make_trig_field(table, geometry=None): the real field of {(m, n): complex
+#: coefficient}; a missing conjugate partner is implied, and a pair present
+#: but not conjugate raises FieldError.
+make_trig_field = TrigField
 
 
 def constant_field(value: float, geometry: TorusGeometry | None = None) -> TrigField:
@@ -784,25 +813,17 @@ def random_trig_field(rng, geometry: TorusGeometry | None = None, *,
 
 
 def analytic_preset(name: str, params: dict | None = None,
-                    geometry: TorusGeometry | None = None) -> Field:
-    if not isinstance(name, str) or name not in _PRESETS:
+                    geometry: TorusGeometry | None = None) -> AffineField:
+    """The `AffineField` `name` (affine_x or affine_y) of `params`' offset and slope."""
+    if name not in ("affine_x", "affine_y"):
         raise FieldError(f"unknown analytic preset {name!r}")
-    return _PRESETS[name](params or {}, geometry if geometry is not None else TorusGeometry())
-
-
-def _affine_axis(axis: str):
-    def factory(params, geometry):
-        offset = _number(params.get("offset", 0.0), f"affine_{axis} offset")
-        slope = _number(params.get("slope", 0.0), f"affine_{axis} slope")
-        if not (math.isfinite(offset) and math.isfinite(slope)):
-            raise FieldError(f"affine_{axis} needs finite offset and slope, "
-                             f"got {offset!r}, {slope!r}")
-        return AffineField(offset, slope, axis, geometry)
-    return factory
-
-
-#: factory(params: dict, geometry) -> Field, by preset name.
-_PRESETS = {"affine_x": _affine_axis("x"), "affine_y": _affine_axis("y")}
+    params = params or {}
+    offset = _number(params.get("offset", 0.0), f"{name} offset")
+    slope = _number(params.get("slope", 0.0), f"{name} slope")
+    if not (math.isfinite(offset) and math.isfinite(slope)):
+        raise FieldError(f"{name} needs finite offset and slope, got {offset!r}, {slope!r}")
+    return AffineField(offset, slope, name[-1],
+                       geometry if geometry is not None else TorusGeometry())
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ run, fixed or adaptive, since every interval takes at least one step.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass, field as _dc_field
@@ -504,10 +505,12 @@ def atomic_write_chunks(path, chunks):
 def write_table(path, rows, header: str | None = None, sep: str = " "):
     """Write `rows` of floats at 17 significant digits, one line per row (an
     empty row is a blank line), after an optional header line, through
-    `atomic_write`."""
-    lines = [] if header is None else [header]
-    lines += [sep.join(f"{val:.17g}" for val in row) for row in rows]
-    atomic_write(path, "\n".join(lines) + "\n")
+    `atomic_write_chunks` one line at a time.  A table of no lines is one
+    blank line."""
+    lines = itertools.chain([] if header is None else [header],
+                            (sep.join(f"{val:.17g}" for val in row) for row in rows))
+    first = next(lines, "")
+    atomic_write_chunks(path, itertools.chain([first + "\n"], (line + "\n" for line in lines)))
 
 
 def export_csv(trajectory: Trajectory, path):

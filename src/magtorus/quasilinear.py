@@ -27,7 +27,8 @@ import numpy as np
 from .fields import DomainError, Jet, SamplingGrid, power_jet
 from .ansatz import (RescaledAnsatz, ResidualReport, coefficient_jet,
                      conservation_residuals, constraint_residual,
-                     constraint_sides, harmonic_relation, omega_closed_form)
+                     constraint_sides, harmonic_relation, omega_closed_form,
+                     unresolved_inputs)
 
 
 @dataclass(frozen=True)
@@ -161,10 +162,9 @@ def geodesic_matrix(n: int, a) -> np.ndarray:
     if a.shape != (n + 1,):
         raise ValueError(f"need {n + 1} values a_0..a_{n}")
     mat = np.zeros((n, n))
-    for i in range(2, n + 1):
-        mat[i - 1, i - 2] = a[n - 1]
     mat[0, n - 1] = a[1]
     for i in range(2, n + 1):
+        mat[i - 1, i - 2] = a[n - 1]
         mat[i - 1, n - 1] = i * a[i] - (n - i + 2) * a[i - 2]
     return mat
 
@@ -387,22 +387,28 @@ class EgorovCertificate:
 
 
 def certificate_from_reports(constraint: ResidualReport, conservation: ResidualReport,
-                             tol: float) -> EgorovCertificate:
+                             tol: float, unresolved: list) -> EgorovCertificate:
     """The certificate decision on a `constraint_residual` report and a
-    `conservation_residuals` report of the same configuration and grid."""
+    `conservation_residuals` report of the same configuration and grid.
+    `unresolved` holds the flags of `unresolved_inputs` on that grid; any
+    of them withholds the certificate."""
     sups = {
         "divergence_rescaled": constraint.entry("divergence_rescaled").sup,
         "conservation_1": conservation.entry("conservation_1").sup,
         "conservation_2": conservation.entry("conservation_2").sup,
     }
-    flags = list(conservation.flags)
+    flags = list(conservation.flags) + unresolved
     if not (constraint.periodic and conservation.periodic):
         flags.append("non-periodic fields: certificate is local to the sampled domain")
-    return EgorovCertificate(all(s < tol for s in sups.values()), tol, sups, flags)
+    certified = all(s < tol for s in sups.values()) and not unresolved
+    return EgorovCertificate(certified, tol, sups, flags)
 
 
 def egorov_certificate(rescaled: RescaledAnsatz, grid: SamplingGrid | None = None,
                        tol: float = 1e-10) -> EgorovCertificate:
-    """Certificate of a rescaled configuration on the grid (default 64 x 64)."""
+    """Certificate of a rescaled configuration on `grid` (the default
+    `SamplingGrid` of its torus if None)."""
+    grid = grid if grid is not None else SamplingGrid(geometry=rescaled.lam.geometry)
     return certificate_from_reports(constraint_residual(rescaled, grid),
-                                    conservation_residuals(rescaled, grid), tol)
+                                    conservation_residuals(rescaled, grid), tol,
+                                    unresolved_inputs(rescaled, grid))

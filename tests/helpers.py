@@ -17,17 +17,26 @@ def exact_family():
     return mt.build_linear_family(lam, a_prof)
 
 
-def power_family(n, lam, a) -> mt.Ansatz:
-    """Degree-n ansatz of F_1^n, F_1 = 2 sqrt(Lambda) cos(phi) + 2 A(y), the
-    first integral of the linear family (Omega = -A'), so an exact integral
-    of the same flow.  With (2 sqrt(Lambda) cos(phi))^j = Lambda^(j/2) sum_i
-    C(j, i) exp(i (j - 2i) phi), the coefficient of exp(i k phi) is
+def power_family(n, lam, a, axis="y") -> mt.Ansatz:
+    """Degree-n ansatz of an exact integral of a linear family, so an exact
+    integral of the same flow:
 
-        u_k = sum over j = k, k + 2, .. <= n of C(n, j) C(j, (j - k)/2) (2A)^(n-j) Lambda^(j/2),
+    * axis "y": F_1^n, F_1 = 2 sqrt(Lambda) cos(phi) + 2 A(y), the first
+      integral of the family with Omega = -A'(y);
+    * axis "x": (-1)^(n/2) F_1^n at even n, F_1 = 2 sqrt(Lambda) sin(phi) +
+      2 A(x), the first integral of the family with Omega = A'(x).
 
-    real (v_k = 0), and u_n = Lambda^(n/2) is the ansatz's normalization."""
+    With (2 sqrt(Lambda) cos(phi))^j = Lambda^(j/2) sum_i C(j, i)
+    exp(i (j - 2i) phi), the coefficient of exp(i k phi) in F_1^n on axis
+    "y" is
+
+        P_k = sum over j = k, k + 2, .. <= n of C(n, j) C(j, (j - k)/2) (2A)^(n-j) Lambda^(j/2),
+
+    real (u_k = P_k, v_k = 0).  On axis "x" the sine's i^(-j) (-1)^((j-k)/2)
+    is i^(-k), so a_k = (-1)^(n/2) i^(-k) P_k: u_k at even k and v_k at odd
+    k.  Either way u_n = Lambda^(n/2) is the ansatz's normalization."""
     two_a, zero = 2.0 * a, mt.zero_field(lam.geometry)
-    u = []
+    u, v = [], [zero] * n
     for k in range(n):
         total = zero
         for j in range(k, n + 1, 2):
@@ -37,8 +46,14 @@ def power_family(n, lam, a) -> mt.Ansatz:
             if j > 0:
                 term = term * lam ** (j / 2.0)
             total = total + term
-        u.append(total)
-    return mt.Ansatz(n, lam, u, [zero] * (n - 1))
+        if axis == "y":
+            u.append(total)
+            continue
+        sign = (-1.0) ** (n // 2 + k // 2)   # (-1)^(n/2) i^(-k) = sign, or -i sign at odd k
+        u.append(sign * total if k % 2 == 0 else zero)
+        if k % 2:
+            v[k] = -sign * total
+    return mt.Ansatz(n, lam, u, v[1:])
 
 
 def eval_complex(field: TrigField, x, y):

@@ -175,14 +175,15 @@ def test_harmonic_exact_family_all_k():
 #: Profiles of the linear family: Lambda = 2 + 0.3 cos y, A = 0.1 sin y.
 POWER_LAMBDA = mt.make_trig_field({(0, 0): 2.0, (0, 1): 0.15})
 POWER_A = mt.make_trig_field({(0, 1): -0.05j})
+#: The x-profile family: Lambda = 2 + 0.3 cos x, A = 0.1 sin x.
+POWER_LAMBDA_X = mt.make_trig_field({(0, 0): 2.0, (1, 0): 0.15})
+POWER_A_X = mt.make_trig_field({(1, 0): -0.05j})
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_powers_of_the_linear_integral_are_exact_at_every_degree(n):
-    # F_1^n is conserved by the flow with Omega = -A', so every residual
-    # vanishes to roundoff, the closed form returns -A' and the Egorov
-    # certificate certifies.
-    ansatz = power_family(n, POWER_LAMBDA, POWER_A)
+def assert_power_family_is_exact(n, lam, a, axis):
+    # Every residual vanishes to roundoff, the closed form returns Omega
+    # (-A'(y) or A'(x)) and the Egorov certificate certifies.
+    ansatz = power_family(n, lam, a, axis)
     grid = mt.SamplingGrid(64, 64)
     omega = mt.omega_rescaled(mt.rescale(ansatz))   # what a scenario's "derive" takes
     constraint = mt.constraint_residual(ansatz, grid)
@@ -191,9 +192,40 @@ def test_powers_of_the_linear_integral_are_exact_at_every_degree(n):
                *(mt.residual_harmonic(ansatz, omega, k, grid) for k in range(n + 2))]
     sups = [(entry.label, entry.sup) for report in reports for entry in report.entries]
     assert all(sup <= 1e-10 for _, sup in sups), sups
-    gap = mt.omega_raw(ansatz).on_grid(grid) + POWER_A.dy_field().on_grid(grid)
+    minus_omega = a.dy_field() if axis == "y" else -1.0 * a.dx_field()
+    gap = mt.omega_raw(ansatz).on_grid(grid) + minus_omega.on_grid(grid)
     assert np.max(np.abs(gap)) <= 1e-12
-    assert mt.certificate_from_reports(constraint, conservation, 1e-10).certified
+    unresolved = ansatz_module.unresolved_inputs(ansatz, grid)
+    assert mt.certificate_from_reports(constraint, conservation, 1e-10, unresolved).certified
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8])
+def test_powers_of_the_linear_integral_are_exact_at_every_degree(n):
+    # F_1^n is conserved by the flow with Omega = -A'.
+    assert_power_family_is_exact(n, POWER_LAMBDA, POWER_A, "y")
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_signed_powers_of_the_x_profile_integral_are_exact(n):
+    # (-1)^(n/2) F_1^n of the x-profile has v_k != 0 at odd k and
+    # Lambda_x != 0: the one exact test of the t2 term of
+    # `harmonic_relation` and of the v-terms.
+    assert_power_family_is_exact(n, POWER_LAMBDA_X, POWER_A_X, "x")
+
+
+def test_certificate_is_withheld_for_a_mode_the_grid_does_not_resolve():
+    # Lambda's mode (0, 40) lies beyond a 64x64 grid's |n| < 32.  It is
+    # under every f_k = u_k Lambda^(-k/2) as well, and is named once, for
+    # Lambda, from the ansatz and from its rescaled form alike.
+    lam = mt.make_trig_field({(0, 0): 2.0, (0, 1): 0.15, (0, 40): 0.01})
+    ansatz = power_family(2, lam, POWER_A)
+    flags = ansatz_module.unresolved_inputs(ansatz, mt.SamplingGrid())
+    assert flags == ["Lambda has mode (0, 40), which the 64x64 grid does not resolve "
+                     "(|m| < 32 and |n| < 32): an error can hide between its nodes"]
+    assert ansatz_module.unresolved_inputs(mt.rescale(ansatz), mt.SamplingGrid()) == flags
+    cert = mt.egorov_certificate(mt.rescale(ansatz))
+    assert not cert.certified and flags[0] in cert.flags
+    assert ansatz_module.unresolved_inputs(ansatz, mt.SamplingGrid(96, 82)) == []
 
 
 def test_cube_of_the_linear_integral_is_conserved_along_the_flow():

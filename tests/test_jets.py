@@ -125,7 +125,7 @@ def test_verify_checks_evaluate_each_leaf_once_per_block(monkeypatch):
         blocks.append(block)
 
     monkeypatch.setattr(GridBlock, "__init__", counted_init)
-    payload, _, _ = run_verify_checks(scenario)
+    payload = run_verify_checks(scenario)[0]
     assert [c["check"] for c in payload["checks"]] == list(mt.scenarios.KNOWN_CHECKS)
     assert len(scenario.grid.spans) == 2 and scenario.grid.spans[0][1] % 70
     # Every evaluation is of one block of the grid's, never the whole grid.

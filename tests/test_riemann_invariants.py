@@ -21,8 +21,9 @@ import pytest
 import magtorus as mt
 
 #: Normalized torsion: the worst over 20 hyperbolic states per N was 6.6e-13,
-#: 2.1e-12 and 5.2e-12 at N = 2, 3, 4 (finite-difference error); t1 of
-#: `harmonic_relation` scaled by 1.01 reads a median of 1.7e-4 at N = 2.
+#: 2.1e-12, 5.2e-12, 4.4e-13, 1.3e-12 and 2.4e-13 at N = 2, 3, 4, 5, 6, 8
+#: (finite-difference error); t1 of `harmonic_relation` scaled by 1.01
+#: reads a median of 1.7e-4 at N = 2.
 TORSION_TOL = 1e-7
 
 STATES, DRAWS = 20, 200
@@ -88,7 +89,7 @@ def worst_torsion(state: np.ndarray, xi: np.ndarray) -> float:
     return worst
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
 def test_haantjes_torsion_vanishes_at_hyperbolic_states(n):
     states = hyperbolic_states(n)
     # An empty hyperbolic region fails here instead of passing vacuously.

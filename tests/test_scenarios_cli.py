@@ -349,7 +349,9 @@ def test_verify_seed_override_changes_random_fields(capsys):
 def test_verify_report_stats(capsys, grid, stats):
     code, out, _ = run_cli(capsys, "verify", "flat-zero-field", "--grid", grid)
     assert code == 0
-    assert stdout_json(out)["stats"] == stats
+    constant = {"max_m": 0, "max_n": 0, "resolved": True}   # every field is constant
+    bandwidth = dict.fromkeys(mt.scenarios.KNOWN_CHECKS, constant)
+    assert stdout_json(out)["stats"] == dict(stats, bandwidth=bandwidth)
 
 
 def test_verify_writes_report_and_plot_data(tmp_path, capsys):
@@ -1223,6 +1225,35 @@ def test_exact_power_family_passes_every_check_through_the_cli(tmp_path, n):
     assert [c["check"] for c in payload["checks"]] == list(mt.scenarios.KNOWN_CHECKS)
     assert all(c["pass"] for c in payload["checks"]) and payload["overall_pass"]
     assert payload["checks"][-1]["certified"] is True
+
+
+def test_a_mode_hidden_between_the_nodes_is_not_certified(tmp_path):
+    # 0.05 (1 - cos 64x) added to u_0 vanishes with both partials at every
+    # node of the default 64x64 grid, so every residual sup there is
+    # roundoff although the flow breaks F.  The certificate is withheld and
+    # its flag names the input, the mode and the grid; on a 96x96 grid the
+    # residuals see the mode as well.
+    data = json.loads(json.dumps(BUNDLED["linear-family-periodic"]))
+    data["coefficients"][0]["u"]["coeffs"] += [
+        {"m": 0, "n": 0, "re": 0.05}, {"m": 64, "n": 0, "re": -0.025},
+        {"m": -64, "n": 0, "re": -0.025}]
+    path = tmp_path / "hidden-mode.json"
+    path.write_text(json.dumps(data))
+    proc = run_python("-m", "magtorus", "verify", str(path), timeout=60.0)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    report = stdout_json(proc.stdout)
+    *residual_checks, cert = report["payload"]["checks"]
+    assert all(check["pass"] for check in residual_checks)
+    assert max(cert["residual_sups"].values()) < 1e-10
+    assert cert["certified"] is False and cert["pass"] is False
+    assert ("u_0 has mode (64, 0), which the 64x64 grid does not resolve (|m| < 32 and "
+            "|n| < 32): an error can hide between its nodes") in cert["flags"]
+    unresolved = {"max_m": 64, "max_n": 1, "resolved": False}
+    assert report["stats"]["bandwidth"] == dict.fromkeys(mt.scenarios.KNOWN_CHECKS, unresolved)
+    proc = run_python("-m", "magtorus", "verify", str(path), "--grid", "96,96", timeout=60.0)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    checks = stdout_json(proc.stdout)["payload"]["checks"]
+    assert not any(check["pass"] for check in checks[:2])   # stationarity, harmonics
 
 
 def test_verify_work_above_the_budget_is_refused_promptly(tmp_path):
