@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (DomainError, Field, Jet, LAMBDA_FLOOR, SamplingGrid,
-                     TrigField, array_kernel, bandwidth, check_conformal_factor,
-                     point_kernel, same_torus, trig_leaves, value_field, zero_field)
+                     TrigField, bandwidth, check_conformal_factor, point_kernel,
+                     run_kernel, same_torus, trig_leaves, value_field, zero_field)
 from .flow import MagneticSystem
 
 
@@ -186,10 +186,6 @@ class Ansatz:
         u_1, .., u_N, v_1, .., v_N) at (x, y), compiled on first use."""
         return point_kernel(self.u[0], *self.u[1:], *self.v[1:])
 
-    @functools.cached_property
-    def _f_array_kernel(self):
-        return array_kernel(self._f_kernel)
-
 
 @dataclass
 class RescaledAnsatz:
@@ -247,10 +243,14 @@ def unresolved_inputs(obj, grid: SamplingGrid) -> list:
         seen.update(leaves)
         modes = [mn for leaf in leaves for mn in leaf._half if not grid.resolves(*mn)]
         if modes:
-            flags.append(f"{name} has mode {modes[0]}, which the {grid.nx}x{grid.ny} grid "
-                         f"does not resolve (|m| < {grid.nx / 2:g} and |n| < "
-                         f"{grid.ny / 2:g}): an error can hide between its nodes")
+            flags.append(unresolved_flag(f"{name} has mode {modes[0]}", grid))
     return flags
+
+
+def unresolved_flag(what: str, grid: SamplingGrid) -> str:
+    """The flag of `what`, a mode or modes beyond `grid`'s resolution."""
+    return (f"{what}, which the {grid.nx}x{grid.ny} grid does not resolve (|m| < "
+            f"{grid.nx / 2:g} and |n| < {grid.ny / 2:g}): an error can hide between its nodes")
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +308,11 @@ def constraint_sides(n: int, lam: Jet, u: Jet, v: Jet):
 def eval_F(ansatz: Ansatz, x, y, phi):
     """Real value of the ansatz: u_0 + 2 sum_k (u_k cos(k phi) - v_k sin(k phi)).
 
-    The coefficients come from one compiled kernel per ansatz, run as
-    `Field.eval` runs a field's: with math's cos and sin at int or float
-    coordinates, with numpy's on coordinate arrays.  Each value has the bits
+    The coefficients come from one compiled kernel per ansatz, run by
+    `run_kernel` as `Field.eval` runs a field's.  Each value has the bits
     the field's own kernel gives."""
     phi = np.asarray(phi, dtype=float) if not isinstance(phi, (int, float)) else phi
-    point = isinstance(x, (int, float)) and isinstance(y, (int, float))
-    kernel = ansatz._f_kernel if point else ansatz._f_array_kernel
-    total, _, _, *coefs = kernel(x, y)
+    total, _, _, *coefs = run_kernel(ansatz._f_kernel, x, y)
     u, v = coefs[:ansatz.n], coefs[ansatz.n:]   # u_1..u_N, v_1..v_N
     for k in range(1, ansatz.n + 1):
         ck = np.cos(k * phi)

@@ -3,7 +3,8 @@ assembly with machine-readable reports.
 
 Exit codes: 0 when every requested check passes, 1 on a check failure (a
 certificate withheld because the grid does not resolve a trigonometric mode
-of Lambda, a u_k or a v_k included) or an aborted integration (at the
+of Lambda, a u_k or a v_k, and a stationarity, harmonics or constraint
+check whose fields have one, included) or an aborted integration (at the
 positivity floor, at a non-finite state, or at the step floor or budget), 2
 on input errors (malformed JSON, nested too deep to parse included, unknown
 presets or scenario names, nonpositive conformal factor, wrong state-vector
@@ -18,10 +19,12 @@ harmonic work exceeds its budget, a ``--geodesic`` degree below 2 or a grid
 side below 4, a trigonometric field whose coefficients, wavenumbers, values
 or first partials overflow float64).
 
-One pass rule: a residual check passes when every sup of its reports is
-below the tolerance, and the certificate when its three residual sups are
-and the grid resolves every mode of its inputs (|m| < nx/2, |n| < ny/2), so
-a NaN sup fails.  A residual norm, certificate sup or trajectory drift
+One pass rule: a check passes when every sup it judges is below the
+tolerance, so a NaN sup fails, and the grid resolves every mode of its
+fields (|m| < nx/2, |n| < ny/2; the certificate's fields are its inputs).
+An unresolved residual check is flagged with its largest |m| and |n| and
+the grid; conservation keeps its pass, since its laws take only two of the
+fields it samples.  A residual norm, certificate sup or trajectory drift
 that is not finite fails its check or trajectory and is named under the
 entry's ``non_finite`` key.
 
@@ -58,7 +61,7 @@ from .flow import (atomic_write as _atomic_write, atomic_write_chunks, export_cs
                    monitor, write_table)
 from .ansatz import (conservation_residuals, constraint_residual,
                      first_integral_observable, rescale, residual_harmonic,
-                     residual_stationarity, unresolved_inputs)
+                     residual_stationarity, unresolved_flag, unresolved_inputs)
 from .quasilinear import (assemble, certificate_from_reports, geodesic_matrix, spectra,
                           spectrum)
 from .scenarios import (MAX_N, Scenario, ScenarioError, bundled_scenario_names,
@@ -197,10 +200,13 @@ def _write_grid_dat(path: Path, grid: SamplingGrid, values: np.ndarray):
 @np.errstate(all="ignore")   # a check whose norms are not finite fails
 def run_verify_checks(scenario: Scenario, want_grids: bool = False):
     """Run the scenario's requested checks.  A residual check passes when
-    every sup of its reports is below the tolerance, so a NaN sup fails it;
-    the certificate judges the sups of the same constraint and conservation
-    reports, each computed at most once, and is withheld when the grid does
-    not resolve a mode of its inputs (`unresolved_inputs`).
+    every sup of its reports is below the tolerance, so a NaN sup fails it,
+    and the grid resolves the modes of its fields; an unresolved check is
+    flagged, and conservation, whose laws take only two of the fields it
+    samples, keeps its pass.  The certificate judges the sups of the same
+    constraint and conservation reports, each computed at most once, and is
+    withheld when the grid does not resolve a mode of its inputs
+    (`unresolved_inputs`).
 
     Returns (payload dict, stats dict, timings dict, residual grids for
     --plot-data).  The stats give the grid's points and blocks, and per
@@ -237,6 +243,13 @@ def run_verify_checks(scenario: Scenario, want_grids: bool = False):
                 if report.values is not None:
                     grids[label] = report.values
             entry["pass"] = all(res["sup"] < tol for res in entry["residuals"])
+            m, n = modes[check]
+            if not grid.resolves(m, n):   # the node sups alone cannot pass the check
+                entry.setdefault("flags", []).append(
+                    unresolved_flag(f"its fields reach |m| = {m} and |n| = {n}", grid))
+                # conservation keeps its pass: its report samples every f_k and g_k,
+                # but its laws take only k = N - 1 and N - 2
+                entry["pass"] &= check == "conservation"
         timings[check + "_s"] = time.perf_counter() - t0
         checks.append(_fail_non_finite(entry))
 

@@ -23,7 +23,9 @@ node.  Off the grid a field runs its compiled point kernel (`point_kernel`):
 one straight-line Python function of (x, y), written once per field on first
 use, with each leaf inlined and each node's jet rule traced into plain
 arithmetic (or called, where the rule cannot be traced), run with math's cos
-and sin on int or float coordinates and with numpy's on coordinate arrays.
+and sin on int or float coordinates, and by its array twin with numpy's on
+coordinate arrays (`run_kernel` chooses); a kernel that tests the Lambda
+floor (the flow's) runs at points only.
 It performs the operations of a recursive walk of the tree (the tests'
 `recursive_point_jet`) in the same order, so it returns the same bits.
 Fields are immutable; evaluation is pure.
@@ -255,17 +257,11 @@ class Field:
         if isinstance(x, GridBlock):
             same_torus(self, x)
             return self._jet(x)
-        if isinstance(x, (int, float)) and isinstance(y, (int, float)):
-            return Jet(*self._point_kernel(x, y))
-        return Jet(*self._array_kernel(x, y))
+        return Jet(*run_kernel(self._point_kernel, x, y))
 
     @functools.cached_property
     def _point_kernel(self):
         return point_kernel(self)
-
-    @functools.cached_property
-    def _array_kernel(self):
-        return array_kernel(self._point_kernel)
 
     def eval(self, x, y):
         return self._evaluate(x, y).v
@@ -700,22 +696,24 @@ class _KernelWriter:
         exec(compile(source, "<point kernel>", "exec"), self.namespace)
         kernel = self.namespace["point_kernel"]
         kernel.source, kernel.counts = source, dict(self.counts)
+        kernel.on_arrays = types.FunctionType(kernel.__code__,
+                                              dict(self.namespace, cos=np.cos, sin=np.sin))
         return kernel
 
 
 def point_kernel(field: Field, *values: Field, floor: bool = False):
     """Compile `field` and `values` into one function (x, y) -> (v, v_x, v_y)
     of `field` followed by the value of each field in `values`, for plain
-    int or float coordinates.  Its code also runs on coordinate arrays with
-    numpy's cos and sin bound in place of math's, as `Field.jet` runs it.
-    Subgraphs shared between them are evaluated once.  With `floor`, `field`
-    is a conformal factor: right after its subgraph, before any of the
-    others, the kernel raises DomainError where its value is not above
-    LAMBDA_FLOOR.
+    int or float coordinates.  Subgraphs shared between them are evaluated
+    once.  With `floor`, `field` is a conformal factor: right after its
+    subgraph, before any of the others, the kernel raises DomainError where
+    its value is not above LAMBDA_FLOOR, and it runs at points only, since
+    that test branches on a scalar.
 
-    The function carries `source` (its text) and `counts`: the trigonometric
-    terms inlined, the node rules traced, and the node rules it calls (those
-    that cannot be traced).  Affine leaves are traced and counted in none.
+    The function carries `source` (its text), `counts` (the trigonometric
+    terms inlined, the node rules traced and the node rules it calls) and
+    `on_arrays`, its array twin: the same code with numpy's cos and sin for
+    math's, run on coordinate arrays.  Affine leaves are counted in none.
     """
     writer = _KernelWriter()
     outputs = list(writer.jet(field))
@@ -725,11 +723,12 @@ def point_kernel(field: Field, *values: Field, floor: bool = False):
     return writer.compile(outputs)
 
 
-def array_kernel(kernel):
-    """The code of point kernel `kernel` with numpy's cos and sin bound in
-    place of math's, for coordinate arrays; nothing is compiled again."""
-    return types.FunctionType(kernel.__code__,
-                              dict(kernel.__globals__, cos=np.cos, sin=np.sin))
+def run_kernel(kernel, x, y):
+    """Run `point_kernel`'s `kernel` at int or float coordinates, or its
+    array twin `kernel.on_arrays` on anything else (coordinate arrays)."""
+    if isinstance(x, (int, float)) and isinstance(y, (int, float)):
+        return kernel(x, y)
+    return kernel.on_arrays(x, y)
 
 
 def check_conformal_factor(lam: Field):

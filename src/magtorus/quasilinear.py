@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 
-from .fields import DomainError, Jet, SamplingGrid, power_jet
+from .fields import DomainError, Jet, SamplingGrid, power_jet, run_kernel
 from .ansatz import (RescaledAnsatz, ResidualReport, coefficient_jet,
                      conservation_residuals, constraint_residual,
                      constraint_sides, harmonic_relation, omega_closed_form,
@@ -66,11 +66,10 @@ class StateVector:
 
 
 def state_from_ansatz(ansatz, x: float, y: float) -> StateVector:
-    """Evaluate an ansatz's state vector at a point."""
-    vals = [ansatz.lam.eval(x, y)]
-    vals += [ansatz.u[k].eval(x, y) for k in range(ansatz.n)]
-    vals += [ansatz.v[k].eval(x, y) for k in range(1, ansatz.n)]
-    return StateVector(np.asarray(vals, dtype=float))
+    """An ansatz's state vector at a point; the u_k and v_k by its kernel of F."""
+    u0, _, _, *coefs = run_kernel(ansatz._f_kernel, x, y)
+    u, v = coefs[:ansatz.n - 1], coefs[ansatz.n:-1]   # u_1..u_{N-1}, v_1..v_{N-1}
+    return StateVector(np.asarray([ansatz.lam.eval(x, y), u0, *u, *v], dtype=float))
 
 
 class _PerStatePowers(np.ndarray):

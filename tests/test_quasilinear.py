@@ -508,11 +508,20 @@ def test_missing_lapack_extension_names_the_path(monkeypatch, tmp_path):
 
 
 def test_state_from_ansatz():
-    ansatz, _ = exact_family()
-    sv = mt.state_from_ansatz(ansatz, 0.4, 1.1)
-    assert sv.n == 1
-    assert sv.values[0] == pytest.approx(ansatz.lam.eval(0.4, 1.1))
-    assert sv.values[1] == pytest.approx(ansatz.u[0].eval(0.4, 1.1))
+    # The ansatz's one kernel of F gives each coefficient the bits of the
+    # field's own kernel.
+    rng = np.random.default_rng(510)
+    for n in (1, 2, 3, 4):
+        lam = mt.random_trig_field(rng, n_modes=4, max_mode=2, amplitude=0.1, offset=2.0)
+        u = [mt.random_trig_field(rng, n_modes=4, max_mode=2, amplitude=0.3)
+             for _ in range(n)]
+        v = [mt.random_trig_field(rng, n_modes=4, max_mode=2, amplitude=0.3)
+             for _ in range(n - 1)]
+        ansatz = mt.Ansatz(n, lam, u, v)
+        for x, y in rng.uniform(-10.0, 10.0, (50, 2)).tolist():
+            sv = mt.state_from_ansatz(ansatz, x, y)
+            want = [lam.eval(x, y)] + [f.eval(x, y) for f in u + v]
+            assert sv.n == n and np.array_equal(sv.values, want)
 
 
 # ---------------------------------------------------------------------------

@@ -1227,6 +1227,20 @@ def test_exact_power_family_passes_every_check_through_the_cli(tmp_path, n):
     assert payload["checks"][-1]["certified"] is True
 
 
+UNRESOLVED_64_FLAG = ("its fields reach |m| = 64 and |n| = 1, which the 64x64 grid does not "
+                      "resolve (|m| < 32 and |n| < 32): an error can hide between its nodes")
+
+
+def assert_unresolved_residual_checks(checks):
+    """Stationarity, harmonics and constraint fail on the hidden mode at 64x64;
+    conservation, whose N = 1 laws do not take u_0, passes.  Each is flagged."""
+    assert [(c["check"], c["pass"]) for c in checks] == [
+        ("stationarity", False), ("harmonics", False), ("constraint", False),
+        ("conservation", True)]
+    assert all(UNRESOLVED_64_FLAG in c["flags"] for c in checks)
+    assert max(res["sup"] for c in checks for res in c["residuals"]) < 1e-10
+
+
 def test_a_mode_hidden_between_the_nodes_is_not_certified(tmp_path):
     # 0.05 (1 - cos 64x) added to u_0 vanishes with both partials at every
     # node of the default 64x64 grid, so every residual sup there is
@@ -1243,7 +1257,7 @@ def test_a_mode_hidden_between_the_nodes_is_not_certified(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     report = stdout_json(proc.stdout)
     *residual_checks, cert = report["payload"]["checks"]
-    assert all(check["pass"] for check in residual_checks)
+    assert_unresolved_residual_checks(residual_checks)
     assert max(cert["residual_sups"].values()) < 1e-10
     assert cert["certified"] is False and cert["pass"] is False
     assert ("u_0 has mode (64, 0), which the 64x64 grid does not resolve (|m| < 32 and "
@@ -1254,6 +1268,23 @@ def test_a_mode_hidden_between_the_nodes_is_not_certified(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     checks = stdout_json(proc.stdout)["payload"]["checks"]
     assert not any(check["pass"] for check in checks[:2])   # stationarity, harmonics
+
+
+def test_a_mode_hidden_between_the_nodes_fails_the_residual_checks(tmp_path):
+    # Without the certificate, the residual checks themselves refuse a grid
+    # that does not resolve their fields.
+    data = json.loads(json.dumps(BUNDLED["linear-family-periodic"]))
+    data["coefficients"][0]["u"]["coeffs"] += [   # 0.05 (1 - cos 64x) on u_0
+        {"m": 0, "n": 0, "re": 0.05}, {"m": 64, "n": 0, "re": -0.025},
+        {"m": -64, "n": 0, "re": -0.025}]
+    data["checks"] = ["stationarity", "harmonics", "constraint", "conservation"]
+    path = tmp_path / "hidden-mode-residuals.json"
+    path.write_text(json.dumps(data))
+    proc = run_python("-m", "magtorus", "verify", str(path), timeout=60.0)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    payload = stdout_json(proc.stdout)["payload"]
+    assert payload["overall_pass"] is False
+    assert_unresolved_residual_checks(payload["checks"])
 
 
 def test_verify_work_above_the_budget_is_refused_promptly(tmp_path):
