@@ -521,14 +521,17 @@ def conservation_residuals(rescaled: RescaledAnsatz,
                            grid: SamplingGrid | None = None) -> ResidualReport:
     """Residual norms of the two conservation laws on the grid.  All outer
     derivatives are expanded by the product/chain rule onto first derivatives
-    of the inputs."""
+    of the inputs.  The report's fields are those the laws read: Lambda,
+    f_{N-2} and g_{N-2} (`_second_block`), and f_{N-1} and g_{N-1} for
+    N > 1 (at N = 1 they enter with coefficient N - 1 = 0)."""
     r_field, flux1, flux2, degenerate = conservation_flux_fields(rescaled)
+    top = (rescaled.f[-1], rescaled.g[-1]) if rescaled.n > 1 else ()
 
     def samples(block, _):
         r, f1, f2 = r_field.jet(block), flux1.jet(block), flux2.jet(block)
         return [(r.x + f1.y, _largest(r.x, f1.y))], [(r.y + f2.x, _largest(r.y, f2.x))]
 
-    return _streamed_report((rescaled.lam, *rescaled.f, *rescaled.g), grid,
+    return _streamed_report((rescaled.lam, *_second_block(rescaled)[:2], *top), grid,
                             ["conservation_1", "conservation_2"], samples,
                             flags=[N1_DEGENERATE_FLAG] if degenerate else [])
 

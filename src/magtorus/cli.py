@@ -3,30 +3,29 @@ assembly with machine-readable reports.
 
 Exit codes: 0 when every requested check passes, 1 on a check failure (a
 certificate withheld because the grid does not resolve a trigonometric mode
-of Lambda, a u_k or a v_k, and a stationarity, harmonics or constraint
-check whose fields have one, included) or an aborted integration (at the
-positivity floor, at a non-finite state, or at the step floor or budget), 2
-on input errors (malformed JSON, nested too deep to parse included, unknown
-presets or scenario names, nonpositive conformal factor, wrong state-vector
-length, an ``--at`` state whose A or B is not finite in float64, step,
-tolerance, trajectory or torus-period values that are not finite and
-positive, a torus period whose grid nodes overflow float64, a fixed step or
-``t_end`` above the step or sample budget of ``flow``, a ``drift_tol`` that
-is NaN or negative or names no monitored observable, an ansatz degree,
-``--geodesic`` degree, grid, trigonometric field table or ``random_trig``
-``modes`` or ``max_mode`` above its limit, a verify whose stationarity or
-harmonic work exceeds its budget, a ``--geodesic`` degree below 2 or a grid
-side below 4, a trigonometric field whose coefficients, wavenumbers, values
-or first partials overflow float64).
+of Lambda, a u_k or a v_k, and a residual check whose fields have one,
+included) or an aborted integration (at the positivity floor, at a
+non-finite state, or at the step floor or budget), 2 on input errors
+(malformed JSON, nested too deep to parse included, unknown presets or
+scenario names, nonpositive conformal factor, wrong state-vector length, an
+``--at`` state whose A or B is not finite in float64, step, tolerance,
+trajectory or torus-period values that are not finite and positive, a torus
+period whose grid nodes overflow float64, a fixed step or ``t_end`` above
+the step or sample budget of ``flow``, a ``drift_tol`` that is NaN or
+negative or names no monitored observable, an ansatz degree, ``--geodesic``
+degree, grid, trigonometric field table or ``random_trig`` ``modes`` or
+``max_mode`` above its limit, a verify whose stationarity or harmonic work
+exceeds its budget, a ``--geodesic`` degree below 2 or a grid side below 4,
+a trigonometric field whose coefficients, wavenumbers, values or first
+partials overflow float64).
 
 One pass rule: a check passes when every sup it judges is below the
 tolerance, so a NaN sup fails, and the grid resolves every mode of its
-fields (|m| < nx/2, |n| < ny/2; the certificate's fields are its inputs).
-An unresolved residual check is flagged with its largest |m| and |n| and
-the grid; conservation keeps its pass, since its laws take only two of the
-fields it samples.  A residual norm, certificate sup or trajectory drift
-that is not finite fails its check or trajectory and is named under the
-entry's ``non_finite`` key.
+fields (|m| < nx/2, |n| < ny/2; the certificate's fields are its inputs,
+conservation's the fields its laws read).  An unresolved check fails,
+flagged with its largest |m| and |n| and the grid.  A residual norm,
+certificate sup or trajectory drift that is not finite fails its check or
+trajectory and is named under the entry's ``non_finite`` key.
 
 Reports are JSON with sorted keys and floats printed to 17 significant
 digits, so identical scenarios and flags produce byte-identical payloads;
@@ -56,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import DomainError, SamplingGrid
+from .fields import DomainError, SamplingGrid, bandwidth
 from .flow import (atomic_write as _atomic_write, atomic_write_chunks, export_csv, integrate,
                    monitor, write_table)
 from .ansatz import (conservation_residuals, constraint_residual,
@@ -202,8 +201,7 @@ def run_verify_checks(scenario: Scenario, want_grids: bool = False):
     """Run the scenario's requested checks.  A residual check passes when
     every sup of its reports is below the tolerance, so a NaN sup fails it,
     and the grid resolves the modes of its fields; an unresolved check is
-    flagged, and conservation, whose laws take only two of the fields it
-    samples, keeps its pass.  The certificate judges the sups of the same
+    flagged and fails.  The certificate judges the sups of the same
     constraint and conservation reports, each computed at most once, and is
     withheld when the grid does not resolve a mode of its inputs
     (`unresolved_inputs`).
@@ -231,7 +229,7 @@ def run_verify_checks(scenario: Scenario, want_grids: bool = False):
             cert = certificate_from_reports(constraint(), conservation(), tol,
                                             unresolved_inputs(ansatz, grid))
             entry = {"check": check, "pass": cert.certified, **dataclasses.asdict(cert)}
-            modes[check] = conservation().modes   # its inputs are the conservation fields
+            modes[check] = bandwidth(*ansatz.fields())   # the inputs it judges
         else:
             entry = {"check": check, "residuals": [], "periodic": True}
             for label, report in named_reports[check]():   # one report's grid alive at a time
@@ -247,9 +245,7 @@ def run_verify_checks(scenario: Scenario, want_grids: bool = False):
             if not grid.resolves(m, n):   # the node sups alone cannot pass the check
                 entry.setdefault("flags", []).append(
                     unresolved_flag(f"its fields reach |m| = {m} and |n| = {n}", grid))
-                # conservation keeps its pass: its report samples every f_k and g_k,
-                # but its laws take only k = N - 1 and N - 2
-                entry["pass"] &= check == "conservation"
+                entry["pass"] = False
         timings[check + "_s"] = time.perf_counter() - t0
         checks.append(_fail_non_finite(entry))
 

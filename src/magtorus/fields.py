@@ -16,9 +16,9 @@ from a table to a table, and every sum, difference, negation, scalar
 multiple, product and power of fields is a node combining its children's
 jets once.  A `SamplingGrid` is evaluated in blocks (`GridBlock`) of at most
 BLOCK_POINTS points: a leaf evaluates on the rows a block touches, then is
-cut down to the block's nodes (a trigonometric leaf separably and at most
-once per block: each block memoizes its trigonometric leaf jets, and a
-block's memo goes with it), and `field.jet(grid)` is one block holding every
+cut down to the block's nodes (a trigonometric leaf separably).  A block
+memoizes, read-only, the jet of every field evaluated on it, so no field is
+evaluated twice on a block; `field.jet(grid)` is one block holding every
 node.  Off the grid a field runs its compiled point kernel (`point_kernel`):
 one straight-line Python function of (x, y), written once per field on first
 use, with each leaf inlined and each node's jet rule traced into plain
@@ -184,8 +184,8 @@ def _pairwise_tree(start: int, stop: int, spans: list):
 
 class GridBlock:
     """Nodes start .. stop - 1 of a grid in flat order, with a memo of the
-    trigonometric leaf jets evaluated on them.  Jets on a block are flat
-    arrays (or `shape`, for `SamplingGrid.whole`)."""
+    jet of every field, leaf or node, evaluated on them.  Jets on a block are
+    flat arrays (or `shape`, for `SamplingGrid.whole`), read-only once kept."""
 
     def __init__(self, grid: SamplingGrid, start: int, stop: int, shape=None):
         self.grid, self.geometry = grid, grid.geometry
@@ -255,8 +255,14 @@ class Field:
         if isinstance(x, SamplingGrid):
             x = x.whole()
         if isinstance(x, GridBlock):
-            same_torus(self, x)
-            return self._jet(x)
+            jet = x.memo.get(self)
+            if jet is None:
+                same_torus(self, x)
+                jet = x.memo[self] = self._jet(x)
+                for part in jet:   # shared through the block's memo
+                    if isinstance(part, np.ndarray):
+                        part.flags.writeable = False
+            return jet
         return Jet(*run_kernel(self._point_kernel, x, y))
 
     @functools.cached_property
@@ -351,16 +357,11 @@ class TrigField(Field):
         self._grid_rows[:, mi, ni] = (a + 1j * b) * np.stack((np.ones_like(kx), 1j * kx, 1j * ky))
 
     def _jet(self, block):   # on the rows the block touches, then cut
-        jet = block.memo.get(self)
-        if jet is None:
-            grid = block.grid
-            left = (np.exp(1j * np.multiply.outer(grid.xs[block.rows], self._grid_kx))
-                    @ self._grid_rows)
-            right = np.exp(1j * np.multiply.outer(self._grid_ky, grid.ys))
-            out = block.cut(left.real @ right.real - left.imag @ right.imag)
-            out.flags.writeable = False   # shared through the block's memo
-            jet = block.memo[self] = Jet(*out)
-        return jet
+        grid = block.grid
+        left = (np.exp(1j * np.multiply.outer(grid.xs[block.rows], self._grid_kx))
+                @ self._grid_rows)
+        right = np.exp(1j * np.multiply.outer(self._grid_ky, grid.ys))
+        return Jet(*block.cut(left.real @ right.real - left.imag @ right.imag))
 
     # Bound on each concrete class so that per-class wrappers can find them.
     eval, d_dx, d_dy = Field.eval, Field.d_dx, Field.d_dy
@@ -503,7 +504,7 @@ class _Node(AnalyticField):
         self._rule, self._children = rule, children
 
     def _jet(self, block):
-        return self._rule(*[c._jet(block) for c in self._children])
+        return self._rule(*[c._evaluate(block, None) for c in self._children])
 
     def __repr__(self):
         return f"AnalyticField({self.label or 'derived'})"

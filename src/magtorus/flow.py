@@ -41,10 +41,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import (DerivativeUnavailable, DomainError, Field, TorusGeometry,
+from .fields import (TWO_PI, DerivativeUnavailable, DomainError, Field, TorusGeometry,
                      check_conformal_factor, point_kernel, same_torus)
-
-TWO_PI = 2.0 * math.pi
 
 
 def wrap_angle(phi):

@@ -327,7 +327,7 @@ def spectra(matrices) -> list:
     # The finite eigenvalues of the pencils with c of them, as a (pencils, c)
     # array: sorting each row at its own length orders ties as sorting the
     # pencil alone does.
-    for c in np.unique(counts[solved]).tolist():
+    for c in sorted(set(counts[solved].tolist())):   # np.unique would import numpy.ma
         rows = np.flatnonzero(solved & (counts == c))
         finite = values[rows][finite_mask[rows]].reshape(len(rows), c)
         order = np.argsort(finite.real + 1e-300 * finite.imag, axis=1)

@@ -1,7 +1,6 @@
 """Forward-mode jets: the grid, array and point paths of trigonometric
 fields, expression nodes against closed forms, value-only fields, and one
-evaluation per trigonometric leaf and grid block in each verification
-check."""
+evaluation per field and grid block in each verification check."""
 
 import collections
 
@@ -92,7 +91,7 @@ def test_value_only_fields():
 
 
 class CountingMemo(dict):
-    """Block memo that records every leaf it stores (one store per evaluation)."""
+    """Block memo that records every field it stores (one store per evaluation)."""
 
     def __init__(self):
         super().__init__()
@@ -134,9 +133,16 @@ def test_verify_checks_evaluate_each_leaf_once_per_block(monkeypatch):
     # Lambda, u_0..u_3, v_1..v_3 and the zero field v_0 = v_4 (u_4 is a power node)
     assert len(leaves) == 2 * n + 1
     for block in blocks:
-        counts = collections.Counter(id(leaf) for leaf in block.memo.stored)
-        assert max(counts.values()) == 1
-        assert all(isinstance(f, TrigField) for f in block.memo)
-        assert all(part.shape == (block.stop - block.start,)
-                   for jet in block.memo.values() for part in jet)
-    assert leaves <= {id(leaf) for b in blocks for leaf in b.memo.stored}
+        counts = collections.Counter(id(field) for field in block.memo.stored)
+        assert max(counts.values()) == 1   # leaves and nodes alike
+        for field in block.memo:   # a node evaluates its children through the memo
+            assert all(child in block.memo for child in getattr(field, "_children", ()))
+        for jet in block.memo.values():
+            for part in jet:   # an array of the block's nodes, or a value field's NaN
+                if isinstance(part, np.ndarray):
+                    assert part.shape == (block.stop - block.start,)
+                    assert not part.flags.writeable
+                else:
+                    assert np.isnan(part)
+    stored = {id(field) for b in blocks for field in b.memo.stored}
+    assert leaves | {id(scenario.ansatz.u[n]), id(scenario.system.omega)} <= stored

@@ -1232,12 +1232,14 @@ UNRESOLVED_64_FLAG = ("its fields reach |m| = 64 and |n| = 1, which the 64x64 gr
 
 
 def assert_unresolved_residual_checks(checks):
-    """Stationarity, harmonics and constraint fail on the hidden mode at 64x64;
-    conservation, whose N = 1 laws do not take u_0, passes.  Each is flagged."""
+    """Stationarity, harmonics and constraint fail on the hidden mode at 64x64,
+    each flagged; conservation, whose N = 1 laws do not read u_0, passes
+    without the flag."""
     assert [(c["check"], c["pass"]) for c in checks] == [
         ("stationarity", False), ("harmonics", False), ("constraint", False),
         ("conservation", True)]
-    assert all(UNRESOLVED_64_FLAG in c["flags"] for c in checks)
+    assert all(UNRESOLVED_64_FLAG in c["flags"] for c in checks[:3])
+    assert checks[3]["flags"] == [mt.ansatz.N1_DEGENERATE_FLAG]
     assert max(res["sup"] for c in checks for res in c["residuals"]) < 1e-10
 
 
@@ -1263,7 +1265,9 @@ def test_a_mode_hidden_between_the_nodes_is_not_certified(tmp_path):
     assert ("u_0 has mode (64, 0), which the 64x64 grid does not resolve (|m| < 32 and "
             "|n| < 32): an error can hide between its nodes") in cert["flags"]
     unresolved = {"max_m": 64, "max_n": 1, "resolved": False}
-    assert report["stats"]["bandwidth"] == dict.fromkeys(mt.scenarios.KNOWN_CHECKS, unresolved)
+    assert report["stats"]["bandwidth"] == dict(   # conservation's laws read only Lambda
+        dict.fromkeys(mt.scenarios.KNOWN_CHECKS, unresolved),
+        conservation={"max_m": 0, "max_n": 1, "resolved": True})
     proc = run_python("-m", "magtorus", "verify", str(path), "--grid", "96,96", timeout=60.0)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     checks = stdout_json(proc.stdout)["payload"]["checks"]
@@ -1285,6 +1289,81 @@ def test_a_mode_hidden_between_the_nodes_fails_the_residual_checks(tmp_path):
     payload = stdout_json(proc.stdout)["payload"]
     assert payload["overall_pass"] is False
     assert_unresolved_residual_checks(payload["checks"])
+
+
+def square_exact() -> dict:
+    """The exact N = 2 scenario F_1^2, F_1 = 2 sqrt(Lambda) cos(phi) + 2 A(y)
+    with Lambda = 2 and A = 0.1 sin y.  Expanded, F_1^2 = 2 Lambda + 4 A^2 +
+    8 sqrt(Lambda) A cos(phi) + 2 Lambda cos(2 phi), so u_0 = 4.02 -
+    0.02 cos 2y, u_1 = 0.4 sqrt(2) sin y and u_2 = Lambda."""
+    return {"name": "square-exact", "N": 2, "lambda": {"type": "constant", "value": 2.0},
+            "coefficients": [
+                {"k": 0, "u": {"type": "trig", "coeffs": [{"m": 0, "n": 0, "re": 4.02},
+                                                          {"m": 0, "n": 2, "re": -0.01}]}},
+                {"k": 1, "u": {"type": "trig", "coeffs": [
+                    {"m": 0, "n": 1, "im": -0.28284271247461906}]}}],
+            "omega": "derive", "grid": [64, 64], "tolerance": 1e-10,
+            "checks": list(mt.scenarios.KNOWN_CHECKS)}
+
+
+def square_hidden() -> dict:
+    """`square_exact` with 0.05 (1 - cos 64x) on u_1, checked by conservation
+    alone: at N = 2 its laws read f_1 = u_1 Lambda^(-1/2)."""
+    data = dict(square_exact(), name="square-hidden", checks=["conservation"])
+    data["coefficients"][1]["u"]["coeffs"] += [
+        {"m": 0, "n": 0, "re": 0.05}, {"m": 64, "n": 0, "re": -0.025},
+        {"m": -64, "n": 0, "re": -0.025}]
+    return data
+
+
+def test_the_exact_square_scenario_passes_every_check(tmp_path, capsys):
+    path = tmp_path / "square-exact.json"
+    path.write_text(json.dumps(square_exact()))
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 0
+    checks = stdout_json(out)["payload"]["checks"]
+    assert [c["check"] for c in checks] == list(mt.scenarios.KNOWN_CHECKS)
+    assert all(c["pass"] for c in checks) and checks[-1]["certified"] is True
+    sups = [res["sup"] for c in checks[:-1] for res in c["residuals"]]
+    assert max(sups + list(checks[-1]["residual_sups"].values())) <= np.finfo(float).eps
+
+
+def test_a_mode_hidden_from_the_conservation_laws_fails_them(tmp_path, capsys):
+    # The hidden mode leaves both conservation sups at roundoff on the
+    # default 64x64 grid; the unresolved check fails with the flag.
+    path = tmp_path / "square-hidden.json"
+    path.write_text(json.dumps(square_hidden()))
+    proc = run_python("-m", "magtorus", "verify", str(path), timeout=60.0)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    [check] = stdout_json(proc.stdout)["payload"]["checks"]
+    assert check["check"] == "conservation" and check["pass"] is False
+    assert max(res["sup"] for res in check["residuals"]) < 1e-10
+    assert check["flags"] == [UNRESOLVED_64_FLAG.replace("|n| = 1", "|n| = 2")]
+    # On a 96x96 grid the residuals see the mode as well.
+    code, out, _ = run_cli(capsys, "verify", str(path), "--grid", "96,96")
+    [check] = stdout_json(out)["payload"]["checks"]
+    assert code == 1 and min(res["sup"] for res in check["residuals"]) > 1e-2
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # numpy.ma is three modules that no command needs; np.unique without a
+    # return_* argument imports them.
+    script = """if True:
+        import contextlib, io, json, sys
+        from magtorus.cli import main
+        seen = []
+        for argv in (["verify", "linear-family-periodic"],
+                     ["simulate", "linear-family-periodic", "--out", sys.argv[1]],
+                     ["assemble", "linear-family-periodic", "--at", "2.0,0.5"],
+                     ["assemble", "--geodesic", "n=3 a=0.5,1,1,1"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            seen.append([argv[0], code, "numpy.ma" in sys.modules])
+        print(json.dumps(seen))"""
+    proc = run_python("-c", script, str(tmp_path), timeout=60.0)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [["verify", 0, False], ["simulate", 0, False],
+                                       ["assemble", 0, False], ["assemble", 0, False]]
 
 
 def test_verify_work_above_the_budget_is_refused_promptly(tmp_path):
