@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import functools
 import math
+import time
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,8 +104,9 @@ class _Norms:
         self.squares, self.rel_squares, self.count = [], [], 0
 
     def add(self, residual, mags):
-        rel = np.abs(residual) / (1.0 + mags)
-        self.sup = np.maximum(self.sup, np.max(np.abs(residual)))   # NaN wins, unlike max()
+        size = np.abs(residual)
+        rel = size / (1.0 + mags)
+        self.sup = np.maximum(self.sup, np.max(size))   # NaN wins, unlike max()
         self.rel_sup = np.maximum(self.rel_sup, np.max(rel))
         self.squares.append(np.sum(residual * residual))
         self.rel_squares.append(np.sum(rel * rel))
@@ -118,32 +121,61 @@ class _Norms:
                                 math.sqrt(fold(self.rel_squares) / self.count))
 
 
-def _streamed_report(fields, grid, labels, samples, values=False, **report) -> ResidualReport:
-    """Report on the equations `labels` of `fields` over `grid` (the default
-    `SamplingGrid` of the first field's torus if None), evaluated one block
-    at a time: `samples(block, part)` gives, for each equation, its
-    (residual, magnitude) pairs on the block, one per sample (an angle of
-    the stationarity check), as many on every block.  `part` is the block's
-    part of the report's zeroed `values` array to fill if `values`, else None.
-    A sample's sums of squares add up over the blocks to the bits of one
-    `np.sum` over the grid (`SamplingGrid.fold`), and the samples' sums one
-    after another; the report is periodic if every field is."""
-    grid = grid if grid is not None else SamplingGrid(geometry=fields[0].geometry)
-    array = np.zeros((grid.nx, grid.ny)) if values else None
-    norms = [_Norms(label) for label in labels]
+#: One report for `streamed_reports`: the equations `labels` of `fields`, of
+#: which `samples(block, part)` gives, for each equation, its (residual,
+#: magnitude) pairs on a grid block, one per sample (an angle of the
+#: stationarity check), as many on every block.  `part` is the block's part of
+#: the report's zeroed `values` array to fill if `values`, else None.
+ReportPlan = namedtuple("ReportPlan", "fields labels samples values flags",
+                        defaults=(False, None))
+
+
+def streamed_reports(grid, plans):
+    """The report of each of `plans` over `grid` (the default `SamplingGrid`
+    of the first field's torus if None), in one pass over its blocks: on a
+    block every plan samples in turn, all reading the block's one memo,
+    which goes with the block.  Between plans the memo keeps only the
+    plans' `fields`, so a plan's own intermediate nodes go when it is done
+    (a later plan that reads one evaluates it again).  A sample's sums of
+    squares add up over the blocks to the bits of one `np.sum` over the grid
+    (`SamplingGrid.fold`), and the samples' sums one after another; a report
+    is periodic if every field of its plan is.
+
+    Returns (the reports, each plan's seconds of sampling, the jets
+    evaluated: one per field and block)."""
+    grid = grid if grid is not None else SamplingGrid(geometry=plans[0].fields[0].geometry)
+    arrays = [np.zeros((grid.nx, grid.ny)) if plan.values else None for plan in plans]
+    norms = [[_Norms(label) for label in plan.labels] for plan in plans]
+    seconds, jets = [0.0] * len(plans), 0
+    declared = {field for plan in plans for field in plan.fields}
     for block in grid.blocks():
-        part = block.part(array) if values else None
-        for acc, pairs in zip(norms, samples(block, part)):
-            for residual, mags in pairs:
-                acc.add(residual, mags)
-    per_block = len(norms[0].squares) // len(grid.spans)
+        for i, (plan, array) in enumerate(zip(plans, arrays)):
+            start, known = time.perf_counter(), len(block.memo)
+            part = block.part(array) if array is not None else None
+            for acc, pairs in zip(norms[i], plan.samples(block, part)):
+                for residual, mags in pairs:
+                    acc.add(residual, mags)
+            seconds[i] += time.perf_counter() - start
+            jets += len(block.memo) - known
+            for field in [f for f in block.memo if f not in declared]:
+                del block.memo[field]   # a plan's own intermediate nodes
 
-    def fold(parts):
-        return sum(grid.fold(parts[s::per_block]) for s in range(per_block))
+    def report(plan, array, accs):
+        per_block = len(accs[0].squares) // len(grid.spans)
 
-    return ResidualReport([acc.entry(fold) for acc in norms], values=array,
-                          periodic=all(f.periodic for f in fields),
-                          modes=bandwidth(*fields), **report)
+        def fold(parts):
+            return sum(grid.fold(parts[s::per_block]) for s in range(per_block))
+
+        return ResidualReport([acc.entry(fold) for acc in accs], values=array,
+                              periodic=all(f.periodic for f in plan.fields),
+                              flags=plan.flags, modes=bandwidth(*plan.fields))
+
+    return list(map(report, plans, arrays, norms)), seconds, jets
+
+
+def _report(plan, grid) -> ResidualReport:
+    """The report of `plan` alone over `grid`."""
+    return streamed_reports(grid, [plan])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +401,11 @@ def stationarity_residual_values(ansatz: Ansatz, omega: Field,
     return np.stack(res), np.stack(mags)
 
 
-def residual_stationarity(ansatz: Ansatz, omega: Field, grid: SamplingGrid | None = None,
-                          values: bool = True) -> ResidualReport:
-    """Norms of the stationarity residual over grid x `default_phi_count`
-    equispaced angles, streamed one block and angle at a time.  With
-    `values`, the report's `values` is the largest |residual| over the
-    angles at each grid node."""
+def stationarity_plan(ansatz: Ansatz, omega: Field, values: bool = True) -> ReportPlan:
+    """The stationarity residual over grid x `default_phi_count` equispaced
+    angles, sampled one block and angle at a time.  With `values`, the
+    report's `values` is the largest |residual| over the angles at each grid
+    node."""
     n_phi = default_phi_count(ansatz.n)
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
 
@@ -384,8 +415,14 @@ def residual_stationarity(ansatz: Ansatz, omega: Field, grid: SamplingGrid | Non
                 np.maximum(top, np.abs(res), out=top)
             yield res, mags
 
-    return _streamed_report(ansatz.fields() + (omega,), grid, ["stationarity"],
-                            lambda block, top: [samples(block, top)], values)
+    return ReportPlan(ansatz.fields() + (omega,), ("stationarity",),
+                      lambda block, top: [samples(block, top)], values)
+
+
+def residual_stationarity(ansatz: Ansatz, omega: Field, grid: SamplingGrid | None = None,
+                          values: bool = True) -> ResidualReport:
+    """Norms of the stationarity residual (`stationarity_plan`) over `grid`."""
+    return _report(stationarity_plan(ansatz, omega, values), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +446,8 @@ def harmonic_residual_values(ansatz: Ansatz, omega: Field, k: int, points):
     return residual, _largest(*terms)
 
 
-def residual_harmonic(ansatz: Ansatz, omega: Field, k: int,
-                      grid: SamplingGrid | None = None, values: bool = True) -> ResidualReport:
-    """Real and imaginary norms of the harmonic-k relation, streamed one
+def harmonic_plan(ansatz: Ansatz, omega: Field, k: int, values: bool = True) -> ReportPlan:
+    """The real and imaginary parts of the harmonic-k relation, sampled one
     block at a time.  With `values`, the report's `values` is the magnitude
     of the complex residual."""
 
@@ -421,8 +457,15 @@ def residual_harmonic(ansatz: Ansatz, omega: Field, k: int,
             np.abs(res, out=magnitude)
         return [(res.real, mags)], [(res.imag, mags)]
 
-    return _streamed_report(ansatz.fields() + (omega,), grid,
-                            [f"harmonic_{k}_real", f"harmonic_{k}_imag"], samples, values)
+    return ReportPlan(ansatz.fields() + (omega,), (f"harmonic_{k}_real", f"harmonic_{k}_imag"),
+                      samples, values)
+
+
+def residual_harmonic(ansatz: Ansatz, omega: Field, k: int,
+                      grid: SamplingGrid | None = None, values: bool = True) -> ResidualReport:
+    """Real and imaginary norms of the harmonic-k relation (`harmonic_plan`)
+    over `grid`."""
+    return _report(harmonic_plan(ansatz, omega, k, values), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +503,8 @@ def omega_rescaled(rescaled: RescaledAnsatz) -> Field:
 # ---------------------------------------------------------------------------
 
 
-def constraint_residual(obj, grid: SamplingGrid | None = None) -> ResidualReport:
-    """Residuals of the leading-coefficient divergence constraint, in both the
+def constraint_plan(obj) -> ReportPlan:
+    """The leading-coefficient divergence constraint, in both the
     unrescaled form 2 Lambda ((u_{N-1})_x + (v_{N-1})_y) = (N-1)(v_{N-1}
     Lambda_y + u_{N-1} Lambda_x) and the rescaled form (f_{N-1})_x +
     (g_{N-1})_y = 0, for an Ansatz or a RescaledAnsatz.  The two agree
@@ -481,8 +524,13 @@ def constraint_residual(obj, grid: SamplingGrid | None = None) -> ResidualReport
         tf, tg = f_top.jet(block).x, g_top.jet(block).y
         return [(t_lhs - t_rhs, _largest(t_lhs, t_rhs))], [(tf + tg, _largest(tf, tg))]
 
-    return _streamed_report((lam, u_top, v_top, f_top, g_top), grid,
-                            ["divergence_unscaled", "divergence_rescaled"], samples)
+    return ReportPlan((lam, u_top, v_top, f_top, g_top),
+                      ("divergence_unscaled", "divergence_rescaled"), samples)
+
+
+def constraint_residual(obj, grid: SamplingGrid | None = None) -> ResidualReport:
+    """Residuals of the divergence constraint (`constraint_plan`) over `grid`."""
+    return _report(constraint_plan(obj), grid)
 
 
 N1_DEGENERATE_FLAG = "N=1 degenerate"
@@ -511,15 +559,14 @@ def conservation_flux_fields(rescaled: RescaledAnsatz):
     g = rescaled.g[n - 1]
     fm2, gm2, degenerate = _second_block(rescaled)
     r_field = (n - 1) * (f * g) - n * gm2
-    half = (n - 1) / 2.0
-    flux1 = half * (g * g - f * f) - float(n * n) * lam + n * fm2
-    flux2 = half * (f * f - g * g) - float(n * n) * lam - n * fm2
+    half, ff, gg = (n - 1) / 2.0, f * f, g * g   # each square one node of both fluxes
+    flux1 = half * (gg - ff) - float(n * n) * lam + n * fm2
+    flux2 = half * (ff - gg) - float(n * n) * lam - n * fm2
     return r_field, flux1, flux2, degenerate
 
 
-def conservation_residuals(rescaled: RescaledAnsatz,
-                           grid: SamplingGrid | None = None) -> ResidualReport:
-    """Residual norms of the two conservation laws on the grid.  All outer
+def conservation_plan(rescaled: RescaledAnsatz) -> ReportPlan:
+    """The two conservation laws, sampled one block at a time.  All outer
     derivatives are expanded by the product/chain rule onto first derivatives
     of the inputs.  The report's fields are those the laws read: Lambda,
     f_{N-2} and g_{N-2} (`_second_block`), and f_{N-1} and g_{N-1} for
@@ -531,9 +578,16 @@ def conservation_residuals(rescaled: RescaledAnsatz,
         r, f1, f2 = r_field.jet(block), flux1.jet(block), flux2.jet(block)
         return [(r.x + f1.y, _largest(r.x, f1.y))], [(r.y + f2.x, _largest(r.y, f2.x))]
 
-    return _streamed_report((rescaled.lam, *_second_block(rescaled)[:2], *top), grid,
-                            ["conservation_1", "conservation_2"], samples,
-                            flags=[N1_DEGENERATE_FLAG] if degenerate else [])
+    return ReportPlan((rescaled.lam, *_second_block(rescaled)[:2], *top),
+                      ("conservation_1", "conservation_2"), samples,
+                      flags=[N1_DEGENERATE_FLAG] if degenerate else [])
+
+
+def conservation_residuals(rescaled: RescaledAnsatz,
+                           grid: SamplingGrid | None = None) -> ResidualReport:
+    """Residual norms of the two conservation laws (`conservation_plan`) over
+    `grid`."""
+    return _report(conservation_plan(rescaled), grid)
 
 
 # ---------------------------------------------------------------------------

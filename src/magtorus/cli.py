@@ -29,10 +29,11 @@ trajectory and is named under the entry's ``non_finite`` key.
 
 Reports are JSON with sorted keys and floats printed to 17 significant
 digits, so identical scenarios and flags produce byte-identical payloads;
-wall-clock timings and the work counters (``stats``: the grid points and
-the blocks they were evaluated in, with each verify check's largest |m| and
-|n| and whether the grid resolves them; integration steps and RHS calls; or
-how the assembled pencils were solved) live outside the comparison payload.
+wall-clock timings and the work counters (``stats``: the grid points, the
+blocks they were evaluated in and the field jets evaluated on them, with
+each verify check's largest |m| and |n| and whether the grid resolves them;
+integration steps and RHS calls; or how the assembled pencils were solved)
+live outside the comparison payload.
 A simulate ``stats`` entry also says that H is 1/2 by construction on the
 angle form, and gives ``rhs_kernel``: the trigonometric terms the system's
 compiled point kernel inlines, the node rules it traced into arithmetic,
@@ -58,9 +59,9 @@ import numpy as np
 from .fields import DomainError, SamplingGrid, bandwidth
 from .flow import (atomic_write as _atomic_write, atomic_write_chunks, export_csv, integrate,
                    monitor, write_table)
-from .ansatz import (conservation_residuals, constraint_residual,
-                     first_integral_observable, rescale, residual_harmonic,
-                     residual_stationarity, unresolved_flag, unresolved_inputs)
+from .ansatz import (conservation_plan, constraint_plan, first_integral_observable,
+                     harmonic_plan, rescale, stationarity_plan, streamed_reports,
+                     unresolved_flag, unresolved_inputs)
 from .quasilinear import (assemble, certificate_from_reports, geodesic_matrix, spectra,
                           spectrum)
 from .scenarios import (MAX_N, Scenario, ScenarioError, bundled_scenario_names,
@@ -198,41 +199,57 @@ def _write_grid_dat(path: Path, grid: SamplingGrid, values: np.ndarray):
 
 @np.errstate(all="ignore")   # a check whose norms are not finite fails
 def run_verify_checks(scenario: Scenario, want_grids: bool = False):
-    """Run the scenario's requested checks.  A residual check passes when
-    every sup of its reports is below the tolerance, so a NaN sup fails it,
-    and the grid resolves the modes of its fields; an unresolved check is
-    flagged and fails.  The certificate judges the sups of the same
-    constraint and conservation reports, each computed at most once, and is
-    withheld when the grid does not resolve a mode of its inputs
-    (`unresolved_inputs`).
+    """Run the scenario's requested checks in one pass over the grid's
+    blocks (`streamed_reports`): on each block every report the checks need
+    samples in turn from the block's one memo, the constraint and
+    conservation reports once however many checks read them.  A residual
+    check passes when every sup of its reports is below the tolerance, so a
+    NaN sup fails it, and the grid resolves the modes of its fields; an
+    unresolved check is flagged and fails.  The certificate judges the sups
+    of the constraint and conservation reports, and is withheld when the
+    grid does not resolve a mode of its inputs (`unresolved_inputs`).
 
     Returns (payload dict, stats dict, timings dict, residual grids for
-    --plot-data).  The stats give the grid's points and blocks, and per
-    check the `bandwidth` of the fields it evaluates and whether the grid
-    resolves it."""
+    --plot-data).  The stats give the grid's points and blocks, the jets the
+    pass evaluated (one per field and block), and per check the `bandwidth`
+    of the fields it evaluates and whether the grid resolves it.  A check's
+    timing is the sampling time of the reports it is the first to read,
+    plus its own."""
     ansatz, omega, grid, tol = (scenario.ansatz, scenario.system.omega,
                                 scenario.grid, scenario.tolerance)
-    constraint = functools.cache(lambda: constraint_residual(ansatz, grid))
-    conservation = functools.cache(lambda: conservation_residuals(rescale(ansatz), grid))
-    named_reports = {   # residual check -> its (label, report) pairs, made one at a time
-        "stationarity": lambda: [("stationarity", residual_stationarity(
-            ansatz, omega, grid, values=want_grids))],
-        "harmonics": lambda: ((f"harmonic_{k}", residual_harmonic(
-            ansatz, omega, k, grid, values=want_grids)) for k in range(ansatz.n + 2)),
-        "constraint": lambda: [("constraint", constraint())],
-        "conservation": lambda: [("conservation", conservation())],
+    # Residual check -> its (label, plan) pairs.  A block samples them in this
+    # order, so conservation's many intermediate nodes have left its memo
+    # before stationarity fills it with every coefficient.
+    plans = {
+        "conservation": lambda: [("conservation", conservation_plan(rescale(ansatz)))],
+        "constraint": lambda: [("constraint", constraint_plan(ansatz))],
+        "stationarity": lambda: [("stationarity", stationarity_plan(ansatz, omega, want_grids))],
+        "harmonics": lambda: [(f"harmonic_{k}", harmonic_plan(ansatz, omega, k, want_grids))
+                              for k in range(ansatz.n + 2)],
     }
+    reads = {check: (check,) for check in plans}
+    reads["certificate"] = ("constraint", "conservation")
+    needed = {name for check in scenario.checks for name in reads[check]}
+    labelled = [(check, label, plan) for check, make in plans.items() if check in needed
+                for label, plan in make()]
+    reports, seconds, jets = streamed_reports(grid, [plan for *_, plan in labelled])
+    sampled, unpaid = {}, dict.fromkeys(needed, 0.0)   # sampling time not yet in a timing
+    for (check, label, _), report, spent in zip(labelled, reports, seconds):
+        sampled.setdefault(check, []).append((label, report))
+        unpaid[check] += spent
     checks, timings, grids, modes = [], {}, {}, {}
     for check in scenario.checks:
-        t0 = time.perf_counter()
+        # the timing starts with the sampling of the reports it is the first to read
+        t0 = time.perf_counter() - sum(unpaid.pop(name, 0.0) for name in reads[check])
         if check == "certificate":
-            cert = certificate_from_reports(constraint(), conservation(), tol,
+            cert = certificate_from_reports(sampled["constraint"][0][1],
+                                            sampled["conservation"][0][1], tol,
                                             unresolved_inputs(ansatz, grid))
             entry = {"check": check, "pass": cert.certified, **dataclasses.asdict(cert)}
             modes[check] = bandwidth(*ansatz.fields())   # the inputs it judges
         else:
             entry = {"check": check, "residuals": [], "periodic": True}
-            for label, report in named_reports[check]():   # one report's grid alive at a time
+            for label, report in sampled[check]:
                 entry["residuals"] += map(dataclasses.asdict, report.entries)
                 entry["periodic"] &= report.periodic
                 modes[check] = tuple(map(max, modes.get(check, (0, 0)), report.modes))
@@ -260,6 +277,7 @@ def run_verify_checks(scenario: Scenario, want_grids: bool = False):
     }
     stats = {"grid_points": grid.nx * grid.ny, "blocks": len(grid.spans),
              "largest_block_points": max(stop - start for start, stop in grid.spans),
+             "jets": jets,
              "bandwidth": {check: {"max_m": m, "max_n": n, "resolved": grid.resolves(m, n)}
                            for check, (m, n) in modes.items()}}
     return payload, stats, timings, grids

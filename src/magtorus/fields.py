@@ -18,14 +18,15 @@ jets once.  A `SamplingGrid` is evaluated in blocks (`GridBlock`) of at most
 BLOCK_POINTS points: a leaf evaluates on the rows a block touches, then is
 cut down to the block's nodes (a trigonometric leaf separably).  A block
 memoizes, read-only, the jet of every field evaluated on it, so no field is
-evaluated twice on a block; `field.jet(grid)` is one block holding every
-node.  Off the grid a field runs its compiled point kernel (`point_kernel`):
-one straight-line Python function of (x, y), written once per field on first
-use, with each leaf inlined and each node's jet rule traced into plain
-arithmetic (or called, where the rule cannot be traced), run with math's cos
-and sin on int or float coordinates, and by its array twin with numpy's on
-coordinate arrays (`run_kernel` chooses); a kernel that tests the Lambda
-floor (the flow's) runs at points only.
+evaluated twice on a block; `field.jet(grid)` fills (nx, ny) arrays one
+block at a time, with the bits of one block of every node.  Off the grid a
+field runs its compiled point kernel (`point_kernel`): one straight-line
+Python function of (x, y), written once per field on first use, with each
+leaf inlined and each node's jet rule traced into plain arithmetic (or
+called, where the rule cannot be traced), run with math's cos and sin on int
+or float coordinates, and by its array twin with numpy's on coordinate
+arrays (`run_kernel` chooses); a kernel that tests the Lambda floor (the
+flow's) runs at points only.
 It performs the operations of a recursive walk of the tree (the tests'
 `recursive_point_jet`) in the same order, so it returns the same bits.
 Fields are immutable; evaluation is pure.
@@ -146,10 +147,6 @@ class SamplingGrid:
         """The grid's blocks in flat order, each with an empty memo."""
         return (GridBlock(self, start, stop) for start, stop in self.spans)
 
-    def whole(self) -> "GridBlock":
-        """Every node as one block, shaped (nx, ny)."""
-        return GridBlock(self, 0, self.nx * self.ny, (self.nx, self.ny))
-
     def fold(self, partials):
         """Sum of per-block partial sums, one per block in order, added up
         as numpy's pairwise summation adds them."""
@@ -185,21 +182,20 @@ def _pairwise_tree(start: int, stop: int, spans: list):
 class GridBlock:
     """Nodes start .. stop - 1 of a grid in flat order, with a memo of the
     jet of every field, leaf or node, evaluated on them.  Jets on a block are
-    flat arrays (or `shape`, for `SamplingGrid.whole`), read-only once kept."""
+    flat arrays, read-only once kept.  The memo lives as long as the block:
+    verify's one pass (`ansatz.streamed_reports`) shares it between every
+    report it samples on the block, and drops it with the block."""
 
-    def __init__(self, grid: SamplingGrid, start: int, stop: int, shape=None):
+    def __init__(self, grid: SamplingGrid, start: int, stop: int):
         self.grid, self.geometry = grid, grid.geometry
         self.start, self.stop = start, stop
-        self.shape = shape if shape is not None else (stop - start,)
         self.rows = slice(start // grid.ny, -(-stop // grid.ny))   # rows it touches
         self.memo = {}
 
     def cut(self, table: np.ndarray) -> np.ndarray:
-        """The block's nodes out of `table`, shaped (..., rows touched, ny)."""
-        lead = table.shape[:-2]
+        """The block's nodes, flat, out of `table`, shaped (..., rows touched, ny)."""
         offset = self.start - self.rows.start * self.grid.ny
-        flat = table.reshape(*lead, -1)[..., offset:offset + self.stop - self.start]
-        return flat.reshape(*lead, *self.shape)
+        return table.reshape(*table.shape[:-2], -1)[..., offset:offset + self.stop - self.start]
 
     def part(self, array: np.ndarray) -> np.ndarray:
         """The block's nodes of a C-contiguous (nx, ny) array, as a flat view."""
@@ -253,7 +249,7 @@ class Field:
 
     def _evaluate(self, x, y) -> Jet:
         if isinstance(x, SamplingGrid):
-            x = x.whole()
+            return self._grid_jet(x)
         if isinstance(x, GridBlock):
             jet = x.memo.get(self)
             if jet is None:
@@ -264,6 +260,23 @@ class Field:
                         part.flags.writeable = False
             return jet
         return Jet(*run_kernel(self._point_kernel, x, y))
+
+    def _grid_jet(self, grid: SamplingGrid) -> Jet:
+        """The jet on every node of `grid`, shaped (nx, ny) and read-only,
+        evaluated block by block, so at most one block's memo is alive; a
+        value field's NaN slots stay scalars."""
+        parts = None
+        for block in grid.blocks():
+            jet = self._evaluate(block, None)
+            parts = parts or [np.empty((grid.nx, grid.ny), p.dtype)
+                              if isinstance(p, np.ndarray) else p for p in jet]
+            for whole, part in zip(parts, jet):
+                if isinstance(whole, np.ndarray):
+                    block.part(whole)[:] = part
+        for part in parts:
+            if isinstance(part, np.ndarray):
+                part.flags.writeable = False
+        return Jet(*parts)
 
     @functools.cached_property
     def _point_kernel(self):

@@ -3,6 +3,7 @@ fields, expression nodes against closed forms, value-only fields, and one
 evaluation per field and grid block in each verification check."""
 
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
@@ -91,30 +92,36 @@ def test_value_only_fields():
 
 
 class CountingMemo(dict):
-    """Block memo that records every field it stores (one store per evaluation)."""
+    """Block memo that records every (field, jet) it stores (one store per
+    evaluation)."""
 
     def __init__(self):
         super().__init__()
         self.stored = []   # strong references keep ids unique
 
     def __setitem__(self, key, value):
-        self.stored.append(key)
+        self.stored.append((key, value))
         super().__setitem__(key, value)
 
 
-def test_verify_checks_evaluate_each_leaf_once_per_block(monkeypatch):
-    n = 4
+def random_scenario(n, grid, **extra):
+    """A degree-n scenario of random trig fields (a non-solution) on `grid`."""
 
     def trig(seed, amplitude):
         return {"type": "random_trig", "seed": seed, "amplitude": amplitude}
 
-    scenario = mt.build_scenario({
-        "N": n, "grid": [130, 70],   # two blocks; the first ends inside a row
+    return mt.build_scenario(dict({
+        "N": n, "grid": grid,
         "lambda": dict(trig(1, 0.1), offset=2.0),
         "coefficients": [dict({"k": k, "u": trig(10 + k, 0.3)},
                               **({"v": trig(20 + k, 0.3)} if k else {}))
                          for k in range(n)],
-    })
+    }, **extra))
+
+
+def test_verify_checks_evaluate_each_leaf_once_per_block(monkeypatch):
+    n = 4
+    scenario = random_scenario(n, [130, 70])   # two blocks; the first ends inside a row
     blocks = []
     init = GridBlock.__init__
 
@@ -124,25 +131,80 @@ def test_verify_checks_evaluate_each_leaf_once_per_block(monkeypatch):
         blocks.append(block)
 
     monkeypatch.setattr(GridBlock, "__init__", counted_init)
-    payload = run_verify_checks(scenario)[0]
+    payload, stats = run_verify_checks(scenario)[:2]
     assert [c["check"] for c in payload["checks"]] == list(mt.scenarios.KNOWN_CHECKS)
     assert len(scenario.grid.spans) == 2 and scenario.grid.spans[0][1] % 70
-    # Every evaluation is of one block of the grid's, never the whole grid.
-    assert {(b.start, b.stop) for b in blocks} == set(scenario.grid.spans)
+    # One pass: exactly one block per span over the whole run, never the whole grid.
+    assert [(b.start, b.stop) for b in blocks] == scenario.grid.spans
+    assert stats["jets"] == sum(len(b.memo.stored) for b in blocks)
     leaves = {id(f) for f in scenario.ansatz.fields() if isinstance(f, TrigField)}
     # Lambda, u_0..u_3, v_1..v_3 and the zero field v_0 = v_4 (u_4 is a power node)
     assert len(leaves) == 2 * n + 1
     for block in blocks:
-        counts = collections.Counter(id(field) for field in block.memo.stored)
-        assert max(counts.values()) == 1   # leaves and nodes alike
-        for field in block.memo:   # a node evaluates its children through the memo
-            assert all(child in block.memo for child in getattr(field, "_children", ()))
-        for jet in block.memo.values():
+        counts = collections.Counter(id(field) for field, _ in block.memo.stored)
+        assert max(counts.values()) == 1   # leaves and nodes alike, across every check
+        stored = {field for field, _ in block.memo.stored}
+        for field, jet in block.memo.stored:
+            # a node evaluates its children through the memo
+            assert all(child in stored for child in getattr(field, "_children", ()))
             for part in jet:   # an array of the block's nodes, or a value field's NaN
                 if isinstance(part, np.ndarray):
                     assert part.shape == (block.stop - block.start,)
                     assert not part.flags.writeable
                 else:
                     assert np.isnan(part)
-    stored = {id(field) for b in blocks for field in b.memo.stored}
+    stored = {id(field) for b in blocks for field, _ in b.memo.stored}
     assert leaves | {id(scenario.ansatz.u[n]), id(scenario.system.omega)} <= stored
+
+
+def test_one_pass_reports_equal_each_residual_function_alone():
+    scenario = random_scenario(3, [130, 70])   # two blocks; the first ends inside a row
+    ansatz, omega, grid = scenario.ansatz, scenario.system.omega, scenario.grid
+    alone = {"stationarity": [("stationarity", mt.residual_stationarity(ansatz, omega, grid))],
+             "harmonics": [(f"harmonic_{k}", mt.residual_harmonic(ansatz, omega, k, grid))
+                           for k in range(ansatz.n + 2)],
+             "constraint": [("constraint", mt.constraint_residual(ansatz, grid))],
+             "conservation": [("conservation",
+                               mt.conservation_residuals(mt.rescale(ansatz), grid))]}
+    payload, _, _, grids = run_verify_checks(scenario, want_grids=True)
+    entries = {c["check"]: c for c in payload["checks"]}
+    for check, reports in alone.items():
+        # every norm bit for bit (a NaN-free non-solution, so == is exact)
+        assert entries[check]["residuals"] == [dataclasses.asdict(e) for _, report in reports
+                                               for e in report.entries]
+        for label, report in reports:
+            if report.values is not None:
+                assert np.array_equal(grids.pop(label), report.values)
+    assert grids == {}
+    cert = mt.egorov_certificate(mt.rescale(ansatz), grid, scenario.tolerance)
+    assert entries["certificate"]["residual_sups"] == cert.residual_sups
+
+
+def test_conservation_fluxes_share_their_squares():
+    rescaled = mt.rescale(random_scenario(3, [16, 16]).ansatz)
+    f, g = rescaled.f[-1], rescaled.g[-1]
+    block = next(mt.SamplingGrid(16, 16).blocks())
+    plan = mt.ansatz.conservation_plan(rescaled)
+    for pairs in plan.samples(block, None):
+        list(pairs)
+    children = collections.Counter(getattr(field, "_children", None) for field in block.memo)
+    assert children[(f, f)] == 1 and children[(g, g)] == 1
+
+
+@pytest.mark.parametrize("shape", [(256, 256), (130, 70), (300, 200)])
+def test_grid_jets_are_evaluated_block_by_block_with_the_bits_of_one_block(shape):
+    n = 4
+    ansatz = random_scenario(n, list(shape)).ansatz
+    r_field, flux1, flux2, _ = mt.conservation_flux_fields(mt.rescale(ansatz))
+    grid = mt.SamplingGrid(*shape)
+    everything = GridBlock(grid, 0, grid.nx * grid.ny)   # every node in one block
+    assert len(grid.spans) > 1   # so the blocks meet inside the grid
+    for field in (r_field, flux1, flux2, ansatz.lam, ansatz.u[n], ansatz.u[0],
+                  mt.omega_raw(ansatz)):
+        blockwise = field._evaluate(grid, None)
+        for part, whole in zip(blockwise, field._evaluate(everything, None)):
+            if isinstance(whole, np.ndarray):
+                assert part.shape == shape and not part.flags.writeable
+                assert np.array_equal(part.reshape(-1), whole)
+            else:   # a value field's derivative slots
+                assert np.isnan(part) and np.isnan(whole)

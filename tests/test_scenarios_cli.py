@@ -351,7 +351,8 @@ def test_verify_report_stats(capsys, grid, stats):
     assert code == 0
     constant = {"max_m": 0, "max_n": 0, "resolved": True}   # every field is constant
     bandwidth = dict.fromkeys(mt.scenarios.KNOWN_CHECKS, constant)
-    assert stdout_json(out)["stats"] == dict(stats, bandwidth=bandwidth)
+    jets = 30 * stats["blocks"]   # the one pass reaches 30 distinct fields on each block
+    assert stdout_json(out)["stats"] == dict(stats, bandwidth=bandwidth, jets=jets)
 
 
 def test_verify_writes_report_and_plot_data(tmp_path, capsys):
