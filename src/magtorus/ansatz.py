@@ -28,7 +28,6 @@ import functools
 import math
 import time
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,34 +42,21 @@ from .flow import MagneticSystem
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquationResidual:
-    """Norms of one residual equation over the sampling set.
-
-    Relative values divide pointwise by (1 + max magnitude of the equation's
-    individual terms), so identically satisfied equations report 0 and
-    large-field cases stay comparable.
-    """
-
-    label: str
-    sup: float
-    rms: float
-    rel_sup: float
-    rel_rms: float
+#: Norms of one residual equation over the sampling set.  Relative values
+#: divide pointwise by (1 + max magnitude of the equation's individual
+#: terms), so identically satisfied equations report 0 and large-field cases
+#: stay comparable.
+EquationResidual = namedtuple("EquationResidual", "label sup rms rel_sup rel_rms")
 
 
-@dataclass
-class ResidualReport:
+class ResidualReport(namedtuple("ResidualReport", "entries periodic flags values modes",
+                                defaults=(True, None, None, (0, 0)))):
     """Residual norms per equation.  `values`, where the kernel provides it,
     is the pointwise residual magnitude on the grid (for plotting); `flags`,
     where the kernel raises them, qualify the result; `modes` is the
     `bandwidth` of the fields it evaluates."""
 
-    entries: list
-    periodic: bool = True
-    flags: list | None = None
-    values: np.ndarray | None = None
-    modes: tuple = (0, 0)
+    __slots__ = ()
 
     def entry(self, label: str) -> EquationResidual:
         for e in self.entries:
@@ -219,21 +205,17 @@ class Ansatz:
         return point_kernel(self.u[0], *self.u[1:], *self.v[1:])
 
 
-@dataclass
-class RescaledAnsatz:
+class RescaledAnsatz(namedtuple("RescaledAnsatz", "n f g lam")):
     """Rescaled coefficient fields f_k = u_k Lambda^(-k/2), g_k = v_k Lambda^(-k/2),
     all on Lambda's torus."""
 
-    n: int
-    f: tuple
-    g: tuple
-    lam: Field
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.f) != self.n or len(self.g) != self.n:
-            raise ValueError(f"need {self.n} rescaled fields f_0..f_{self.n - 1} "
-                             f"and g_0..g_{self.n - 1}")
-        same_torus(self.lam, *self.f, *self.g)
+    def __new__(cls, n: int, f: tuple, g: tuple, lam: Field):
+        if len(f) != n or len(g) != n:
+            raise ValueError(f"need {n} rescaled fields f_0..f_{n - 1} and g_0..g_{n - 1}")
+        same_torus(lam, *f, *g)
+        return super().__new__(cls, n, f, g, lam)
 
 
 def _scaled_pairs(n: int, lam: Field, first, second, sign: int) -> tuple:

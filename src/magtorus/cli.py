@@ -46,7 +46,6 @@ columnar files, each written one column of the grid at a time.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -245,12 +244,14 @@ def run_verify_checks(scenario: Scenario, want_grids: bool = False):
             cert = certificate_from_reports(sampled["constraint"][0][1],
                                             sampled["conservation"][0][1], tol,
                                             unresolved_inputs(ansatz, grid))
-            entry = {"check": check, "pass": cert.certified, **dataclasses.asdict(cert)}
+            # shares residual_sups, which _fail_non_finite may rewrite: the
+            # certificate is not read again
+            entry = {"check": check, "pass": cert.certified, **cert._asdict()}
             modes[check] = bandwidth(*ansatz.fields())   # the inputs it judges
         else:
             entry = {"check": check, "residuals": [], "periodic": True}
             for label, report in sampled[check]:
-                entry["residuals"] += map(dataclasses.asdict, report.entries)
+                entry["residuals"] += (res._asdict() for res in report.entries)
                 entry["periodic"] &= report.periodic
                 modes[check] = tuple(map(max, modes.get(check, (0, 0)), report.modes))
                 if report.flags is not None:

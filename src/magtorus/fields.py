@@ -51,7 +51,6 @@ import itertools
 import math
 import types
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,19 +92,17 @@ class DerivativeUnavailable(FieldError):
     """The backend holds no exact rule for the requested derivative."""
 
 
-@dataclass(frozen=True)
-class TorusGeometry:
+class TorusGeometry(namedtuple("TorusGeometry", "period_x period_y")):
     """Fundamental domain [0, period_x) x [0, period_y)."""
 
-    period_x: float = TWO_PI
-    period_y: float = TWO_PI
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("period_x", "period_y"):
-            period = getattr(self, name)
+    def __new__(cls, period_x: float = TWO_PI, period_y: float = TWO_PI):
+        for name, period in (("period_x", period_x), ("period_y", period_y)):
             if not (period > 0.0 and math.isfinite(period)):
                 raise FieldError(f"torus {name} must be finite and strictly positive, "
                                  f"got {period!r}")
+        return super().__new__(cls, period_x, period_y)
 
     def wavenumbers(self, m: int, n: int) -> tuple[float, float]:
         return TWO_PI * m / self.period_x, TWO_PI * n / self.period_y

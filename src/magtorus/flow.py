@@ -36,7 +36,7 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass, field as _dc_field
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -49,39 +49,29 @@ def wrap_angle(phi):
     return np.mod(phi, TWO_PI)
 
 
-@dataclass(frozen=True)
-class PhaseState:
+class PhaseState(namedtuple("PhaseState", "x y phi")):
     """Point of the parameterized energy level: torus coordinates and momentum angle."""
 
-    x: float
-    y: float
-    phi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "phi", float(wrap_angle(self.phi)))
+    def __new__(cls, x: float, y: float, phi: float):
+        return super().__new__(cls, x, y, float(wrap_angle(phi)))
 
 
-@dataclass(frozen=True)
-class CotangentState:
-    x: float
-    y: float
-    p1: float
-    p2: float
+CotangentState = namedtuple("CotangentState", "x y p1 p2")
 
 
-@dataclass(frozen=True)
-class MagneticSystem:
+class MagneticSystem(namedtuple("MagneticSystem", "lam omega")):
     """Conformal factor and magnetic field defining the flow, on the torus
-    of Lambda, which Omega must share."""
+    of Lambda, which Omega must share.  No __slots__: `kernel` is cached in
+    the instance's __dict__."""
 
-    lam: Field
-    omega: Field
-
-    def __post_init__(self):
-        same_torus(self.lam, self.omega)
-        if not self.lam.exact:
-            raise DerivativeUnavailable(f"no first-derivative rules for {self.lam!r}")
-        check_conformal_factor(self.lam)
+    def __new__(cls, lam: Field, omega: Field):
+        same_torus(lam, omega)
+        if not lam.exact:
+            raise DerivativeUnavailable(f"no first-derivative rules for {lam!r}")
+        check_conformal_factor(lam)
+        return super().__new__(cls, lam, omega)
 
     @functools.cached_property
     def kernel(self):
@@ -120,25 +110,21 @@ def cotangent_rhs(system: MagneticSystem, state) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StepControl:
-    """Fixed step size, or per-step absolute tolerance for step doubling."""
+class StepControl(namedtuple("StepControl", "mode dt atol sample_dt")):
+    """Fixed step size, or per-step absolute tolerance for step doubling:
+    `mode` is "fixed" or "adaptive"."""
 
-    mode: str = "fixed"          # "fixed" | "adaptive"
-    dt: float = 1e-3
-    atol: float = 1e-10
-    sample_dt: float | None = 1e-2
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, mode: str = "fixed", dt: float = 1e-3, atol: float = 1e-10,
+                sample_dt: float | None = 1e-2):
         # A step, tolerance or sample spacing that is not finite and positive
         # would never reach t_end (or never meet its tolerance).
-        for name in ("dt", "atol", "sample_dt"):
-            value = getattr(self, name)
-            if name == "sample_dt" and value is None:
-                continue
-            if not 0.0 < value < math.inf:
+        for name, value in (("dt", dt), ("atol", atol), ("sample_dt", sample_dt)):
+            if (value is not None or name != "sample_dt") and not 0.0 < value < math.inf:
                 raise ValueError(f"step control {name} must be finite and positive, "
                                  f"got {value!r}")
+        return super().__new__(cls, mode, dt, atol, sample_dt)
 
     @classmethod
     def fixed(cls, dt: float = 1e-3, sample_dt: float | None = 1e-2):
@@ -150,17 +136,14 @@ class StepControl:
         return cls(mode="adaptive", dt=float(dt), atol=float(atol), sample_dt=sample_dt)
 
 
-@dataclass
 class StepStats:
     """Work of one integration, counted per step: RK4 steps accepted and
     rejected, right-hand-side calls, and the range of accepted step sizes.
     A step cut short by a DomainError is not counted."""
 
-    accepted: int = 0
-    rejected: int = 0
-    rhs_calls: int = 0
-    h_min: float = math.inf
-    h_max: float = 0.0
+    def __init__(self):
+        self.accepted = self.rejected = self.rhs_calls = 0
+        self.h_min, self.h_max = math.inf, 0.0
 
     def accept(self, h: float, rhs_calls: int):
         self.accepted += 1
@@ -171,23 +154,20 @@ class StepStats:
             self.h_max = h
 
 
-@dataclass
 class Trajectory:
     """Sampled trajectory on the universal cover, with monitored quantities.
 
     x, y and phi_unwrapped live on the cover; `phi` wraps the angle to
     [0, 2*pi) and `wrapped_xy` reduces positions to the fundamental domain.
+    A trajectory cut short is `aborted`, with a `diagnostic`.
     """
 
-    t: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    phi_unwrapped: np.ndarray
-    monitored: dict
-    geometry: TorusGeometry
-    aborted: bool = False
-    diagnostic: str | None = None
-    stats: StepStats = _dc_field(default_factory=StepStats)
+    def __init__(self, t: np.ndarray, x: np.ndarray, y: np.ndarray,
+                 phi_unwrapped: np.ndarray, monitored: dict, geometry: TorusGeometry,
+                 aborted: bool, diagnostic: str | None, stats: StepStats):
+        self.t, self.x, self.y, self.phi_unwrapped = t, x, y, phi_unwrapped
+        self.monitored, self.geometry = monitored, geometry
+        self.aborted, self.diagnostic, self.stats = aborted, diagnostic, stats
 
     @property
     def phi(self) -> np.ndarray:
@@ -413,12 +393,7 @@ def integrate_cotangent(system: MagneticSystem, state0: CotangentState, t_end: f
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DriftStats:
-    name: str
-    initial: float
-    max_abs_drift: float
-    relative_drift: float
+DriftStats = namedtuple("DriftStats", "name initial max_abs_drift relative_drift")
 
 
 def monitor(trajectory: Trajectory) -> dict:
@@ -433,14 +408,8 @@ def monitor(trajectory: Trajectory) -> dict:
     return stats
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
-    max_discrepancy: float
-    max_dx: float
-    max_dy: float
-    max_dphi: float
-    energy_drift: float
-    off_level: bool
+CrosscheckReport = namedtuple("CrosscheckReport",
+                              "max_discrepancy max_dx max_dy max_dphi energy_drift off_level")
 
 
 def crosscheck_formulations(system: MagneticSystem, state0: PhaseState,

@@ -20,7 +20,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from dataclasses import dataclass, field as _dc_field
+from collections import namedtuple
 
 import numpy as np
 
@@ -31,16 +31,14 @@ from .ansatz import (RescaledAnsatz, ResidualReport, coefficient_jet,
                      unresolved_inputs)
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(namedtuple("StateVector", "values")):
     """Pointwise state (Lambda, u_0..u_{N-1}, v_1..v_{N-1}) of even length 2N,
     or a stack of M such states of shape (M, 2N)."""
 
-    values: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
+    def __new__(cls, values):
+        vals = np.asarray(values, dtype=float)
         if vals.ndim not in (1, 2) or vals.shape[-1] < 2 or vals.shape[-1] % 2 != 0:
             raise ValueError("state vector must have even length 2N >= 2")
         rows = vals.reshape(-1, vals.shape[-1])
@@ -51,6 +49,7 @@ class StateVector:
             if not finite[first]:
                 raise ValueError(f"state vector entries must be finite, got {rows[first].tolist()}")
             raise DomainError(f"state has nonpositive conformal factor {rows[first, 0]:g}")
+        return super().__new__(cls, vals)
 
     @property
     def n(self) -> int:
@@ -123,13 +122,11 @@ def stacked_residual(state, ux, uy) -> np.ndarray:
     return rows if state.values.ndim == 2 else rows[0]
 
 
-@dataclass(frozen=True)
-class SystemMatrices:
+class SystemMatrices(namedtuple("SystemMatrices", "a b")):
     """A, B with A U_x + B U_y = 0 the assembled system at a state, or the
     (M, 2N, 2N) stacks of A and B at a stack of M states."""
 
-    a: np.ndarray
-    b: np.ndarray
+    __slots__ = ()
 
     def apply(self, ux, uy) -> np.ndarray:
         return self.a @ np.asarray(ux, dtype=float) + self.b @ np.asarray(uy, dtype=float)
@@ -183,14 +180,9 @@ DISTINCT_TOL = 1e-9
 COND_THRESHOLD = 1e12
 
 
-@dataclass
-class SpectrumReport:
-    """Finite eigenvalues of det(B - lambda A) = 0 and their classification:
-    hyperbolic iff all finite eigenvalues are real and pairwise distinct."""
-
-    eigenvalues: np.ndarray
-    classification: str
-    diagnostics: dict = _dc_field(default_factory=dict)
+#: Finite eigenvalues of det(B - lambda A) = 0 and their classification:
+#: hyperbolic iff all finite eigenvalues are real and pairwise distinct.
+SpectrumReport = namedtuple("SpectrumReport", "eigenvalues classification diagnostics")
 
 
 def _safe_cond(mat) -> float:
@@ -251,7 +243,7 @@ def _qz_error(info: int) -> str:
 
 def _pencil(matrices):
     """(A, B) of a SystemMatrices, an (A, B) pair, or a single matrix B
-    with A = I."""
+    with A = I.  A SystemMatrices is a pair too, so it is tested first."""
     if isinstance(matrices, SystemMatrices):
         return matrices.a, matrices.b
     if isinstance(matrices, (tuple, list)) and len(matrices) == 2:
@@ -372,17 +364,11 @@ def _classify(finite, indeterminate) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EgorovCertificate:
-    """Outcome of checking the two special-form conservation laws (plus the
-    divergence constraint that makes them equivalent to the leading harmonic
-    relations): certified when all three residual sup-norms fall below the
-    tolerance."""
-
-    certified: bool
-    tolerance: float
-    residual_sups: dict
-    flags: list
+#: Outcome of checking the two special-form conservation laws (plus the
+#: divergence constraint that makes them equivalent to the leading harmonic
+#: relations): certified when all three residual sup-norms fall below the
+#: tolerance.
+EgorovCertificate = namedtuple("EgorovCertificate", "certified tolerance residual_sups flags")
 
 
 def certificate_from_reports(constraint: ResidualReport, conservation: ResidualReport,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as _dc_field
+from collections import namedtuple
 from pathlib import Path
 
 from .fields import FieldError, SamplingGrid, TorusGeometry, field_from_spec, zero_field
@@ -31,8 +31,9 @@ KNOWN_CHECKS = ("stationarity", "harmonics", "constraint", "conservation",
 #: Largest sampling grid, nx * ny, a scenario or ``--grid`` may ask for.  The
 #: verify kernels evaluate a grid in blocks of at most fields.BLOCK_POINTS
 #: nodes, so their memory does not grow with the grid: ``verify`` of an N = 4
-#: random scenario peaks at 35-36 MB from 256^2 to 2048^2 (2-CPU x86-64
-#: host), while its time grows with nx * ny (22 s at 2048^2).  What grows is
+#: random scenario peaks at 38.4 MB at 256^2, 38.8 MB at 1024^2 and 40.1 MB
+#: at 2048^2 (its own ru_maxrss, launched from a small parent; 2-CPU x86-64
+#: host), while its time grows with nx * ny (8.3 s at 2048^2).  What grows is
 #: ``--plot-data``: 8 bytes per node for each stationarity and harmonic
 #: residual grid it keeps; its .dat files are written one x column at a time.
 MAX_GRID_POINTS = 2048 * 2048
@@ -65,33 +66,19 @@ def check_verify_work(scenario: Scenario):
              f"{work:.3g} work, above the verify work budget of {MAX_VERIFY_WORK:.3g}")
 
 
-@dataclass
-class TrajectoryRequest:
-    name: str
-    initial: tuple
-    t_end: float
-    control: StepControl
-    observables: tuple = ("H", "F")
-    drift_tol: dict = _dc_field(default_factory=dict)
+class TrajectoryRequest(namedtuple("TrajectoryRequest",
+                                   "name initial t_end control observables drift_tol")):
+    __slots__ = ()
 
     def initial_state(self) -> PhaseState:
         return PhaseState(*self.initial)
 
 
-@dataclass
-class Scenario:
-    """A validated scenario.  The degree and the torus are the ansatz's
-    (`ansatz.n`, `ansatz.geometry`), the magnetic field the system's
-    (`system.omega`)."""
-
-    name: str
-    ansatz: Ansatz
-    omega_source: str                     # "derived" | "provided"
-    system: MagneticSystem
-    grid: SamplingGrid
-    tolerance: float
-    checks: tuple
-    trajectories: tuple
+#: A validated scenario.  The degree and the torus are the ansatz's
+#: (`ansatz.n`, `ansatz.geometry`), the magnetic field the system's
+#: (`system.omega`); `omega_source` is "derived" or "provided".
+Scenario = namedtuple("Scenario", "name ansatz omega_source system grid tolerance "
+                                  "checks trajectories")
 
 
 def build_scenario(data: dict, *, seed: int | None = None,

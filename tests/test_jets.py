@@ -3,7 +3,6 @@ fields, expression nodes against closed forms, value-only fields, and one
 evaluation per field and grid block in each verification check."""
 
 import collections
-import dataclasses
 
 import numpy as np
 import pytest
@@ -170,7 +169,7 @@ def test_one_pass_reports_equal_each_residual_function_alone():
     entries = {c["check"]: c for c in payload["checks"]}
     for check, reports in alone.items():
         # every norm bit for bit (a NaN-free non-solution, so == is exact)
-        assert entries[check]["residuals"] == [dataclasses.asdict(e) for _, report in reports
+        assert entries[check]["residuals"] == [e._asdict() for _, report in reports
                                                for e in report.entries]
         for label, report in reports:
             if report.values is not None:
