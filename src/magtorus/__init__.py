@@ -4,8 +4,7 @@ the associated quasi-linear system."""
 
 from .fields import (AnalyticField, DerivativeUnavailable, DomainError, Field,
                      FieldError, SamplingGrid, TorusGeometry, TrigField,
-                     analytic_preset, constant_field, field_from_spec,
-                     make_trig_field, random_trig_field, trig_records,
+                     constant_field, make_trig_field, random_trig_field,
                      zero_field)
 from .flow import (CotangentState, CrosscheckReport, DriftStats,
                    MagneticSystem, PhaseState, StepControl, Trajectory,
@@ -23,6 +22,7 @@ from .quasilinear import (EgorovCertificate, SpectrumReport, StateVector,
                           egorov_certificate, geodesic_matrix, spectra, spectrum,
                           stacked_residual, state_from_ansatz)
 from .scenarios import (Scenario, ScenarioError, TrajectoryRequest,
-                        build_scenario, bundled_scenario_names, load_scenario)
+                        analytic_preset, build_scenario, bundled_scenario_names,
+                        field_from_spec, load_scenario, trig_records)
 
 __version__ = "0.1.0"

@@ -31,8 +31,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .fields import (DomainError, Field, Jet, LAMBDA_FLOOR, SamplingGrid,
-                     TrigField, bandwidth, check_conformal_factor, point_kernel,
+from .fields import (DomainError, Field, Jet, LAMBDA_FLOOR, SamplingGrid, TrigField,
+                     bandwidth, check_conformal_factor, checked_make, point_kernel,
                      run_kernel, same_torus, trig_leaves, value_field, zero_field)
 from .flow import MagneticSystem
 
@@ -207,15 +207,25 @@ class Ansatz:
 
 class RescaledAnsatz(namedtuple("RescaledAnsatz", "n f g lam")):
     """Rescaled coefficient fields f_k = u_k Lambda^(-k/2), g_k = v_k Lambda^(-k/2),
-    all on Lambda's torus."""
+    all on Lambda's torus.  No __slots__: `_second_block` is cached in the
+    instance's __dict__."""
 
-    __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, n: int, f: tuple, g: tuple, lam: Field):
         if len(f) != n or len(g) != n:
             raise ValueError(f"need {n} rescaled fields f_0..f_{n - 1} and g_0..g_{n - 1}")
         same_torus(lam, *f, *g)
         return super().__new__(cls, n, f, g, lam)
+
+    @functools.cached_property
+    def _second_block(self):
+        """f_{N-2}, g_{N-2}; for N = 1 these are the conjugation-forced values
+        f_{-1} = u_1 Lambda^(1/2) = Lambda and g_{-1} = -v_1 Lambda^(1/2) = 0
+        under the top normalization, that zero built once."""
+        if self.n >= 2:
+            return self.f[self.n - 2], self.g[self.n - 2], False
+        return self.lam, zero_field(self.lam.geometry), True
 
 
 def _scaled_pairs(n: int, lam: Field, first, second, sign: int) -> tuple:
@@ -518,16 +528,6 @@ def constraint_residual(obj, grid: SamplingGrid | None = None) -> ResidualReport
 N1_DEGENERATE_FLAG = "N=1 degenerate"
 
 
-def _second_block(rescaled: RescaledAnsatz):
-    """f_{N-2}, g_{N-2}; for N = 1 these are the conjugation-forced values
-    f_{-1} = u_1 Lambda^(1/2) = Lambda and g_{-1} = -v_1 Lambda^(1/2) = 0
-    under the top normalization."""
-    n = rescaled.n
-    if n >= 2:
-        return rescaled.f[n - 2], rescaled.g[n - 2], False
-    return rescaled.lam, zero_field(rescaled.lam.geometry), True
-
-
 def conservation_flux_fields(rescaled: RescaledAnsatz):
     """The density R and the two flux fields of the conservation-law pair
 
@@ -539,7 +539,7 @@ def conservation_flux_fields(rescaled: RescaledAnsatz):
     n, lam = rescaled.n, rescaled.lam
     f = rescaled.f[n - 1]
     g = rescaled.g[n - 1]
-    fm2, gm2, degenerate = _second_block(rescaled)
+    fm2, gm2, degenerate = rescaled._second_block
     r_field = (n - 1) * (f * g) - n * gm2
     half, ff, gg = (n - 1) / 2.0, f * f, g * g   # each square one node of both fluxes
     flux1 = half * (gg - ff) - float(n * n) * lam + n * fm2
@@ -560,7 +560,7 @@ def conservation_plan(rescaled: RescaledAnsatz) -> ReportPlan:
         r, f1, f2 = r_field.jet(block), flux1.jet(block), flux2.jet(block)
         return [(r.x + f1.y, _largest(r.x, f1.y))], [(r.y + f2.x, _largest(r.y, f2.x))]
 
-    return ReportPlan((rescaled.lam, *_second_block(rescaled)[:2], *top),
+    return ReportPlan((rescaled.lam, *rescaled._second_block[:2], *top),
                       ("conservation_1", "conservation_2"), samples,
                       flags=[N1_DEGENERATE_FLAG] if degenerate else [])
 

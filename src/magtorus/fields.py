@@ -1,5 +1,6 @@
 """Smooth scalar fields on a flat 2-torus with exact point values and exact
-first partial derivatives.
+first partial derivatives: the field math only.  Fields are built in Python
+here; their JSON specs are read by `scenarios` (`field_from_spec`).
 
 Two kinds of leaf, both plain data:
 
@@ -54,8 +55,6 @@ from collections import namedtuple
 
 import numpy as np
 
-from .readers import _integer, _list, _number, _require
-
 TWO_PI = 2.0 * math.pi
 
 #: Positivity floor for conformal factors; evaluation below it is a domain error.
@@ -65,15 +64,6 @@ LAMBDA_FLOOR = 1e-8
 #: dense complex table a TrigField keeps for grid evaluation: 3 x 2048^2
 #: complex cells take about 200 MB.  A field that needs more is refused.
 MAX_TABLE_CELLS = 2048 * 2048
-
-#: Most modes, and largest mode index, of a ``random_trig`` field spec.  The
-#: point kernel inlines every mode, so the time of an orbit grows with the
-#: modes: 1000 modes on each of Lambda and u_0 took 4.2 s for 1000 fixed
-#: steps (2-CPU x86-64 host).  The modes are drawn from a pool of about
-#: 2 max_mode^2, which must fit in int64; drawing 1000 of them takes about
-#: 20 ms at any max_mode up to the limit.
-MAX_RANDOM_MODES = 1000
-MAX_RANDOM_MAX_MODE = 10 ** 6
 
 #: Most nodes of one grid block: 8192 float64 values are 64 KB, below
 #: glibc's 128 KB mmap threshold, so block temporaries come from the heap.
@@ -92,10 +82,16 @@ class DerivativeUnavailable(FieldError):
     """The backend holds no exact rule for the requested derivative."""
 
 
+#: `_make` of a namedtuple subclass whose `__new__` checks its values: it
+#: goes through the class, so `_replace`, which calls it, checks them too.
+checked_make = classmethod(lambda cls, values: cls(*values))
+
+
 class TorusGeometry(namedtuple("TorusGeometry", "period_x period_y")):
     """Fundamental domain [0, period_x) x [0, period_y)."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, period_x: float = TWO_PI, period_y: float = TWO_PI):
         for name, period in (("period_x", period_x), ("period_y", period_y)):
@@ -815,91 +811,3 @@ def random_trig_field(rng, geometry: TorusGeometry | None = None, *,
             m, n = 1 + (i - max_mode) // width, (i - max_mode) % width - max_mode
         table[(m, n)] = amplitude * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     return TrigField(table, geometry)
-
-
-# ---------------------------------------------------------------------------
-# Analytic presets (referenced by name in scenario files)
-# ---------------------------------------------------------------------------
-
-
-def analytic_preset(name: str, params: dict | None = None,
-                    geometry: TorusGeometry | None = None) -> AffineField:
-    """The `AffineField` `name` (affine_x or affine_y) of `params`' offset and slope."""
-    if name not in ("affine_x", "affine_y"):
-        raise FieldError(f"unknown analytic preset {name!r}")
-    params = params or {}
-    offset = _number(params.get("offset", 0.0), f"{name} offset")
-    slope = _number(params.get("slope", 0.0), f"{name} slope")
-    if not (math.isfinite(offset) and math.isfinite(slope)):
-        raise FieldError(f"{name} needs finite offset and slope, got {offset!r}, {slope!r}")
-    return AffineField(offset, slope, name[-1],
-                       geometry if geometry is not None else TorusGeometry())
-
-
-# ---------------------------------------------------------------------------
-# JSON field specifications
-# ---------------------------------------------------------------------------
-
-
-def trig_records(field: TrigField) -> list:
-    """Serialize the full coefficient table as [{m, n, re, im}, ...]."""
-    recs = []
-    for (m, n), c in sorted(field.coefficients().items()):
-        recs.append({"m": m, "n": n, "re": c.real, "im": c.imag})
-    return recs
-
-
-def field_from_spec(spec, geometry: TorusGeometry | None = None, *,
-                    seed_override: int | None = None) -> Field:
-    """Build a field from a JSON-style specification.
-
-    Supported forms::
-
-        {"type": "constant", "value": 2.0}
-        {"type": "trig", "coeffs": [{"m": 0, "n": 1, "re": 0.15, "im": 0.0}, ...]}
-        {"type": "analytic", "name": "affine_y", "params": {"slope": -2.0}}
-        {"type": "random_trig", "seed": 1, "modes": 5, "max_mode": 3,
-         "amplitude": 0.3, "offset": 0.0}
-
-    A bare number (not a boolean) is shorthand for a constant field.
-    """
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return constant_field(float(spec), geometry)
-    if not isinstance(spec, dict):
-        raise FieldError(f"field spec must be a number or an object, got {type(spec).__name__}")
-    kind = spec.get("type")
-    if kind == "constant":
-        return constant_field(_number(spec.get("value"), "constant field value"), geometry)
-    if kind == "trig":
-        table = {}
-        for rec in _list(spec.get("coeffs", []), "trig coeffs"):
-            _require(isinstance(rec, dict), f"trig coefficient must be an object, got {rec!r}")
-            key = (_integer(rec.get("m"), "trig coefficient m"),
-                   _integer(rec.get("n"), "trig coefficient n"))
-            if key in table:
-                raise FieldError(f"duplicate mode {key} in trig spec")
-            table[key] = complex(_number(rec.get("re", 0.0), "trig coefficient re"),
-                                 _number(rec.get("im", 0.0), "trig coefficient im"))
-        return TrigField(table, geometry)
-    if kind == "analytic":
-        params = spec.get("params")
-        _require(params is None or isinstance(params, dict),
-                 f"analytic params must be an object, got {params!r}")
-        return analytic_preset(spec.get("name"), params, geometry)
-    if kind == "random_trig":
-        seed = seed_override if seed_override is not None else spec.get("seed")
-        if seed is None:
-            raise FieldError("random_trig spec needs a seed")
-        seed, modes, max_mode = (
-            _integer(value, f"random_trig {key}", lo=0)
-            for key, value in (("seed", seed), ("modes", spec.get("modes", 5)),
-                               ("max_mode", spec.get("max_mode", 3))))
-        for key, value, limit in (("modes", modes, MAX_RANDOM_MODES),
-                                  ("max_mode", max_mode, MAX_RANDOM_MAX_MODE)):
-            if value > limit:
-                raise FieldError(f"random_trig {key} = {value} exceeds the limit of {limit}")
-        return random_trig_field(
-            np.random.default_rng(seed), geometry, n_modes=modes, max_mode=max_mode,
-            amplitude=_number(spec.get("amplitude", 1.0), "random_trig amplitude"),
-            offset=_number(spec.get("offset", 0.0), "random_trig offset"))
-    raise FieldError(f"unknown field spec type {kind!r}")

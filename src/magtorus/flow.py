@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .fields import (TWO_PI, DerivativeUnavailable, DomainError, Field, TorusGeometry,
-                     check_conformal_factor, point_kernel, same_torus)
+                     check_conformal_factor, checked_make, point_kernel, same_torus)
 
 
 def wrap_angle(phi):
@@ -53,6 +53,7 @@ class PhaseState(namedtuple("PhaseState", "x y phi")):
     """Point of the parameterized energy level: torus coordinates and momentum angle."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, x: float, y: float, phi: float):
         return super().__new__(cls, x, y, float(wrap_angle(phi)))
@@ -65,6 +66,8 @@ class MagneticSystem(namedtuple("MagneticSystem", "lam omega")):
     """Conformal factor and magnetic field defining the flow, on the torus
     of Lambda, which Omega must share.  No __slots__: `kernel` is cached in
     the instance's __dict__."""
+
+    _make = checked_make
 
     def __new__(cls, lam: Field, omega: Field):
         same_torus(lam, omega)
@@ -115,6 +118,7 @@ class StepControl(namedtuple("StepControl", "mode dt atol sample_dt")):
     `mode` is "fixed" or "adaptive"."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, mode: str = "fixed", dt: float = 1e-3, atol: float = 1e-10,
                 sample_dt: float | None = 1e-2):

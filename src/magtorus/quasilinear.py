@@ -24,10 +24,10 @@ from collections import namedtuple
 
 import numpy as np
 
-from .fields import DomainError, Jet, SamplingGrid, power_jet, run_kernel
+from .fields import DomainError, Jet, SamplingGrid, checked_make, power_jet, run_kernel
 from .ansatz import (RescaledAnsatz, ResidualReport, coefficient_jet,
-                     conservation_residuals, constraint_residual,
-                     constraint_sides, harmonic_relation, omega_closed_form,
+                     conservation_plan, constraint_plan, constraint_sides,
+                     harmonic_relation, omega_closed_form, streamed_reports,
                      unresolved_inputs)
 
 
@@ -36,6 +36,7 @@ class StateVector(namedtuple("StateVector", "values")):
     or a stack of M such states of shape (M, 2N)."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, values):
         vals = np.asarray(values, dtype=float)
@@ -392,8 +393,7 @@ def certificate_from_reports(constraint: ResidualReport, conservation: ResidualR
 def egorov_certificate(rescaled: RescaledAnsatz, grid: SamplingGrid | None = None,
                        tol: float = 1e-10) -> EgorovCertificate:
     """Certificate of a rescaled configuration on `grid` (the default
-    `SamplingGrid` of its torus if None)."""
+    `SamplingGrid` of its torus if None), its two reports sampled in one pass."""
     grid = grid if grid is not None else SamplingGrid(geometry=rescaled.lam.geometry)
-    return certificate_from_reports(constraint_residual(rescaled, grid),
-                                    conservation_residuals(rescaled, grid), tol,
-                                    unresolved_inputs(rescaled, grid))
+    reports = streamed_reports(grid, [constraint_plan(rescaled), conservation_plan(rescaled)])[0]
+    return certificate_from_reports(*reports, tol, unresolved_inputs(rescaled, grid))

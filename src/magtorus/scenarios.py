@@ -1,13 +1,18 @@
-"""Scenario specifications: JSON schema, validation, and the bundled library.
+"""Scenario input: every input format and input limit of magtorus.
 
 A scenario fixes the ansatz degree, the conformal factor, the coefficient
 fields and the magnetic field (either an explicit field spec or ``"derive"``,
 which eliminates it through its closed form in the rescaled leading
 coefficients), together with grid sizes, tolerances, the requested checks and
-any trajectory requests.  Bundled scenarios are referenced by name and double
-as the acceptance fixtures.  A degree above MAX_N and a grid above
-MAX_GRID_POINTS are refused at load, before anything of that size is built;
-``verify`` refuses their product above MAX_VERIFY_WORK before it evaluates.
+any trajectory requests; the coefficients it leaves out are one zero field.
+Bundled scenarios are referenced by name and double as the acceptance
+fixtures.  The typed readers of JSON values and flags raise a ScenarioError
+that names the key, so no input of the wrong type reaches a bare ``int()``
+or ``float()``, and `field_from_spec` reads a field spec.  A degree above
+MAX_N, a grid above MAX_GRID_POINTS and a ``random_trig`` spec above
+MAX_RANDOM_MODES or MAX_RANDOM_MAX_MODE are refused at load, before anything
+of that size is built; ``verify`` refuses degree times grid above
+MAX_VERIFY_WORK before it evaluates.
 """
 
 from __future__ import annotations
@@ -17,11 +22,154 @@ import math
 from collections import namedtuple
 from pathlib import Path
 
-from .fields import FieldError, SamplingGrid, TorusGeometry, field_from_spec, zero_field
+import numpy as np
+
+from .fields import (AffineField, Field, FieldError, SamplingGrid, TorusGeometry,
+                     TrigField, constant_field, random_trig_field, zero_field)
 from .flow import (MagneticSystem, PhaseState, StepControl, check_sample_budget,
                    check_step_budget)
 from .ansatz import Ansatz, default_phi_count, omega_rescaled, rescale
-from .readers import ScenarioError, _integer, _list, _name, _number, _positive, _require
+
+
+class ScenarioError(ValueError):
+    """Malformed or inconsistent scenario input."""
+
+
+def _require(cond, msg):
+    if not cond:
+        raise ScenarioError(msg)
+
+
+def _number(value, what: str) -> float:
+    """`value` as a float: a number, not a boolean or a numeric string."""
+    if not isinstance(value, (bool, str)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ScenarioError(f"{what} must be a number, got {value!r}")
+
+
+def _integer(value, what: str, lo: int | None = None) -> int:
+    """`value` as an int: a JSON integer, or a number with an integral value,
+    refused below `lo` when given."""
+    if not (type(value) is int or (type(value) is float and value.is_integer())):
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    value = int(value)
+    _require(lo is None or value >= lo, f"{what} must be >= {lo}, got {value}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    _require(isinstance(value, (list, tuple)), f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _positive(value, what: str) -> float:
+    """`value` as a float, refused unless finite and strictly positive."""
+    value = _number(value, what)
+    _require(0.0 < value < math.inf, f"{what} must be finite and positive, got {value!r}")
+    return value
+
+
+def _name(value, what: str) -> str:
+    """`value` as a name that becomes part of an output file name: a
+    nonempty string, not `.` or `..`, holding no `/`, `\\` or NUL."""
+    _require(isinstance(value, str) and value not in ("", ".", "..")
+             and not any(c in value for c in "/\\\0"),
+             f"{what} must be a nonempty string without '/', '\\', NUL, "
+             f"'.' or '..' (it names output files), got {value!r}")
+    return value
+
+
+# ---------------------------------------------------------------------------
+# JSON field specifications
+# ---------------------------------------------------------------------------
+
+#: Most modes, and largest mode index, of a ``random_trig`` field spec.  The
+#: point kernel inlines every mode, so the time of an orbit grows with the
+#: modes: 1000 modes on each of Lambda and u_0 took 4.2 s for 1000 fixed
+#: steps (2-CPU x86-64 host).  The modes are drawn from a pool of about
+#: 2 max_mode^2, which must fit in int64; drawing 1000 of them takes about
+#: 20 ms at any max_mode up to the limit.
+MAX_RANDOM_MODES = 1000
+MAX_RANDOM_MAX_MODE = 10 ** 6
+
+
+def analytic_preset(name: str, params: dict | None = None,
+                    geometry: TorusGeometry | None = None) -> AffineField:
+    """The `AffineField` `name` (affine_x or affine_y) of `params`' offset and slope."""
+    if name not in ("affine_x", "affine_y"):
+        raise FieldError(f"unknown analytic preset {name!r}")
+    offset, slope = (_number((params or {}).get(key, 0.0), f"{name} {key}")
+                     for key in ("offset", "slope"))
+    if not (math.isfinite(offset) and math.isfinite(slope)):
+        raise FieldError(f"{name} needs finite offset and slope, got {offset!r}, {slope!r}")
+    return AffineField(offset, slope, name[-1],
+                       geometry if geometry is not None else TorusGeometry())
+
+
+def trig_records(field: TrigField) -> list:
+    """Serialize the full coefficient table as [{m, n, re, im}, ...]."""
+    return [{"m": m, "n": n, "re": c.real, "im": c.imag}
+            for (m, n), c in sorted(field.coefficients().items())]
+
+
+def field_from_spec(spec, geometry: TorusGeometry | None = None, *,
+                    seed_override: int | None = None) -> Field:
+    """Build a field from a JSON-style specification.
+
+    Supported forms::
+
+        {"type": "constant", "value": 2.0}
+        {"type": "trig", "coeffs": [{"m": 0, "n": 1, "re": 0.15, "im": 0.0}, ...]}
+        {"type": "analytic", "name": "affine_y", "params": {"slope": -2.0}}
+        {"type": "random_trig", "seed": 1, "modes": 5, "max_mode": 3,
+         "amplitude": 0.3, "offset": 0.0}
+
+    A bare number (not a boolean) is shorthand for a constant field.
+    """
+    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
+        return constant_field(float(spec), geometry)
+    if not isinstance(spec, dict):
+        raise FieldError(f"field spec must be a number or an object, got {type(spec).__name__}")
+    kind = spec.get("type")
+    if kind == "constant":
+        return constant_field(_number(spec.get("value"), "constant field value"), geometry)
+    if kind == "trig":
+        table = {}
+        for rec in _list(spec.get("coeffs", []), "trig coeffs"):
+            _require(isinstance(rec, dict), f"trig coefficient must be an object, got {rec!r}")
+            key = (_integer(rec.get("m"), "trig coefficient m"),
+                   _integer(rec.get("n"), "trig coefficient n"))
+            if key in table:
+                raise FieldError(f"duplicate mode {key} in trig spec")
+            table[key] = complex(_number(rec.get("re", 0.0), "trig coefficient re"),
+                                 _number(rec.get("im", 0.0), "trig coefficient im"))
+        return TrigField(table, geometry)
+    if kind == "analytic":
+        params = spec.get("params")
+        _require(params is None or isinstance(params, dict),
+                 f"analytic params must be an object, got {params!r}")
+        return analytic_preset(spec.get("name"), params, geometry)
+    if kind == "random_trig":
+        seed = seed_override if seed_override is not None else spec.get("seed")
+        if seed is None:
+            raise FieldError("random_trig spec needs a seed")
+        seed, modes, max_mode = (
+            _integer(value, f"random_trig {key}", lo=0)
+            for key, value in (("seed", seed), ("modes", spec.get("modes", 5)),
+                               ("max_mode", spec.get("max_mode", 3))))
+        for key, value, limit in (("modes", modes, MAX_RANDOM_MODES),
+                                  ("max_mode", max_mode, MAX_RANDOM_MAX_MODE)):
+            if value > limit:
+                raise FieldError(f"random_trig {key} = {value} exceeds the limit of {limit}")
+        return random_trig_field(
+            np.random.default_rng(seed), geometry, n_modes=modes, max_mode=max_mode,
+            amplitude=_number(spec.get("amplitude", 1.0), "random_trig amplitude"),
+            offset=_number(spec.get("offset", 0.0), "random_trig offset"))
+    raise FieldError(f"unknown field spec type {kind!r}")
+
 
 SCHEMA_VERSION = 1
 
@@ -33,22 +181,23 @@ KNOWN_CHECKS = ("stationarity", "harmonics", "constraint", "conservation",
 #: nodes, so their memory does not grow with the grid: ``verify`` of an N = 4
 #: random scenario peaks at 38.4 MB at 256^2, 38.8 MB at 1024^2 and 40.1 MB
 #: at 2048^2 (its own ru_maxrss, launched from a small parent; 2-CPU x86-64
-#: host), while its time grows with nx * ny (8.3 s at 2048^2).  What grows is
+#: host), while its time grows with nx * ny (about 10 s at 2048^2).  What grows is
 #: ``--plot-data``: 8 bytes per node for each stationarity and harmonic
 #: residual grid it keeps; its .dat files are written one x column at a time.
 MAX_GRID_POINTS = 2048 * 2048
 
 #: Largest ansatz degree N a scenario may ask for, and largest degree n of
 #: ``assemble --geodesic``.  A 64x64 verify of a constant-Lambda scenario
-#: takes about 7 s at N = 200 and passes 10 s near N = 220 (2-CPU x86-64
-#: host); the work grows with about the square of N.  A geodesic spectrum
-#: took 0.5 s at n = 300 and 1.75 s at n = 600; its QZ work grows as n^3.
+#: with no coefficients takes about 6.4 s at N = 200 and passes 10 s near
+#: N = 250 (2-CPU x86-64 host); the work grows with about the square of N.
+#: A geodesic spectrum took 0.5 s at n = 300 and 1.75 s at n = 600; its QZ
+#: work grows as n^3.
 MAX_N = 200
 
 #: Largest stationarity and harmonic work, (4N + 4) * N * nx * ny, that
 #: ``verify`` takes on.  Each factor is capped above, but not their product:
-#: a constant-Lambda verify ran 36 s at N = 200 on 128^2 (2-CPU x86-64 host)
-#: and would run about 2 h on 2048^2.  The budget admits N = 4 on 2048^2
+#: a constant-Lambda verify ran 21 s at N = 200 on 128^2 (2-CPU x86-64 host)
+#: and would run about 1.5 h on 2048^2.  The budget admits N = 4 on 2048^2
 #: (3.4e8), N = 200 on 64^2 and N = 50 on 256^2 (both near 6.6e8), and
 #: refuses N = 200 on 128^2 and N = 50 on 512^2 (both near 2.6e9).
 MAX_VERIFY_WORK = 10 ** 9
@@ -116,8 +265,8 @@ def build_scenario(data: dict, *, seed: int | None = None,
     _require("lambda" in data, "scenario needs a 'lambda' field spec")
     lam = field(data["lambda"], "lambda")
 
-    u_lower = [zero_field(geometry) for _ in range(n)]
-    v_lower = [zero_field(geometry) for _ in range(max(n - 1, 0))]
+    zero = zero_field(geometry)   # every coefficient left out
+    u_lower, v_lower = [zero] * n, [zero] * (n - 1)
     seen = set()
     for rec in _list(data.get("coefficients", []), "coefficients"):
         _require(isinstance(rec, dict) and "k" in rec,

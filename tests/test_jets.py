@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import magtorus as mt
+import magtorus.cli
 from magtorus.cli import run_verify_checks
 from magtorus.fields import DerivativeUnavailable, GridBlock, TrigField, value_field
 
@@ -154,6 +155,40 @@ def test_verify_checks_evaluate_each_leaf_once_per_block(monkeypatch):
                     assert np.isnan(part)
     stored = {id(field) for b in blocks for field, _ in b.memo.stored}
     assert leaves | {id(scenario.ansatz.u[n]), id(scenario.system.omega)} <= stored
+
+
+@pytest.mark.parametrize("name", sorted(mt.scenarios.BUNDLED))
+def test_verify_evaluates_every_field_its_plans_declare(monkeypatch, name):
+    # The plans' fields are what the memo keeps between them and what their
+    # periodicity and bandwidth are read from: each must be one that is read.
+    scenario = mt.load_scenario(name)
+    blocks, declared = [], set()
+    init, streamed = GridBlock.__init__, magtorus.cli.streamed_reports
+
+    def kept_init(block, *args, **kwargs):
+        init(block, *args, **kwargs)
+        blocks.append(block)
+
+    def recorded(grid, plans):
+        declared.update(field for plan in plans for field in plan.fields)
+        return streamed(grid, plans)
+
+    monkeypatch.setattr(GridBlock, "__init__", kept_init)
+    monkeypatch.setattr(magtorus.cli, "streamed_reports", recorded)
+    run_verify_checks(scenario)
+    assert declared and blocks
+    for block in blocks:   # after the block's pass the memo keeps the declared fields
+        assert set(block.memo) == declared
+
+
+def test_certificate_walks_the_grid_once(monkeypatch):
+    scenario = random_scenario(3, [130, 70])
+    blocks = []
+    init = GridBlock.__init__
+    monkeypatch.setattr(GridBlock, "__init__", lambda block, *args: init(block, *args)
+                        or blocks.append((block.start, block.stop)))
+    mt.egorov_certificate(mt.rescale(scenario.ansatz), scenario.grid)
+    assert blocks == scenario.grid.spans
 
 
 def test_one_pass_reports_equal_each_residual_function_alone():

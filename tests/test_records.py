@@ -32,6 +32,23 @@ def _field(geometry=None):
                  lambda g: (g.period_x, g.period_y) == (2.0 * math.pi, 3.0), id="keywords"),
     pytest.param(lambda: mt.PhaseState(0, 0, 7.0),
                  lambda s: s.phi == pytest.approx(7.0 - 2.0 * math.pi), id="wrapped-phi"),
+    # _replace and _make go through the checks of the constructor
+    pytest.param(lambda: mt.TorusGeometry()._replace(period_x=0.0), mt.FieldError,
+                 id="replace-zero-period"),
+    pytest.param(lambda: mt.TorusGeometry._make([1.0, -1.0]), mt.FieldError,
+                 id="make-negative-period"),
+    pytest.param(lambda: mt.StepControl()._replace(dt=-1.0), ValueError,
+                 id="replace-negative-dt"),
+    pytest.param(lambda: mt.PhaseState(0, 0, 7)._replace(phi=100.0),
+                 lambda s: s.phi == mt.PhaseState(0, 0, 100.0).phi < 2.0 * math.pi,
+                 id="replace-wrapped-phi"),
+    pytest.param(lambda: mt.StateVector([1, 2])._replace(values=[-1, 2]), mt.DomainError,
+                 id="replace-negative-lambda"),
+    pytest.param(lambda: mt.MagneticSystem(_field(), _field())._replace(
+                     omega=_field(mt.TorusGeometry(1.0, 1.0))), mt.FieldError,
+                 id="replace-two-tori"),
+    pytest.param(lambda: mt.RescaledAnsatz(1, (_field(),), (_field(),), _field())._replace(n=2),
+                 ValueError, id="replace-too-few-f"),
 ])
 def test_record_constructors_refuse_and_normalize(build, outcome):
     if isinstance(outcome, type):

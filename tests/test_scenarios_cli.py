@@ -1186,12 +1186,22 @@ def test_degree_cap_is_checked_before_the_zero_fields_are_built(monkeypatch):
     monkeypatch.setattr(mt.scenarios, "zero_field",
                         lambda geometry: built.append(1) or zero_field(geometry))
     mt.build_scenario(dict(BUNDLED["flat-zero-field"], N=mt.scenarios.MAX_N))
-    assert len(built) == 2 * mt.scenarios.MAX_N - 1
+    assert len(built) == 1   # one zero for every coefficient left out
     built.clear()
     with pytest.raises(ScenarioError, match="N = 201 exceeds the limit of 200"):
         mt.build_scenario(dict(BUNDLED["flat-zero-field"], N=mt.scenarios.MAX_N + 1))
     assert built == []
     assert all(d["N"] <= mt.scenarios.MAX_N for d in BUNDLED.values())
+
+
+def test_coefficients_left_out_are_one_zero_field():
+    scenario = mt.build_scenario({"N": 4, "lambda": 2.0, "coefficients": [
+        {"k": 1, "u": 0.5}, {"k": 2, "v": 0.25}]})
+    u, v = scenario.ansatz.u, scenario.ansatz.v
+    left_out = {id(f) for f in (u[0], u[2], u[3], v[1], v[3])}
+    assert len(left_out) == 1
+    assert u[0].coefficients() == {(0, 0): 0j}
+    assert left_out.isdisjoint({id(u[1]), id(v[2])})
 
 
 def y_trig_spec(values, degree):
