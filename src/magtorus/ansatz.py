@@ -51,10 +51,10 @@ EquationResidual = namedtuple("EquationResidual", "label sup rms rel_sup rel_rms
 
 class ResidualReport(namedtuple("ResidualReport", "entries periodic flags values modes",
                                 defaults=(True, None, None, (0, 0)))):
-    """Residual norms per equation.  `values`, where the kernel provides it,
-    is the pointwise residual magnitude on the grid (for plotting); `flags`,
-    where the kernel raises them, qualify the result; `modes` is the
-    `bandwidth` of the fields it evaluates."""
+    """Residual norms per equation.  `values` maps the label of each
+    pointwise residual magnitude grid its plan fills (for plotting) to the
+    grid; `flags`, where the kernel raises them, qualify the result; `modes`
+    is the `bandwidth` of the fields it evaluates."""
 
     __slots__ = ()
 
@@ -108,12 +108,13 @@ class _Norms:
 
 
 #: One report for `streamed_reports`: the equations `labels` of `fields`, of
-#: which `samples(block, part)` gives, for each equation, its (residual,
-#: magnitude) pairs on a grid block, one per sample (an angle of the
-#: stationarity check), as many on every block.  `part` is the block's part of
-#: the report's zeroed `values` array to fill if `values`, else None.
+#: which `samples(block, parts)` gives, for each equation in turn, its
+#: (residual, magnitude) pairs on a grid block, one per sample (an angle of
+#: the stationarity check), as many on every block.  `values` labels the
+#: pointwise grids the plan fills, and `parts` holds the block's part of each
+#: of them, zeroed before the pass, in that order.
 ReportPlan = namedtuple("ReportPlan", "fields labels samples values flags",
-                        defaults=(False, None))
+                        defaults=((), None))
 
 
 def streamed_reports(grid, plans):
@@ -130,15 +131,15 @@ def streamed_reports(grid, plans):
     Returns (the reports, each plan's seconds of sampling, the jets
     evaluated: one per field and block)."""
     grid = grid if grid is not None else SamplingGrid(geometry=plans[0].fields[0].geometry)
-    arrays = [np.zeros((grid.nx, grid.ny)) if plan.values else None for plan in plans]
+    arrays = [{label: np.zeros((grid.nx, grid.ny)) for label in plan.values} for plan in plans]
     norms = [[_Norms(label) for label in plan.labels] for plan in plans]
     seconds, jets = [0.0] * len(plans), 0
     declared = {field for plan in plans for field in plan.fields}
     for block in grid.blocks():
-        for i, (plan, array) in enumerate(zip(plans, arrays)):
+        for i, (plan, values) in enumerate(zip(plans, arrays)):
             start, known = time.perf_counter(), len(block.memo)
-            part = block.part(array) if array is not None else None
-            for acc, pairs in zip(norms[i], plan.samples(block, part)):
+            parts = [block.part(array) for array in values.values()]
+            for acc, pairs in zip(norms[i], plan.samples(block, parts)):
                 for residual, mags in pairs:
                     acc.add(residual, mags)
             seconds[i] += time.perf_counter() - start
@@ -146,13 +147,13 @@ def streamed_reports(grid, plans):
             for field in [f for f in block.memo if f not in declared]:
                 del block.memo[field]   # a plan's own intermediate nodes
 
-    def report(plan, array, accs):
+    def report(plan, values, accs):
         per_block = len(accs[0].squares) // len(grid.spans)
 
         def fold(parts):
             return sum(grid.fold(parts[s::per_block]) for s in range(per_block))
 
-        return ResidualReport([acc.entry(fold) for acc in accs], values=array,
+        return ResidualReport([acc.entry(fold) for acc in accs], values=values,
                               periodic=all(f.periodic for f in plan.fields),
                               flags=plan.flags, modes=bandwidth(*plan.fields))
 
@@ -197,6 +198,11 @@ class Ansatz:
 
     def fields(self):
         return (self.lam,) + self.u + self.v
+
+    @functools.cached_property
+    def rescaled(self) -> RescaledAnsatz:
+        """`rescale(self)`, built once for every reader of its fields."""
+        return rescale(self)
 
     @functools.cached_property
     def _f_kernel(self):
@@ -360,9 +366,10 @@ def default_phi_count(n: int) -> int:
     return 4 * n + 4
 
 
-def _stationarity_samples(ansatz: Ansatz, omega: Field, points, phis):
+def _stationarity_samples(ansatz: Ansatz, omega: Field, points, phis, tops=()):
     """Residual of the stationarity equation on `points` (a grid or a grid
-    block) and its largest term magnitude, yielded one angle at a time."""
+    block) and its largest term magnitude, yielded one angle at a time; each
+    array of `tops` keeps the largest |residual| so far at each point."""
     lam = ansatz.lam.jet(points)
     u = [f.jet(points) for f in ansatz.u]
     v = [f.jet(points) for f in ansatz.v]
@@ -380,7 +387,10 @@ def _stationarity_samples(ansatz: Ansatz, omega: Field, points, phis):
         t1 = f_x * c
         t2 = f_y * s
         t3 = f_phi * (coef * c - coef_x * s - om_term)
-        yield t1 + t2 + t3, _largest(t1, t2, t3)
+        res = t1 + t2 + t3
+        for top in tops:
+            np.maximum(top, np.abs(res), out=top)
+        yield res, _largest(t1, t2, t3)
 
 
 def stationarity_residual_values(ansatz: Ansatz, omega: Field,
@@ -396,19 +406,13 @@ def stationarity_residual_values(ansatz: Ansatz, omega: Field,
 def stationarity_plan(ansatz: Ansatz, omega: Field, values: bool = True) -> ReportPlan:
     """The stationarity residual over grid x `default_phi_count` equispaced
     angles, sampled one block and angle at a time.  With `values`, the
-    report's `values` is the largest |residual| over the angles at each grid
-    node."""
+    report's `values` maps "stationarity" to the largest |residual| over the
+    angles at each grid node."""
     n_phi = default_phi_count(ansatz.n)
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-
-    def samples(block, top):
-        for res, mags in _stationarity_samples(ansatz, omega, block, phis):
-            if top is not None:
-                np.maximum(top, np.abs(res), out=top)
-            yield res, mags
-
-    return ReportPlan(ansatz.fields() + (omega,), ("stationarity",),
-                      lambda block, top: [samples(block, top)], values)
+    samples = lambda block, tops: [_stationarity_samples(ansatz, omega, block, phis, tops)]
+    return ReportPlan(ansatz.fields() + (omega,), ("stationarity",), samples,
+                      ("stationarity",) if values else ())
 
 
 def residual_stationarity(ansatz: Ansatz, omega: Field, grid: SamplingGrid | None = None,
@@ -422,42 +426,52 @@ def residual_stationarity(ansatz: Ansatz, omega: Field, grid: SamplingGrid | Non
 # ---------------------------------------------------------------------------
 
 
+def _harmonic_samples(ansatz: Ansatz, omega: Field, ks, points):
+    """`harmonic_residual_values` of each k of `ks` in turn, keeping the last
+    three coefficient jets: over ascending `ks` each a_j is built once."""
+    n = ansatz.n
+    real_jets = lambda m: (ansatz.u[m].jet(points), ansatz.v[m].jet(points))
+    a = functools.lru_cache(maxsize=3)(lambda j: coefficient_jet(n, j, real_jets))
+    for k in ks:
+        if k < 0 or k > n + 1:
+            raise ValueError(f"harmonic index k must lie in 0..{n + 1}, got {k}")
+        if 0 < k <= n:
+            ak, om = a(k).v, omega.on_grid(points)
+        else:   # the magnetic term k a_k Omega vanishes
+            ak, om = 0.0, 0.0
+        residual, terms = harmonic_relation(k, ansatz.lam.jet(points), a(k - 1), a(k + 1), ak, om)
+        yield residual, _largest(*terms)
+
+
 def harmonic_residual_values(ansatz: Ansatz, omega: Field, k: int, points):
     """Complex residual of harmonic k on `points` (a grid or a grid block),
     plus per-term magnitudes."""
-    n = ansatz.n
-    if k < 0 or k > n + 1:
-        raise ValueError(f"harmonic index k must lie in 0..{n + 1}, got {k}")
-    real_jets = lambda m: (ansatz.u[m].jet(points), ansatz.v[m].jet(points))
-    akm, akp = coefficient_jet(n, k - 1, real_jets), coefficient_jet(n, k + 1, real_jets)
-    if 0 < k <= n:
-        ak, om = coefficient_jet(n, k, real_jets).v, omega.on_grid(points)
-    else:   # the magnetic term k a_k Omega vanishes
-        ak, om = 0.0, 0.0
-    residual, terms = harmonic_relation(k, ansatz.lam.jet(points), akm, akp, ak, om)
-    return residual, _largest(*terms)
+    return next(_harmonic_samples(ansatz, omega, (k,), points))
 
 
-def harmonic_plan(ansatz: Ansatz, omega: Field, k: int, values: bool = True) -> ReportPlan:
-    """The real and imaginary parts of the harmonic-k relation, sampled one
-    block at a time.  With `values`, the report's `values` is the magnitude
-    of the complex residual."""
+def harmonic_plan(ansatz: Ansatz, omega: Field, ks, values: bool = True) -> ReportPlan:
+    """The real and imaginary parts of the harmonic-k relation of each k of
+    the ascending sequence `ks`, sampled one block at a time.  With `values`,
+    the report's `values` maps "harmonic_k" to the residual's magnitude."""
+    labels = tuple(f"harmonic_{k}" for k in ks)
 
-    def samples(block, magnitude):
-        res, mags = harmonic_residual_values(ansatz, omega, k, block)
-        if magnitude is not None:
-            np.abs(res, out=magnitude)
-        return [(res.real, mags)], [(res.imag, mags)]
+    def samples(block, parts):
+        for i, (res, mags) in enumerate(_harmonic_samples(ansatz, omega, ks, block)):
+            if parts:
+                np.abs(res, out=parts[i])
+            yield [(res.real, mags)]
+            yield [(res.imag, mags)]
 
-    return ReportPlan(ansatz.fields() + (omega,), (f"harmonic_{k}_real", f"harmonic_{k}_imag"),
-                      samples, values)
+    return ReportPlan(ansatz.fields() + (omega,),
+                      tuple(label + part for label in labels for part in ("_real", "_imag")),
+                      samples, labels if values else ())
 
 
 def residual_harmonic(ansatz: Ansatz, omega: Field, k: int,
                       grid: SamplingGrid | None = None, values: bool = True) -> ResidualReport:
-    """Real and imaginary norms of the harmonic-k relation (`harmonic_plan`)
-    over `grid`."""
-    return _report(harmonic_plan(ansatz, omega, k, values), grid)
+    """Real and imaginary norms of the harmonic-k relation (`harmonic_plan`
+    of `(k,)`) over `grid`."""
+    return _report(harmonic_plan(ansatz, omega, (k,), values), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +516,7 @@ def constraint_plan(obj) -> ReportPlan:
     (g_{N-1})_y = 0, for an Ansatz or a RescaledAnsatz.  The two agree
     pointwise up to the factor 2 Lambda^((N+1)/2)."""
     if isinstance(obj, Ansatz):
-        rescaled, (u, v) = rescale(obj), (obj.u, obj.v)
+        rescaled, (u, v) = obj.rescaled, (obj.u, obj.v)
     elif isinstance(obj, RescaledAnsatz):
         rescaled, (u, v) = obj, unrescale(obj)
     else:

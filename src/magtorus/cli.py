@@ -7,7 +7,8 @@ of Lambda, a u_k or a v_k, and a residual check whose fields have one,
 included) or an aborted integration (at the positivity floor, at a
 non-finite state, or at the step floor or budget), 2 on input errors
 (malformed JSON, nested too deep to parse included, unknown presets or
-scenario names, nonpositive conformal factor, wrong state-vector length, an
+scenario names, a check, trajectory name or ``--geodesic`` key given twice,
+nonpositive conformal factor, wrong state-vector length, an
 ``--at`` state whose A or B is not finite in float64, step, tolerance,
 trajectory or torus-period values that are not finite and positive, a torus
 period whose grid nodes overflow float64, a fixed step or ``t_end`` above
@@ -59,8 +60,8 @@ from .fields import DomainError, SamplingGrid, bandwidth
 from .flow import (atomic_write as _atomic_write, atomic_write_chunks, export_csv, integrate,
                    monitor, write_table)
 from .ansatz import (conservation_plan, constraint_plan, first_integral_observable,
-                     harmonic_plan, rescale, stationarity_plan, streamed_reports,
-                     unresolved_flag, unresolved_inputs)
+                     harmonic_plan, stationarity_plan, streamed_reports, unresolved_flag,
+                     unresolved_inputs)
 from .quasilinear import (assemble, certificate_from_reports, geodesic_matrix, spectra,
                           spectrum)
 from .scenarios import (MAX_N, Scenario, ScenarioError, bundled_scenario_names,
@@ -199,71 +200,64 @@ def _write_grid_dat(path: Path, grid: SamplingGrid, values: np.ndarray):
 @np.errstate(all="ignore")   # a check whose norms are not finite fails
 def run_verify_checks(scenario: Scenario, want_grids: bool = False):
     """Run the scenario's requested checks in one pass over the grid's
-    blocks (`streamed_reports`): on each block every report the checks need
-    samples in turn from the block's one memo, the constraint and
-    conservation reports once however many checks read them.  A residual
-    check passes when every sup of its reports is below the tolerance, so a
+    blocks (`streamed_reports`): on each block the one plan of every check
+    needed samples in turn from the block's one memo, the constraint and
+    conservation plans once however many checks read them.  A residual
+    check passes when every sup of its report is below the tolerance, so a
     NaN sup fails it, and the grid resolves the modes of its fields; an
     unresolved check is flagged and fails.  The certificate judges the sups
     of the constraint and conservation reports, and is withheld when the
     grid does not resolve a mode of its inputs (`unresolved_inputs`).
 
     Returns (payload dict, stats dict, timings dict, residual grids for
-    --plot-data).  The stats give the grid's points and blocks, the jets the
-    pass evaluated (one per field and block), and per check the `bandwidth`
-    of the fields it evaluates and whether the grid resolves it.  A check's
-    timing is the sampling time of the reports it is the first to read,
-    plus its own."""
+    --plot-data, by label).  The stats give the grid's points and blocks, the
+    jets the pass evaluated (one per field and block), and per check the
+    `bandwidth` of the fields it evaluates and whether the grid resolves it.
+    A check's timing is the sampling time of the reports it is the first to
+    read, plus its own."""
     ansatz, omega, grid, tol = (scenario.ansatz, scenario.system.omega,
                                 scenario.grid, scenario.tolerance)
-    # Residual check -> its (label, plan) pairs.  A block samples them in this
-    # order, so conservation's many intermediate nodes have left its memo
-    # before stationarity fills it with every coefficient.
+    # Residual check -> its plan.  A block samples them in this order, so
+    # conservation's many intermediate nodes have left its memo before
+    # stationarity fills it with every coefficient.
     plans = {
-        "conservation": lambda: [("conservation", conservation_plan(rescale(ansatz)))],
-        "constraint": lambda: [("constraint", constraint_plan(ansatz))],
-        "stationarity": lambda: [("stationarity", stationarity_plan(ansatz, omega, want_grids))],
-        "harmonics": lambda: [(f"harmonic_{k}", harmonic_plan(ansatz, omega, k, want_grids))
-                              for k in range(ansatz.n + 2)],
+        "conservation": lambda: conservation_plan(ansatz.rescaled),
+        "constraint": lambda: constraint_plan(ansatz),
+        "stationarity": lambda: stationarity_plan(ansatz, omega, want_grids),
+        "harmonics": lambda: harmonic_plan(ansatz, omega, range(ansatz.n + 2), want_grids),
     }
     reads = {check: (check,) for check in plans}
     reads["certificate"] = ("constraint", "conservation")
     needed = {name for check in scenario.checks for name in reads[check]}
-    labelled = [(check, label, plan) for check, make in plans.items() if check in needed
-                for label, plan in make()]
-    reports, seconds, jets = streamed_reports(grid, [plan for *_, plan in labelled])
-    sampled, unpaid = {}, dict.fromkeys(needed, 0.0)   # sampling time not yet in a timing
-    for (check, label, _), report, spent in zip(labelled, reports, seconds):
-        sampled.setdefault(check, []).append((label, report))
-        unpaid[check] += spent
-    checks, timings, grids, modes = [], {}, {}, {}
+    order = [check for check in plans if check in needed]
+    reports, seconds, jets = streamed_reports(grid, [plans[check]() for check in order])
+    sampled = dict(zip(order, reports))
+    unpaid = dict(zip(order, seconds))   # sampling time not yet in a timing
+    checks, timings, grids, bandwidths = [], {}, {}, {}
     for check in scenario.checks:
         # the timing starts with the sampling of the reports it is the first to read
         t0 = time.perf_counter() - sum(unpaid.pop(name, 0.0) for name in reads[check])
         if check == "certificate":
-            cert = certificate_from_reports(sampled["constraint"][0][1],
-                                            sampled["conservation"][0][1], tol,
+            cert = certificate_from_reports(sampled["constraint"], sampled["conservation"], tol,
                                             unresolved_inputs(ansatz, grid))
             # shares residual_sups, which _fail_non_finite may rewrite: the
             # certificate is not read again
             entry = {"check": check, "pass": cert.certified, **cert._asdict()}
-            modes[check] = bandwidth(*ansatz.fields())   # the inputs it judges
+            m, n = bandwidth(*ansatz.fields())   # the inputs it judges
         else:
-            entry = {"check": check, "residuals": [], "periodic": True}
-            for label, report in sampled[check]:
-                entry["residuals"] += (res._asdict() for res in report.entries)
-                entry["periodic"] &= report.periodic
-                modes[check] = tuple(map(max, modes.get(check, (0, 0)), report.modes))
-                if report.flags is not None:
-                    entry.setdefault("flags", []).extend(report.flags)
-                if report.values is not None:
-                    grids[label] = report.values
+            report = sampled[check]
+            entry = {"check": check, "residuals": [res._asdict() for res in report.entries],
+                     "periodic": report.periodic}
+            if report.flags is not None:
+                entry["flags"] = list(report.flags)
+            grids.update(report.values)
             entry["pass"] = all(res["sup"] < tol for res in entry["residuals"])
-            m, n = modes[check]
+            m, n = report.modes
             if not grid.resolves(m, n):   # the node sups alone cannot pass the check
                 entry.setdefault("flags", []).append(
                     unresolved_flag(f"its fields reach |m| = {m} and |n| = {n}", grid))
                 entry["pass"] = False
+        bandwidths[check] = {"max_m": m, "max_n": n, "resolved": grid.resolves(m, n)}
         timings[check + "_s"] = time.perf_counter() - t0
         checks.append(_fail_non_finite(entry))
 
@@ -278,9 +272,7 @@ def run_verify_checks(scenario: Scenario, want_grids: bool = False):
     }
     stats = {"grid_points": grid.nx * grid.ny, "blocks": len(grid.spans),
              "largest_block_points": max(stop - start for start, stop in grid.spans),
-             "jets": jets,
-             "bandwidth": {check: {"max_m": m, "max_n": n, "resolved": grid.resolves(m, n)}
-                           for check, (m, n) in modes.items()}}
+             "jets": jets, "bandwidth": bandwidths}
     return payload, stats, timings, grids
 
 
@@ -389,6 +381,8 @@ def _parse_geodesic(text: str):
         key, _, val = part.partition("=")
         if key not in ("n", "a"):
             raise ScenarioError(f"unknown --geodesic key {key!r} (use n=.. a=..)")
+        if key in values:
+            raise ScenarioError(f"--geodesic key {key!r} is given twice")
         values[key] = val
     if set(values) != {"n", "a"}:
         raise ScenarioError("--geodesic needs 'n=<degree> a=<a_0,...,a_n>'")

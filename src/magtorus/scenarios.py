@@ -28,7 +28,7 @@ from .fields import (AffineField, Field, FieldError, SamplingGrid, TorusGeometry
                      TrigField, constant_field, random_trig_field, zero_field)
 from .flow import (MagneticSystem, PhaseState, StepControl, check_sample_budget,
                    check_step_budget)
-from .ansatz import Ansatz, default_phi_count, omega_rescaled, rescale
+from .ansatz import Ansatz, default_phi_count, omega_rescaled
 
 
 class ScenarioError(ValueError):
@@ -88,7 +88,7 @@ def _name(value, what: str) -> str:
 
 #: Most modes, and largest mode index, of a ``random_trig`` field spec.  The
 #: point kernel inlines every mode, so the time of an orbit grows with the
-#: modes: 1000 modes on each of Lambda and u_0 took 4.2 s for 1000 fixed
+#: modes: 1000 modes on each of Lambda and u_0 took 2.7 s for 1000 fixed
 #: steps (2-CPU x86-64 host).  The modes are drawn from a pool of about
 #: 2 max_mode^2, which must fit in int64; drawing 1000 of them takes about
 #: 20 ms at any max_mode up to the limit.
@@ -285,7 +285,7 @@ def build_scenario(data: dict, *, seed: int | None = None,
 
     omega_spec = data.get("omega", "derive")
     if omega_spec == "derive":
-        omega = omega_rescaled(rescale(ansatz))
+        omega = omega_rescaled(ansatz.rescaled)
         omega_source = "derived"
     else:
         omega = field(omega_spec, "omega")
@@ -318,13 +318,16 @@ def build_scenario(data: dict, *, seed: int | None = None,
         _positive(dt_override, "--dt")
 
     checks = tuple(_list(data.get("checks", list(KNOWN_CHECKS)), "checks"))
-    for c in checks:
+    for i, c in enumerate(checks):
         _require(c in KNOWN_CHECKS, f"unknown check {c!r} (known: {KNOWN_CHECKS})")
+        _require(c not in checks[:i], f"duplicate check {c!r}")
 
     trajectories = []
     for i, rec in enumerate(_list(data.get("trajectories", []), "trajectories")):
         _require(isinstance(rec, dict), "trajectory request must be an object")
         traj_name = _name(rec.get("name", f"traj{i}"), f"trajectory {i} name")
+        _require(all(traj_name != t.name for t in trajectories),   # one CSV file per name
+                 f"duplicate trajectory name {traj_name!r}")
         label = f"trajectory {traj_name!r}"
         initial = rec.get("initial")
         _require(isinstance(initial, (list, tuple)) and len(initial) == 3,

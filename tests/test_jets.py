@@ -206,12 +206,75 @@ def test_one_pass_reports_equal_each_residual_function_alone():
         # every norm bit for bit (a NaN-free non-solution, so == is exact)
         assert entries[check]["residuals"] == [e._asdict() for _, report in reports
                                                for e in report.entries]
-        for label, report in reports:
-            if report.values is not None:
-                assert np.array_equal(grids.pop(label), report.values)
+        for _, report in reports:
+            for label, values in report.values.items():
+                assert np.array_equal(grids.pop(label), values)
     assert grids == {}
     cert = mt.egorov_certificate(mt.rescale(ansatz), grid, scenario.tolerance)
     assert entries["certificate"]["residual_sups"] == cert.residual_sups
+
+
+@pytest.mark.parametrize("checks, first_labels", [
+    (list(mt.scenarios.KNOWN_CHECKS),
+     ["conservation_1", "divergence_unscaled", "stationarity", "harmonic_0_real"]),
+    (["certificate"], ["conservation_1", "divergence_unscaled"]),
+    (["harmonics", "stationarity"], ["stationarity", "harmonic_0_real"]),
+], ids=["all", "certificate", "harmonics-stationarity"])
+def test_verify_samples_one_plan_per_needed_check(monkeypatch, checks, first_labels):
+    scenario = random_scenario(3, [16, 16], checks=checks)
+    plans, streamed = [], magtorus.cli.streamed_reports
+
+    def recorded(grid, given):
+        plans.extend(given)
+        return streamed(grid, given)
+
+    monkeypatch.setattr(magtorus.cli, "streamed_reports", recorded)
+    payload, _, _, grids = run_verify_checks(scenario, want_grids=True)
+    assert [plan.labels[0] for plan in plans] == first_labels
+    if "harmonics" in checks:   # the N + 2 relations in one report, each with its grid
+        entry = next(c for c in payload["checks"] if c["check"] == "harmonics")
+        assert [r["label"] for r in entry["residuals"]] == [
+            f"harmonic_{k}_{part}" for k in range(5) for part in ("real", "imag")]
+        assert set(grids) == {"stationarity", *(f"harmonic_{k}" for k in range(5))}
+
+
+def test_harmonics_build_each_coefficient_jet_once_per_block(monkeypatch):
+    n = 4
+    scenario = random_scenario(n, [130, 70], checks=["harmonics"])
+    built, original = collections.Counter(), mt.ansatz.coefficient_jet
+
+    def counted(n, j, real_jets):
+        jet = original(n, j, real_jets)
+        if isinstance(jet.v, np.ndarray):   # a_j = 0 for j > N is a scalar
+            built[j] += 1
+        return jet
+
+    monkeypatch.setattr(mt.ansatz, "coefficient_jet", counted)
+    run_verify_checks(scenario)
+    # a_{-1} = conj(a_1) and a_0 .. a_N: N + 2 jets on each block, not 3 per relation
+    assert built == {j: len(scenario.grid.spans) for j in range(-1, n + 1)}
+
+
+def test_omega_constraint_and_conservation_read_one_rescaled_form(monkeypatch):
+    n = 4
+    scenario = random_scenario(n, [256, 256])
+    rescaled = scenario.ansatz.rescaled
+    assert scenario.ansatz.rescaled is rescaled
+    top = (rescaled.f[n - 1], rescaled.g[n - 1])
+    assert scenario.system.omega._children == top   # the derived Omega
+    fields, streamed = {}, magtorus.cli.streamed_reports
+
+    def recorded(grid, plans):
+        fields.update((plan.labels[0], plan.fields) for plan in plans)
+        return streamed(grid, plans)
+
+    monkeypatch.setattr(magtorus.cli, "streamed_reports", recorded)
+    stats = run_verify_checks(scenario)[1]
+    for label in ("divergence_unscaled", "conservation_1"):
+        assert set(top) <= set(fields[label])
+    # 9 leaves and 32 nodes per block: f_3, g_3 and Lambda^(-3/2) once each,
+    # not once for each of Omega, the constraint and the conservation laws (47)
+    assert stats["jets"] == 41 * len(scenario.grid.spans)
 
 
 def test_conservation_fluxes_share_their_squares():

@@ -793,6 +793,28 @@ def test_scenario_file_that_is_not_an_object_is_input_error(tmp_path, capsys):
     assert "scenario must be a JSON object" in err
 
 
+@pytest.mark.parametrize("command, change, message", [
+    # Both orbits would be written to one CSV file and one stats entry.
+    ("simulate", {"trajectories": [{"name": "a", "initial": [0, 0, 0], "t_end": 0.1}] * 2},
+     "duplicate trajectory name 'a'"),
+    ("verify", {"checks": ["harmonics", "harmonics"]}, "duplicate check 'harmonics'"),
+], ids=["trajectory-name", "check"])
+def test_a_name_given_twice_is_refused_at_load(tmp_path, capsys, command, change, message):
+    data = dict(json.loads(json.dumps(BUNDLED["flat-zero-field"])), **change)
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, command, str(path), "--out", str(tmp_path))
+    assert code == 2
+    assert f"error: {message}" in err
+    assert out == "" and sorted(tmp_path.iterdir()) == [path]   # nothing run or written
+
+
+def test_a_repeated_geodesic_key_names_the_flag(capsys):
+    code, out, err = run_cli(capsys, "assemble", "--geodesic", "n=2 a=0,1,1 a=5,5,5")
+    assert code == 2
+    assert "error: --geodesic key 'a' is given twice" in err and out == ""
+
+
 def test_geodesic_matrix_overflow_names_the_flag():
     proc = run_python("-m", "magtorus", "assemble", "--geodesic", "n=3 a=1e308,-1e308,0.5,1",
                       timeout=60.0)
